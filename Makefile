@@ -1,7 +1,10 @@
 .PHONY: test acceptance
 
+# the sources under src/ are tested directly, without an installed copy
+PYTEST = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest
+
 test:
-	pytest -q
+	$(PYTEST) -q
 
 acceptance:
-	pytest -v -s tests/test_acceptance.py
+	$(PYTEST) -v -s tests/test_acceptance.py

@@ -40,7 +40,7 @@ from .decision import (
 from .fileformat import parse, serialise
 from .numkernel import DEFAULT_TOL, ToleranceContext
 from .pencil import PencilRankWitness, max_pencil_rank
-from .sdc import SdcResult, sdc_full_rank, sdc_reduced, verify_congruence
+from .sdc import SdcResult, sdc_full_rank, sdc_reduced
 from .sds import SdsResult, are_sds, common_eigenbasis
 
 __version__ = "0.1.0"
@@ -77,7 +77,6 @@ __all__ = [
     "common_eigenbasis",
     "sdc_full_rank",
     "sdc_reduced",
-    "verify_congruence",
     "is_evolution_algebra",
     "check_certificate",
     "explain",

@@ -4,13 +4,16 @@ An algebra over R or C is given by a basis ``e_1 .. e_n`` and the products
 ``e_i e_j = sum_k m_ijk e_k``.  Only entries with ``i <= j`` are stored, so a
 non-commutative table is unrepresentable by construction.  The tensor is
 repackaged as the n symmetric "structure matrices" ``M_k`` with
-``(M_k)_{ij} = m_ijk``; the whole product is then bilinear in coordinates:
-the k-th coordinate of ``a b`` is ``a^T M_k b``.
+``(M_k)_{ij} = m_ijk``, held as one ``(n, n, n)`` array; the whole product is
+then bilinear in coordinates: the k-th coordinate of ``a b`` is
+``a^T M_k b``.  Public functions validate their spec once on entry and work
+on that array from there on.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -93,19 +96,49 @@ def _dtype(spec: AlgebraSpec):
     return np.float64 if spec.field == REAL else np.complex128
 
 
-def m_structure_matrices(spec: AlgebraSpec) -> list[np.ndarray]:
-    """The n symmetric matrices ``M_k`` with ``(M_k)_{ij} = m_ijk``.
+def m_structure_matrices(spec: AlgebraSpec) -> np.ndarray:
+    """The structure tensor: an ``(n, n, n)`` array ``t`` with ``t[k] = M_k``.
 
-    Symmetry is exact by construction.  Real algebras yield float64 matrices,
-    complex ones complex128.
+    ``(M_k)_{ij} = m_ijk``, built in one scatter from a validated spec.
+    Symmetry is exact by construction.  Real algebras yield float64, complex
+    ones complex128.
     """
     n = spec.dim
-    mats = [np.zeros((n, n), dtype=_dtype(spec)) for _ in range(n)]
-    for (i, j, k), v in spec.constants.items():
-        value = v.real if spec.field == REAL else v
-        mats[k - 1][i - 1, j - 1] = value
-        mats[k - 1][j - 1, i - 1] = value
-    return mats
+    t = np.zeros((n, n, n), dtype=_dtype(spec))
+    m = len(spec.constants)
+    if m:
+        keys = np.fromiter(itertools.chain.from_iterable(spec.constants), dtype=np.intp, count=3 * m)
+        i, j, k = (keys.reshape(m, 3) - 1).T
+        values = np.fromiter(spec.constants.values(), dtype=np.complex128, count=m)
+        if spec.field == REAL:
+            values = values.real
+        t[k, i, j] = values
+        t[k, j, i] = values
+    return t
+
+
+def _spec_from_tensor(t: np.ndarray, field: str) -> AlgebraSpec:
+    """The canonical spec whose structure matrices are the slices of a symmetric ``t``."""
+    if not np.all(np.isfinite(t)):
+        raise MalformedSpec("computed structure constants are not finite")
+    n = t.shape[0]
+    rows, cols = np.triu_indices(n)
+    upper = t[:, rows, cols]
+    k, pair = np.nonzero(upper)
+    keys = zip((rows[pair] + 1).tolist(), (cols[pair] + 1).tolist(), (k + 1).tolist())
+    return AlgebraSpec(n, field, dict(zip(keys, upper[k, pair].astype(np.complex128).tolist())))
+
+
+def _recoordinatise(t: np.ndarray, pm: np.ndarray) -> np.ndarray:
+    """Structure tensor in the basis given by the columns of ``pm``.
+
+    The congruence transforms ``P^T M_k P`` are re-coordinatised through
+    ``P^{-1}``; the sum over ``k`` runs in index order.
+    """
+    pinv = np.linalg.inv(pm)
+    congruent = pm.T @ t @ pm
+    new = np.stack([np.add.reduce(row[:, None, None] * congruent, axis=0) for row in pinv])
+    return (new + new.transpose(0, 2, 1)) / 2.0  # guard against round-off asymmetry
 
 
 def multiply(spec: AlgebraSpec, a, b) -> np.ndarray:
@@ -113,12 +146,12 @@ def multiply(spec: AlgebraSpec, a, b) -> np.ndarray:
 
     The k-th output coordinate is ``a^T M_k b``.
     """
+    spec = validate(spec)
     x = np.asarray(a)
     y = np.asarray(b)
     if x.shape != (spec.dim,) or y.shape != (spec.dim,):
         raise DimensionMismatch(f"coordinate vectors must have length {spec.dim}, got {x.shape} and {y.shape}")
-    mats = m_structure_matrices(spec)
-    return np.array([x @ m @ y for m in mats])
+    return m_structure_matrices(spec) @ y @ x
 
 
 def change_basis(spec: AlgebraSpec, p, tol: ToleranceContext = DEFAULT_TOL) -> AlgebraSpec:
@@ -139,19 +172,12 @@ def change_basis(spec: AlgebraSpec, p, tol: ToleranceContext = DEFAULT_TOL) -> A
     field = REAL if (spec.field == REAL and p_is_real) else COMPLEX
     if field == REAL:
         pm = pm.real.astype(np.float64)
-    pinv = np.linalg.inv(pm)
-    mats = m_structure_matrices(spec)
-    congruent = [pm.T @ m @ pm for m in mats]
-    constants: dict[tuple[int, int, int], complex] = {}
-    for l in range(n):
-        new_m = sum(pinv[l, k] * congruent[k] for k in range(n))
-        new_m = (new_m + new_m.T) / 2.0  # guard against round-off asymmetry
-        for i in range(n):
-            for j in range(i, n):
-                v = complex(new_m[i, j])
-                if v != 0:
-                    constants[(i + 1, j + 1, l + 1)] = v
-    return validate(AlgebraSpec(n, field, constants))
+    return _spec_from_tensor(_recoordinatise(m_structure_matrices(spec), pm), field)
+
+
+def _annihilator(t: np.ndarray, tol: ToleranceContext) -> np.ndarray:
+    n = t.shape[0]
+    return numkernel.kernel_basis(t.reshape(n * n, n), tol)
 
 
 def annihilator_basis(spec: AlgebraSpec, tol: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
@@ -161,8 +187,7 @@ def annihilator_basis(spec: AlgebraSpec, tol: ToleranceContext = DEFAULT_TOL) ->
     computed from the stacked ``(n^2) x n`` matrix in a single kernel call.
     """
     spec = validate(spec)
-    stacked = np.vstack(m_structure_matrices(spec))
-    return numkernel.kernel_basis(stacked, tol)
+    return _annihilator(m_structure_matrices(spec), tol)
 
 
 @dataclass(frozen=True)
@@ -171,13 +196,26 @@ class AdaptedBasis:
 
     ``transform`` holds the new basis vectors as columns (annihilator columns
     last); in that basis every structure matrix is the direct sum of its
-    leading ``(n - ann_dim)`` block and a zero block, and ``blocks`` holds the
-    n leading blocks.
+    leading ``(n - ann_dim)`` block and a zero block, and ``blocks`` is the
+    ``(n, n - ann_dim, n - ann_dim)`` array of the n leading blocks.
     """
 
     transform: np.ndarray
     ann_dim: int
-    blocks: list[np.ndarray]
+    blocks: np.ndarray
+
+
+def _adapt(t: np.ndarray, ann: np.ndarray) -> AdaptedBasis:
+    """Adapted basis for the structure tensor ``t`` with annihilator basis ``ann``."""
+    n = t.shape[0]
+    a = ann.shape[1]
+    if a == 0:
+        raise EmptyAnnihilator("annihilator is zero; no adapted basis needed")
+    indices = numkernel.complete_to_basis(ann)
+    r = n - a
+    eye = np.eye(n, dtype=ann.dtype)
+    transform = np.column_stack([eye[:, indices], ann]) if r else ann
+    return AdaptedBasis(transform, a, _recoordinatise(t, transform)[:, :r, :r])
 
 
 def adapt_basis_to_annihilator(spec: AlgebraSpec, tol: ToleranceContext = DEFAULT_TOL) -> AdaptedBasis:
@@ -189,18 +227,8 @@ def adapt_basis_to_annihilator(spec: AlgebraSpec, tol: ToleranceContext = DEFAUL
     the annihilator is zero.
     """
     spec = validate(spec)
-    n = spec.dim
-    ann = annihilator_basis(spec, tol)
-    a = ann.shape[1]
-    if a == 0:
-        raise EmptyAnnihilator("annihilator is zero; no adapted basis needed")
-    indices = numkernel.complete_to_basis(ann)
-    r = n - a
-    eye = np.eye(n, dtype=ann.dtype)
-    transform = np.column_stack([eye[:, indices], ann]) if r else ann
-    changed = change_basis(spec, transform, tol)
-    blocks = [m[:r, :r] for m in m_structure_matrices(changed)]
-    return AdaptedBasis(transform, a, blocks)
+    t = m_structure_matrices(spec)
+    return _adapt(t, _annihilator(t, tol))
 
 
 def complexify(spec: AlgebraSpec) -> AlgebraSpec:
@@ -222,16 +250,9 @@ def quotient_by_annihilator(spec: AlgebraSpec, tol: ToleranceContext = DEFAULT_T
     adapted basis, where ``r = n - ann_dim``.
     """
     spec = validate(spec)
-    adapted = adapt_basis_to_annihilator(spec, tol)
+    t = m_structure_matrices(spec)
+    adapted = _adapt(t, _annihilator(t, tol))
     r = spec.dim - adapted.ann_dim
     if r == 0:
         raise EmptyQuotient("annihilator is the whole algebra; quotient is 0-dimensional")
-    constants: dict[tuple[int, int, int], complex] = {}
-    for k in range(r):
-        block = adapted.blocks[k]
-        for i in range(r):
-            for j in range(i, r):
-                v = complex(block[i, j])
-                if v != 0:
-                    constants[(i + 1, j + 1, k + 1)] = v
-    return validate(AlgebraSpec(r, spec.field, constants))
+    return _spec_from_tensor(adapted.blocks[:r], spec.field)

@@ -19,7 +19,6 @@ the complex certificate attached.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -89,10 +88,35 @@ class CertificateCheck:
     reason: Optional[str] = None
 
 
-def _certificate(p: np.ndarray, mats: list[np.ndarray]) -> Certificate:
-    diagonals = tuple(np.diag(p.T @ m @ p).copy() for m in mats)
-    products = np.column_stack(diagonals)  # row i = coordinates of the square of e*_i
-    return Certificate(p, diagonals, products)
+def _certificate(p: np.ndarray, products: np.ndarray) -> Certificate:
+    diagonals = tuple(np.diag(a).copy() for a in products)
+    return Certificate(p, diagonals, np.column_stack(diagonals))  # row i = coordinates of the square of e*_i
+
+
+def _check(t: np.ndarray, p, tol: ToleranceContext) -> tuple[CertificateCheck, Optional[np.ndarray]]:
+    """The certificate test on the structure tensor ``t``.
+
+    Returns the check and, once ``p`` is a nonsingular square matrix, the
+    products ``A = P^T M P`` in the candidate basis: ``A[k, i, j]`` is the
+    k-th input coordinate of ``b_i b_j``.  Each pair ``i < j`` passes when
+    ``||b_i b_j|| <= verify_rtol * ||t||_F * ||p_i|| * ||p_j||``.
+    """
+    n = t.shape[0]
+    pm = np.asarray(p)
+    if pm.shape != (n, n):
+        return CertificateCheck(ok=False, reason=f"transform must be {n}x{n}, got {pm.shape}"), None
+    if numkernel.rank(pm, tol) < n:
+        return CertificateCheck(ok=False, reason="transform is singular under the rank tolerance"), None
+    products = pm.T @ t @ pm
+    rows, cols = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # the pairs i < j, row by row
+    residual = np.linalg.norm(products[:, rows, cols], axis=0)
+    column_norms = np.linalg.norm(pm, axis=0)
+    bound = tol.verify_rtol * float(np.linalg.norm(t)) * column_norms[rows] * column_norms[cols]
+    if not np.any(residual > bound):
+        return CertificateCheck(ok=True, residual=float(residual.max(initial=0.0))), products
+    worst = int(np.argmax(residual))
+    pair = (int(rows[worst]) + 1, int(cols[worst]) + 1)
+    return CertificateCheck(ok=False, offending_pair=pair, residual=float(residual[worst])), products
 
 
 def _find_real_pencil_point(
@@ -171,25 +195,25 @@ def is_evolution_algebra(
     spec = algebra.validate(spec)
     n = spec.dim
     real_input = spec.field == REAL
-    mats = algebra.m_structure_matrices(spec)
+    t = algebra.m_structure_matrices(spec)
     notes: list[str] = []
 
     def diag(branch, r0, lambda0, ann_dim, trials_used):
         return Diagnostics(branch, r0, lambda0, ann_dim, trials, trials_used, seed, tol, tuple(notes))
 
     try:
-        if not any(np.any(m) for m in mats):
+        if not t.any():
             # zero algebra: the given basis is already natural
             p = np.eye(n)
-            return Verdict(EVOLUTION, _certificate(p, mats), None, diag("b.2", 0, None, n, None))
+            return Verdict(EVOLUTION, _certificate(p, _check(t, p, tol)[1]), None, diag("b.2", 0, None, n, None))
 
         witness = None
         branch = None
         ann_dim: Optional[int] = None
-        work = mats
+        work = t
         embed: Optional[tuple[np.ndarray, int]] = None
 
-        for k, m in enumerate(mats):
+        for k, m in enumerate(t):
             if numkernel.rank(m, tol) == n:
                 lam = np.zeros(n, dtype=np.complex128)
                 lam[k] = 1.0
@@ -199,11 +223,11 @@ def is_evolution_algebra(
                 break
 
         if witness is None:
-            ann = algebra.annihilator_basis(spec, tol)
+            ann = algebra._annihilator(t, tol)
             ann_dim = ann.shape[1]
             if ann_dim == 0:
                 branch = "b.1"
-                witness = pencil.max_pencil_rank(mats, tol, trials, seed)
+                witness = pencil.max_pencil_rank(t, tol, trials, seed)
                 if witness.r0 < n:
                     notes.append(
                         "no full-rank pencil point found by randomized search; "
@@ -217,7 +241,7 @@ def is_evolution_algebra(
                     )
             else:
                 branch = "b.2"
-                adapted = algebra.adapt_basis_to_annihilator(spec, tol)
+                adapted = algebra._adapt(t, ann)
                 r = n - ann_dim
                 work = adapted.blocks
                 embed = (adapted.transform, ann_dim)
@@ -246,11 +270,11 @@ def is_evolution_algebra(
         else:
             p = p_work
 
-        check = sdc.verify_congruence(p, mats, tol)
+        check, products = _check(t, p, tol)
         if not check.ok:
             notes.append("constructed transform failed independent congruence verification")
             return Verdict(UNDETERMINED, None, None, diag(branch, witness.r0, witness.lambda0, ann_dim, witness.trials_used))
-        return Verdict(outcome, _certificate(p, mats), None, diagnostics)
+        return Verdict(outcome, _certificate(p, products), None, diagnostics)
     except (NonConvergence, RefinementInconsistency, GramFactorisationError, Singular) as exc:
         notes.append(f"numerical failure: {exc}")
         return Verdict(UNDETERMINED, None, None, diag(None, None, None, None, None))
@@ -259,35 +283,17 @@ def is_evolution_algebra(
 def check_certificate(spec: AlgebraSpec, p, tol: ToleranceContext = DEFAULT_TOL) -> CertificateCheck:
     """Independent oracle for a natural-basis candidate.
 
-    Recomputes every off-diagonal product of the candidate basis through the
-    multiplication table; accepts when all of them vanish within the scaled
-    tolerance.  Knows nothing about how ``p`` was produced.
+    Computes every product ``b_i b_j`` of the candidate basis (the columns of
+    ``p``) in one batched congruence ``P^T M P`` and accepts when each
+    off-diagonal one satisfies
+    ``||b_i b_j|| <= verify_rtol * ||t||_F * ||p_i|| * ||p_j||``, with ``t``
+    the structure tensor.  ``residual`` is the largest ``||b_i b_j||`` and
+    ``offending_pair`` its 1-based pair.  Knows nothing about how ``p`` was
+    produced; :func:`is_evolution_algebra` gates its certificates on the same
+    test.
     """
     spec = algebra.validate(spec)
-    n = spec.dim
-    pm = np.asarray(p)
-    if pm.shape != (n, n):
-        return CertificateCheck(ok=False, reason=f"transform must be {n}x{n}, got {pm.shape}")
-    if numkernel.rank(pm, tol) < n:
-        return CertificateCheck(ok=False, reason="transform is singular under the rank tolerance")
-    mats = algebra.m_structure_matrices(spec)
-    tensor_scale = math.sqrt(sum(float(np.linalg.norm(m)) ** 2 for m in mats))
-    worst = 0.0
-    worst_pair = None
-    ok = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            product = algebra.multiply(spec, pm[:, i], pm[:, j])
-            residual = float(np.linalg.norm(product))
-            bound = tol.verify_rtol * tensor_scale * float(np.linalg.norm(pm[:, i])) * float(np.linalg.norm(pm[:, j]))
-            if residual > worst:
-                worst = residual
-                worst_pair = (i + 1, j + 1)
-            if residual > bound:
-                ok = False
-    if ok:
-        return CertificateCheck(ok=True, residual=worst)
-    return CertificateCheck(ok=False, offending_pair=worst_pair, residual=worst)
+    return _check(algebra.m_structure_matrices(spec), p, tol)[0]
 
 
 def _fmt_complex(z: complex) -> str:

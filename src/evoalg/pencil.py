@@ -39,7 +39,7 @@ class PencilRankWitness:
 
 
 def _check_stack(mats: Sequence[np.ndarray]) -> int:
-    if not mats:
+    if len(mats) == 0:
         raise DimensionMismatch("a pencil needs at least one matrix")
     n = mats[0].shape[0]
     for m in mats:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import numkernel, pencil, sds
-from .numkernel import DEFAULT_TOL, DimensionMismatch, ToleranceContext
+from .numkernel import DEFAULT_TOL, ToleranceContext
 from .pencil import PencilRankWitness
 from .sds import CommonEigenspace, NonCommuting, NonDiagonalisable
 
@@ -226,45 +226,3 @@ def sdc_reduced(
     diagonals = tuple(np.diag(p.T @ m @ p).copy() for m in work)
     return SdcResult(ok=True, p=p, diagonals=diagonals, eigenspaces=sub.eigenspaces)
 
-
-@dataclass(frozen=True)
-class CongruenceCheck:
-    ok: bool
-    offender: Optional[int] = None  # 1-based index of the worst matrix
-    off_diagonal_norm: float = 0.0
-    reason: Optional[str] = None
-
-
-def verify_congruence(p, mats: Sequence[np.ndarray], tol: ToleranceContext = DEFAULT_TOL) -> CongruenceCheck:
-    """Recheck a congruence certificate by direct recomputation.
-
-    Independent of how ``p`` was produced: verifies invertibility under the
-    rank tolerance and that every ``P^T M_k P`` is diagonal within
-    ``verify_rtol * ||M_k||_F * ||P||^2``.
-    """
-    pm = np.asarray(p)
-    n = mats[0].shape[0]
-    if pm.shape != (n, n):
-        raise DimensionMismatch(f"transform must be {n}x{n}, got {pm.shape}")
-    if numkernel.rank(pm, tol) < n:
-        return CongruenceCheck(ok=False, reason="transform is singular under the rank tolerance")
-    p_norm_sq = float(np.linalg.norm(pm, 2)) ** 2
-    worst_ratio = 0.0
-    worst_index = None
-    worst_norm = 0.0
-    ok = True
-    for idx, m in enumerate(mats):
-        a = pm.T @ np.asarray(m) @ pm
-        off = a - np.diag(np.diag(a))
-        off_norm = float(np.linalg.norm(off))
-        bound = tol.verify_rtol * float(np.linalg.norm(m)) * p_norm_sq
-        ratio = off_norm / bound if bound > 0 else (np.inf if off_norm > 0 else 0.0)
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            worst_index = idx + 1
-            worst_norm = off_norm
-        if off_norm > bound:
-            ok = False
-    if ok:
-        return CongruenceCheck(ok=True)
-    return CongruenceCheck(ok=False, offender=worst_index, off_diagonal_norm=worst_norm)

@@ -60,7 +60,7 @@ class SdsResult:
 
 
 def _check_square_stack(mats: Sequence[np.ndarray]) -> int:
-    if not mats:
+    if len(mats) == 0:
         raise DimensionMismatch("need at least one matrix")
     n = mats[0].shape[0]
     for m in mats:

@@ -62,6 +62,7 @@ class TestValidate:
 class TestStructureMatrices:
     def test_simple2d(self):
         mats = m_structure_matrices(validate(AlgebraSpec(2, "real", SIMPLE2D)))
+        assert mats.shape == (2, 2, 2) and mats.dtype == np.float64
         np.testing.assert_array_equal(mats[0], np.eye(2))
         np.testing.assert_array_equal(mats[1], [[0.0, 1.0], [1.0, 0.0]])
 
@@ -157,6 +158,28 @@ class TestChangeBasis:
         spec = example_algebra("simple2d")
         p = np.array([[1.0, 1j], [1.0, -1j]])
         assert change_basis(spec, p).field == "complex"
+
+    def test_matches_per_matrix_loop_exactly(self):
+        # reference: one matrix at a time, summing over k in index order
+        def loop_change_basis(spec, p):
+            n = spec.dim
+            pinv = np.linalg.inv(p)
+            congruent = [p.T @ m @ p for m in m_structure_matrices(spec)]
+            constants = {}
+            for l in range(n):
+                new_m = sum(pinv[l, k] * congruent[k] for k in range(n))
+                new_m = (new_m + new_m.T) / 2.0
+                for i in range(n):
+                    for j in range(i, n):
+                        if new_m[i, j] != 0:
+                            constants[(i + 1, j + 1, l + 1)] = complex(new_m[i, j])
+            return constants
+
+        rng = np.random.default_rng(12)
+        for seed in range(6):
+            spec, _ = planted_evolution_algebra(3 + seed, seed=seed)
+            for p in (rng.uniform(-1, 1, (spec.dim, spec.dim)), rng.standard_normal((spec.dim, spec.dim)) * (1 + 1j)):
+                assert change_basis(spec, p).constants == loop_change_basis(spec, p)
 
 
 class TestAnnihilator:

@@ -214,3 +214,16 @@ class TestToleranceBoundaries:
         tol = ToleranceContext(rank_rtol=1e-3, eig_cluster_atol=1e-3, commute_rtol=1e-3, verify_rtol=1e-3)
         v = is_evolution_algebra(example_algebra("tetraploid", 0.1), tol)
         assert v.outcome in (EVOLUTION, NOT_EVOLUTION, UNDETERMINED, COMPLEX_ONLY_UNDETERMINED)
+
+    @pytest.mark.parametrize("verify_rtol", [1e-8, 1e-12, 1e-13])
+    def test_evolution_certificates_pass_the_checker_at_the_same_tolerance(self, verify_rtol):
+        # the gate inside the decision and check_certificate are one test, so no
+        # tolerance lets the decision hand out a certificate the checker rejects
+        tol = ToleranceContext(verify_rtol=verify_rtol)
+        cases = [(8, 41), (3, 50)] + [(2 + s % 7, s) for s in range(30)]
+        for n, seed in cases:
+            spec, _ = planted_evolution_algebra(n, seed=seed)
+            v = is_evolution_algebra(spec, tol)
+            assert v.outcome in (EVOLUTION, UNDETERMINED), f"n={n} seed={seed}"
+            if v.outcome == EVOLUTION:
+                assert check_certificate(spec, v.certificate.p, tol).ok, f"n={n} seed={seed}"

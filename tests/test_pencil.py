@@ -78,6 +78,18 @@ class TestMaxPencilRank:
         assert a.r0 == b.r0 and a.trials_used == b.trials_used
         assert a.lambda0.tobytes() == b.lambda0.tobytes()
 
+    def test_array_stack(self):
+        mats = m_structure_matrices(example_algebra("nota2"))
+        a = max_pencil_rank(list(mats), trials=8, seed=5)
+        b = max_pencil_rank(np.array(list(mats)), trials=8, seed=5)
+        assert (a.r0, a.trials_used, a.canonical_index) == (b.r0, b.trials_used, b.canonical_index)
+        assert a.lambda0.tobytes() == b.lambda0.tobytes()
+
+    @pytest.mark.parametrize("empty", [[], np.zeros((0, 2, 2))])
+    def test_empty_stack(self, empty):
+        with pytest.raises(DimensionMismatch):
+            max_pencil_rank(empty)
+
     def test_trials_must_be_positive(self, mendel0_mats):
         with pytest.raises(ValueError):
             max_pencil_rank(mendel0_mats, trials=0)

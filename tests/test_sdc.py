@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from evoalg import (
+    AlgebraSpec,
+    check_certificate,
     example_algebra,
     m_structure_matrices,
     max_pencil_rank,
+    multiply,
     planted_evolution_algebra,
     sdc_full_rank,
     sdc_reduced,
-    verify_congruence,
+    validate,
 )
 from evoalg.corpus import well_conditioned_matrix
 from evoalg.numkernel import DEFAULT_TOL
@@ -17,6 +20,8 @@ from evoalg.sds import NonCommuting, NonDiagonalisable
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.diag([1.0, -1.0])
+# the 3-dimensional algebra whose structure matrices are pad(I), pad(X) and 0
+PADDED = validate(AlgebraSpec(3, "real", {(1, 1, 1): 1.0, (2, 2, 1): 1.0, (1, 2, 2): 1.0}))
 
 
 def pad(m, extra=1):
@@ -68,10 +73,11 @@ class TestGramFactor:
 
 class TestFullRank:
     def test_simple2d(self):
-        mats = m_structure_matrices(example_algebra("simple2d"))
+        spec = example_algebra("simple2d")
+        mats = m_structure_matrices(spec)
         res = sdc_full_rank(mats, max_pencil_rank(mats))
         assert res.ok
-        assert verify_congruence(res.p, mats).ok
+        assert check_certificate(spec, res.p).ok
         d1, d2 = res.diagonals
         ratios = sorted(np.real(d2 / d1))
         assert ratios == pytest.approx([-1.0, 1.0])
@@ -108,9 +114,10 @@ class TestReduced:
 
     def test_two_padded_blocks_diagonalise(self):
         mats = [pad(np.eye(2)), pad(X)]
+        np.testing.assert_array_equal(m_structure_matrices(PADDED)[:2], mats)
         res = sdc_reduced(mats, max_pencil_rank(mats))
         assert res.ok
-        assert verify_congruence(res.p, mats).ok
+        assert check_certificate(PADDED, res.p).ok
         # the kernel direction stays a natural direction with zero square
         assert all(abs(d[2]) < 1e-12 for d in res.diagonals)
 
@@ -132,31 +139,31 @@ class TestReduced:
         assert res.refutation == KernelDimensionMismatch(kernel_dim=0, expected=1)
 
     def test_agrees_with_full_rank_when_witness_is_full(self):
-        mats = m_structure_matrices(example_algebra("simple2d"))
+        spec = example_algebra("simple2d")
+        mats = m_structure_matrices(spec)
         witness = max_pencil_rank(mats)
         full = sdc_full_rank(mats, witness)
         red = sdc_reduced(mats, witness)
         assert full.ok and red.ok
-        assert verify_congruence(red.p, mats).ok
+        assert check_certificate(spec, red.p).ok
         for a, b in zip(full.diagonals, red.diagonals):
             np.testing.assert_allclose(a, b, atol=1e-10)
 
 
 class TestVerifyCongruence:
+    """Congruence certificates, rechecked by the library's certificate checker."""
+
     def test_known_transform(self):
-        mats = m_structure_matrices(example_algebra("simple2d"))
         p = np.array([[1.0, 1.0], [1.0, -1.0]])
-        assert verify_congruence(p, mats).ok
+        assert check_certificate(example_algebra("simple2d"), p).ok
 
     def test_identity_fails_on_off_diagonal(self):
-        mats = m_structure_matrices(example_algebra("simple2d"))
-        check = verify_congruence(np.eye(2), mats)
+        check = check_certificate(example_algebra("simple2d"), np.eye(2))
         assert not check.ok
-        assert check.offender == 2
+        assert check.offending_pair == (1, 2)
 
     def test_singular_transform(self):
-        mats = m_structure_matrices(example_algebra("simple2d"))
-        check = verify_congruence(np.ones((2, 2)), mats)
+        check = check_certificate(example_algebra("simple2d"), np.ones((2, 2)))
         assert not check.ok and check.reason is not None
 
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
@@ -169,18 +176,30 @@ class TestVerifyCongruence:
                 [1 - 12 * eps, 1 + 3 * eps + s, 1 + 3 * eps - s],
             ]
         )
-        mats = m_structure_matrices(example_algebra("tetraploid", eps))
-        assert verify_congruence(p, mats).ok
+        assert check_certificate(example_algebra("tetraploid", eps), p).ok
+
+    def test_batched_residual_matches_pairwise_products(self):
+        spec, _ = planted_evolution_algebra(5, seed=3)
+        p = well_conditioned_matrix(5, np.random.default_rng(8))  # not a natural basis
+        norms = {
+            (i + 1, j + 1): np.linalg.norm(multiply(spec, p[:, i], p[:, j]))
+            for i in range(5)
+            for j in range(i + 1, 5)
+        }
+        worst = max(norms, key=norms.get)
+        check = check_certificate(spec, p)
+        assert not check.ok
+        assert check.offending_pair == worst
+        assert check.residual == pytest.approx(norms[worst], rel=1e-12)
 
 
 class TestStackInvariants:
     def test_soundness_on_planted(self):
         for seed in range(25):
             spec, _ = planted_evolution_algebra(2 + seed % 5, seed=seed)
-            mats = m_structure_matrices(spec)
-            res = raw_pipeline(mats, seed=seed)
+            res = raw_pipeline(m_structure_matrices(spec), seed=seed)
             assert res.ok
-            assert verify_congruence(res.p, mats).ok
+            assert check_certificate(spec, res.p).ok
 
     def test_verdict_invariant_under_congruence(self):
         rng = np.random.default_rng(31)

@@ -3,7 +3,7 @@ import pytest
 
 from evoalg import are_sds, common_eigenbasis, example_algebra, m_structure_matrices
 from evoalg.corpus import well_conditioned_matrix
-from evoalg.numkernel import inverse, is_diagonalisable
+from evoalg.numkernel import DimensionMismatch, inverse, is_diagonalisable
 from evoalg.sds import NonCommuting, NonDiagonalisable, NonRealSpectrum
 
 MENDEL_N = np.array([[1.0, 2.0], [-2.0, -3.0]])
@@ -69,6 +69,18 @@ class TestAreSds:
         for mats in stacks:
             base = are_sds(mats).ok
             assert are_sds(mats[::-1]).ok == base
+
+    def test_array_stack(self):
+        stack = planted_commuting_stack(4, 3, 5)
+        listed, stacked = are_sds(stack), are_sds(np.array(stack))
+        assert listed.ok and stacked.ok
+        np.testing.assert_array_equal(listed.q, stacked.q)
+        assert not are_sds(np.array([np.eye(2), X, np.diag([1.0, -1.0])])).ok
+
+    @pytest.mark.parametrize("empty", [[], np.zeros((0, 2, 2))])
+    def test_empty_stack(self, empty):
+        with pytest.raises(DimensionMismatch):
+            are_sds(empty)
 
     def test_single_matrix_reduces_to_diagonalisability(self):
         for m in [MENDEL_N, np.diag([1.0, 2.0]), np.array([[1.0, 2.0], [0.0, -1.0]])]:
