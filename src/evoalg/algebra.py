@@ -69,20 +69,22 @@ def validate(spec: AlgebraSpec) -> AlgebraSpec:
     if spec.field not in (REAL, COMPLEX):
         raise MalformedSpec(f"field must be 'real' or 'complex', got {spec.field!r}")
     n = spec.dim
+    real = spec.field == REAL
+    isfinite = cmath.isfinite
     canonical: dict[tuple[int, int, int], complex] = {}
     for key, value in spec.constants.items():
         try:
-            i, j, k = (int(x) for x in key)
+            i, j, k = map(int, key)
         except (TypeError, ValueError):
             raise MalformedSpec(f"constant key {key!r} is not an (i, j, k) index triple") from None
         if not (1 <= i <= j <= n and 1 <= k <= n):
             raise MalformedSpec(f"index triple {key!r} out of range for dimension {n} (need 1 <= i <= j <= n, 1 <= k <= n)")
         v = complex(value)
-        if not (cmath.isfinite(v)):
+        if not isfinite(v):
             raise MalformedSpec(f"constant at {key!r} is not finite: {value!r}")
-        if spec.field == REAL and v.imag != 0.0:
+        if real and v.imag:
             raise MalformedSpec(f"constant at {key!r} has non-zero imaginary part under field: real")
-        if v != 0:
+        if v:
             canonical[(i, j, k)] = v
     labels = spec.labels
     if labels is not None:

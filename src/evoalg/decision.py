@@ -15,6 +15,12 @@ Real algebras are decided through their complexification; a positive verdict
 is reported only with a real change of basis.  When the similarity spectrum
 is not real, the honest outcome is "complex only, undetermined over R" with
 the complex certificate attached.
+
+Construction comes first: the similarity family is built into a common
+eigenbasis and a congruence transform, and a transform that passes the
+certificate check is the positive verdict.  Only when that fails do the
+per-matrix defect and pairwise commutator scans run, to name the witness of
+a refutation (or to confirm that the construction failed numerically).
 """
 
 from __future__ import annotations
@@ -119,6 +125,23 @@ def _check(t: np.ndarray, p, tol: ToleranceContext) -> tuple[CertificateCheck, O
     return CertificateCheck(ok=False, offending_pair=pair, residual=float(residual[worst])), products
 
 
+def _embed(p_work: np.ndarray, embed: Optional[tuple[np.ndarray, int]]) -> np.ndarray:
+    """The transform of the whole algebra from that of the stack.
+
+    ``embed`` is ``(transform, ann_dim)`` of the adapted basis in branch b.2,
+    where annihilator directions join the natural basis, else ``None``.
+    """
+    if embed is None:
+        return p_work
+    transform, a = embed
+    n = transform.shape[0]
+    r = n - a
+    p_full = np.zeros((n, n), dtype=np.result_type(p_work.dtype, transform.dtype))
+    p_full[:r, :r] = p_work
+    p_full[r:, r:] = np.eye(a)
+    return transform @ p_full
+
+
 def _find_real_pencil_point(
     mats: list[np.ndarray], tol: ToleranceContext, trials: int, seed: int
 ) -> Optional[np.ndarray]:
@@ -134,7 +157,7 @@ def _find_real_pencil_point(
     return None
 
 
-def _solve_stack(
+def _pencil_point(
     mats: list[np.ndarray],
     witness: PencilRankWitness,
     real_input: bool,
@@ -142,41 +165,51 @@ def _solve_stack(
     trials: int,
     seed: int,
     notes: list[str],
+) -> tuple[PencilRankWitness, str]:
+    """The pencil point and the arithmetic ("real" or "complex") the stack is solved in.
+
+    A real input is solved in real arithmetic at a real pencil point,
+    re-searched when the witness is not real; without one it is decided over
+    C only.
+    """
+    if not real_input:
+        return witness, "complex"
+    if np.max(np.abs(np.asarray(witness.lambda0).imag)) <= 1e-14:
+        return witness, "real"
+    real_lam = _find_real_pencil_point(mats, tol, trials, seed)
+    if real_lam is None:
+        notes.append("no real full-rank pencil point found; decided over C only")
+        return witness, "complex"
+    notes.append("real full-rank pencil point found by re-search")
+    return replace(witness, lambda0=real_lam, canonical_index=None), "real"
+
+
+def _solve_stack(
+    mats: list[np.ndarray],
+    witness: PencilRankWitness,
+    field: str,
+    real_input: bool,
+    tol: ToleranceContext,
+    seed: int,
+    notes: list[str],
+    structures: dict,
 ) -> tuple[str, Optional[np.ndarray], Optional[Refutation]]:
-    """Run the full-rank congruence solver with the real/complex dance.
+    """Run the full-rank congruence solver, scans first, with the real/complex dance.
 
     Returns ``(outcome, p, refutation)`` where outcome is one of EVOLUTION,
     NOT_EVOLUTION, COMPLEX_ONLY_UNDETERMINED.
     """
-    if not real_input:
-        res = sdc.sdc_full_rank(mats, witness, tol, seed, field="complex")
-        if res.ok:
-            return EVOLUTION, res.p, None
+    if field == "real":
+        try:
+            res = sdc._sdc_full_rank(mats, witness, tol, seed, "real", structures)
+        except NonRealSpectrum:
+            notes.append("similarity spectrum is not real; no real natural basis was certified")
+        else:
+            return (EVOLUTION, res.p, None) if res.ok else (NOT_EVOLUTION, None, res.refutation)
+    res = sdc._sdc_full_rank(mats, witness, tol, seed, "complex", structures)
+    if not res.ok:
         return NOT_EVOLUTION, None, res.refutation
-
-    lam = np.asarray(witness.lambda0)
-    real_witness = witness
-    if np.max(np.abs(lam.imag)) > 1e-14:
-        real_lam = _find_real_pencil_point(mats, tol, trials, seed)
-        if real_lam is None:
-            notes.append("no real full-rank pencil point found; decided over C only")
-            res = sdc.sdc_full_rank(mats, witness, tol, seed, field="complex")
-            if res.ok:
-                return COMPLEX_ONLY_UNDETERMINED, res.p, None
-            return NOT_EVOLUTION, None, res.refutation
-        notes.append("real full-rank pencil point found by re-search")
-        real_witness = replace(witness, lambda0=real_lam, canonical_index=None)
-    try:
-        res = sdc.sdc_full_rank(mats, real_witness, tol, seed, field="real")
-    except NonRealSpectrum:
-        notes.append("similarity spectrum is not real; no real natural basis was certified")
-        res = sdc.sdc_full_rank(mats, real_witness, tol, seed, field="complex")
-        if res.ok:
-            return COMPLEX_ONLY_UNDETERMINED, res.p, None
-        return NOT_EVOLUTION, None, res.refutation
-    if res.ok:
-        return EVOLUTION, res.p, None
-    return NOT_EVOLUTION, None, res.refutation
+    return (COMPLEX_ONLY_UNDETERMINED if real_input else EVOLUTION), res.p, None
 
 
 def is_evolution_algebra(
@@ -255,21 +288,30 @@ def is_evolution_algebra(
                         diag(branch, witness.r0, witness.lambda0, ann_dim, witness.trials_used),
                     )
 
-        outcome, p_work, refutation = _solve_stack(list(work), witness, real_input, tol, trials, seed, notes)
+        stack = list(work)
+        solve_witness, field = _pencil_point(stack, witness, real_input, tol, trials, seed, notes)
+        structures: dict = {}  # eigen-structures of whole matrices, shared by the attempt and the scans
+        if field == "real" or not real_input:
+            # construction first: a transform that passes the checker is the verdict;
+            # anything else falls back to the scans, which name the witness
+            try:
+                p_work = sdc._construct(stack, solve_witness, tol, seed, field, structures)
+            except (NonConvergence, RefinementInconsistency, NonRealSpectrum, GramFactorisationError,
+                    np.linalg.LinAlgError):
+                p_work = None
+            if p_work is not None:
+                p = _embed(p_work, embed)
+                check, products = _check(t, p, tol)
+                if check.ok:
+                    diagnostics = diag(branch, witness.r0, witness.lambda0, ann_dim, witness.trials_used)
+                    return Verdict(EVOLUTION, _certificate(p, products), None, diagnostics)
+
+        outcome, p_work, refutation = _solve_stack(stack, solve_witness, field, real_input, tol, seed, notes, structures)
         diagnostics = diag(branch, witness.r0, witness.lambda0, ann_dim, witness.trials_used)
         if outcome == NOT_EVOLUTION:
             return Verdict(NOT_EVOLUTION, None, refutation, diagnostics)
 
-        if embed is not None:
-            transform, a = embed
-            r = n - a
-            p_full = np.zeros((n, n), dtype=np.result_type(p_work.dtype, transform.dtype))
-            p_full[:r, :r] = p_work
-            p_full[r:, r:] = np.eye(a)
-            p = transform @ p_full
-        else:
-            p = p_work
-
+        p = _embed(p_work, embed)
         check, products = _check(t, p, tol)
         if not check.ok:
             notes.append("constructed transform failed independent congruence verification")

@@ -132,13 +132,11 @@ def gram_factor(
 
 
 def _assemble(
-    mats: Sequence[np.ndarray],
     w: np.ndarray,
     spaces: Sequence[CommonEigenspace],
-    tol: ToleranceContext,
     seed: int,
     real: bool,
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+) -> np.ndarray:
     rng = np.random.default_rng([seed, 0x9D])
     blocks = []
     for space in spaces:
@@ -146,9 +144,49 @@ def _assemble(
         g = v.T @ w @ v
         c, _signs = gram_factor(g, rng, real=real)
         blocks.append(v @ np.linalg.inv(c).T)
-    p = np.hstack(blocks)
-    diagonals = tuple(np.diag(p.T @ m @ p).copy() for m in mats)
-    return p, diagonals
+    return np.hstack(blocks)
+
+
+def _similarity_family(
+    mats: Sequence[np.ndarray], witness: PencilRankWitness, tol: ToleranceContext, field: str
+) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
+    """The stack in the arithmetic of ``field``, ``W = M(lambda0)`` and the family ``W^{-1} M_k``."""
+    n = mats[0].shape[0]
+    if witness.r0 != n:
+        raise ValueError(f"full-rank solver needs r0 == {n}, got {witness.r0}")
+    if field == "real":
+        lam = np.asarray(witness.lambda0).real
+        work = [np.asarray(m).real.astype(np.float64) for m in mats]
+    else:
+        lam = np.asarray(witness.lambda0).astype(np.complex128)
+        work = [np.asarray(m).astype(np.complex128) for m in mats]
+    w = pencil.evaluate(work, lam)
+    winv = numkernel.inverse(w, tol)
+    return work, w, [winv @ m for m in work]
+
+
+def _construct(
+    mats: Sequence[np.ndarray],
+    witness: PencilRankWitness,
+    tol: ToleranceContext,
+    seed: int,
+    field: str,
+    structures: dict,
+) -> Optional[np.ndarray]:
+    """The congruence transform built without the similarity scans.
+
+    Returns ``None`` when the family ``W^{-1} M_k`` fails the routing test
+    (some member does not commute with the family's sum), else the
+    transform of :func:`sdc_full_rank` for an SDS family, unchecked.  Raises
+    whatever the refinement and the Gram factorisation raise, a whole-space
+    defect included.  ``structures`` is the eigen-structure memo shared with
+    the scans.
+    """
+    work, w, similar = _similarity_family(mats, witness, tol, field)
+    if not sds._commute_with_sum(similar, tol):
+        return None
+    _, spaces = sds._common_eigenbasis(similar, tol, field, structures)
+    return _assemble(w, spaces, seed, field == "real")
 
 
 def sdc_full_rank(
@@ -158,32 +196,34 @@ def sdc_full_rank(
     seed: int = 0,
     field: str = "complex",
 ) -> SdcResult:
-    """SDC for a stack whose pencil witness has full rank.
+    """SDC for a stack whose pencil witness has full rank, decided by the scans.
 
-    Runs the similarity test on ``W^{-1} M_k`` and, on success, builds the
-    congruence transform per common eigenspace.  On failure the similarity
-    witness is returned as the refutation.  With ``field="real"`` the whole
-    construction stays in real arithmetic (requires real inputs and a real
-    pencil point) and raises :class:`sds.NonRealSpectrum` when the common
-    spectrum is not real.
+    Runs the similarity scans of :func:`sds.are_sds` on ``W^{-1} M_k`` and,
+    when they pass, builds the congruence transform per common eigenspace;
+    otherwise the scans' witness is returned as the refutation.  The
+    decision certifies a positive answer by building this transform first
+    and checking it, and calls the scans only when that fails.  With
+    ``field="real"`` the whole construction stays in real arithmetic
+    (requires real inputs and a real pencil point) and raises
+    :class:`sds.NonRealSpectrum` when the common spectrum is not real.
     """
-    n = mats[0].shape[0]
-    if witness.r0 != n:
-        raise ValueError(f"full-rank solver needs r0 == {n}, got {witness.r0}")
-    real_mode = field == "real"
-    if real_mode:
-        lam = np.asarray(witness.lambda0).real
-        work = [np.asarray(m).real.astype(np.float64) for m in mats]
-    else:
-        lam = np.asarray(witness.lambda0).astype(np.complex128)
-        work = [np.asarray(m).astype(np.complex128) for m in mats]
-    w = pencil.evaluate(work, lam)
-    winv = numkernel.inverse(w, tol)
-    similar = [winv @ m for m in work]
-    res = sds.are_sds(similar, tol, field)
+    return _sdc_full_rank(mats, witness, tol, seed, field, {})
+
+
+def _sdc_full_rank(
+    mats: Sequence[np.ndarray],
+    witness: PencilRankWitness,
+    tol: ToleranceContext,
+    seed: int,
+    field: str,
+    structures: dict,
+) -> SdcResult:
+    work, w, similar = _similarity_family(mats, witness, tol, field)
+    res = sds._are_sds(similar, tol, field, structures)
     if not res.ok:
         return SdcResult(ok=False, refutation=res.refutation)
-    p, diagonals = _assemble(work, w, res.eigenspaces, tol, seed, real_mode)
+    p = _assemble(w, res.eigenspaces, seed, field == "real")
+    diagonals = tuple(np.diag(p.T @ m @ p).copy() for m in work)
     return SdcResult(ok=True, p=p, diagonals=diagonals, eigenspaces=res.eigenspaces)
 
 

@@ -8,6 +8,12 @@ the eigenvalues of the restriction of the next matrix, and so on.  Because
 the subspaces are invariant for the commuting family, the compression
 ``B* N B`` with an orthonormal subspace basis ``B`` represents the
 restriction exactly up to round-off.
+
+The scans of :func:`are_sds` (a defect check per matrix, then a commutator
+per pair) are what names a witness when the family is not SDS.  A caller
+that checks the constructed basis independently, as the decision does,
+builds first and runs the scans only when that fails; the two share the
+eigen-structures of whole matrices through a memo that lives for one call.
 """
 
 from __future__ import annotations
@@ -69,6 +75,34 @@ def _check_square_stack(mats: Sequence[np.ndarray]) -> int:
     return n
 
 
+def _structure(m: np.ndarray, tol: ToleranceContext, structures: dict) -> numkernel.EigenStructure:
+    """``eigen_structure`` of a whole matrix, memoised in ``structures`` by dtype, shape and bytes."""
+    key = (m.dtype.str, m.shape, m.tobytes())
+    structure = structures.get(key)
+    if structure is None:
+        structure = structures[key] = numkernel.eigen_structure(m, tol)
+    return structure
+
+
+def _defective_eigenvalue(m: np.ndarray, tol: ToleranceContext, structures: dict) -> Optional[complex]:
+    """The per-matrix defect check of the scan: the first defective cluster's eigenvalue, or ``None``."""
+    cluster = _structure(m, tol, structures).defective_cluster()
+    return None if cluster is None else cluster.eigenvalue
+
+
+def _commute_with_sum(mats: Sequence[np.ndarray], tol: ToleranceContext) -> bool:
+    """Whether every ``N_k`` commutes with ``S = sum_k N_k``, in one batched commutator.
+
+    ``||N_k S - S N_k||_F <= commute_rtol * ||N_k||_F * ||S||_F`` for every k.
+    An SDS family passes; a family that fails cannot be SDS.
+    """
+    stack = np.asarray(mats)
+    s = stack.sum(axis=0)
+    commutators = np.linalg.norm(stack @ s - s @ stack, axis=(1, 2))
+    bound = tol.commute_rtol * np.linalg.norm(stack, axis=(1, 2)) * float(np.linalg.norm(s))
+    return bool(np.all(commutators <= bound))
+
+
 def common_eigenbasis(
     mats: Sequence[np.ndarray],
     tol: ToleranceContext = DEFAULT_TOL,
@@ -78,37 +112,59 @@ def common_eigenbasis(
 
     Refines subspaces matrix by matrix; each final subspace carries one
     eigenvalue per matrix and the concatenated bases form an invertible Q
-    with every ``Q^{-1} N_k Q`` diagonal.
+    with every ``Q^{-1} N_k Q`` diagonal.  While the whole space is still
+    unsplit, the refinement works on ``N_k`` itself, and a cluster that fills
+    its subspace with a full eigenspace keeps the subspace's basis.
 
     With ``field="real"`` the refinement runs in real arithmetic and raises
     :class:`NonRealSpectrum` as soon as a non-real eigenvalue cluster shows
-    up.  Raises :class:`RefinementInconsistency` when a restriction turns out
-    defective inside a subspace.
+    up.  Raises :class:`RefinementInconsistency` when a matrix of the whole
+    space has a defective eigenvalue, or a restriction turns out defective
+    inside a subspace.
     """
+    return _common_eigenbasis(mats, tol, field, {})
+
+
+def _common_eigenbasis(
+    mats: Sequence[np.ndarray], tol: ToleranceContext, field: str, structures: dict
+) -> tuple[np.ndarray, tuple[CommonEigenspace, ...]]:
     n = _check_square_stack(mats)
     real_mode = field == "real"
     dtype = np.float64 if real_mode else np.complex128
     work = [np.asarray(m).real.astype(dtype) if real_mode else np.asarray(m).astype(dtype) for m in mats]
-    subspaces: list[tuple[np.ndarray, tuple[complex, ...]]] = [(np.eye(n, dtype=dtype), ())]
+    whole = np.eye(n, dtype=dtype)
+    subspaces: list[tuple[np.ndarray, tuple[complex, ...]]] = [(whole, ())]
     for idx, mat in enumerate(work):
         refined: list[tuple[np.ndarray, tuple[complex, ...]]] = []
         for basis, evs in subspaces:
-            r = basis.conj().T @ mat @ basis
-            if basis.shape[1] == 1:
+            d = basis.shape[1]
+            if d == 1:
+                r = basis.conj().T @ mat @ basis
                 lam = complex(r[0, 0])
                 if real_mode and abs(lam.imag) > tol.eig_cluster_atol * numkernel.scale(r):
                     raise NonRealSpectrum(f"matrix {idx + 1} has non-real eigenvalue {lam}")
                 refined.append((basis, evs + (lam,)))
                 continue
-            structure = numkernel.eigen_structure(r, tol)
+            if basis is whole:
+                r = mat
+                structure = _structure(mat, tol, structures)
+                defect = structure.defective_cluster()
+                if defect is not None:
+                    raise RefinementInconsistency(f"matrix {idx + 1}: eigenvalue {defect.eigenvalue} is defective")
+            else:
+                r = basis.conj().T @ mat @ basis
+                structure = numkernel.eigen_structure(r, tol)
             for cluster in structure.clusters:
                 centroid = cluster.eigenvalue
+                if real_mode and abs(centroid.imag) > structure.cluster_radius:
+                    raise NonRealSpectrum(f"matrix {idx + 1} has non-real eigenvalue {centroid}")
+                if cluster.multiplicity == d and cluster.eigenspace_dim == d:
+                    refined.append((basis, evs + (complex(centroid),)))  # the cluster fills the subspace
+                    continue
                 if real_mode:
-                    if abs(centroid.imag) > structure.cluster_radius:
-                        raise NonRealSpectrum(f"matrix {idx + 1} has non-real eigenvalue {centroid}")
                     # re-derive the eigenspace in real arithmetic at the same cutoff
                     vc = numkernel.kernel_basis(
-                        r - centroid.real * np.eye(r.shape[0], dtype=dtype),
+                        r - centroid.real * np.eye(d, dtype=dtype),
                         tol,
                         atol=structure.cluster_radius,
                     )
@@ -131,14 +187,22 @@ def are_sds(
     tol: ToleranceContext = DEFAULT_TOL,
     field: str = "complex",
 ) -> SdsResult:
-    """Decide SDS and build a common eigenvector matrix on success.
+    """Decide SDS by the scans and build a common eigenvector matrix on success.
 
     Diagonalisability is checked matrix by matrix in ascending index before
-    any commutator, and commutation alone never yields a positive answer.
+    any commutator, then every pair is checked for commutation in index
+    order; the first failure is the witness.  Commutation alone never yields
+    a positive answer.  The decision certifies positive answers by
+    construction and the certificate check, and runs these scans only to
+    produce the witness of a refutation.
     """
+    return _are_sds(mats, tol, field, {})
+
+
+def _are_sds(mats: Sequence[np.ndarray], tol: ToleranceContext, field: str, structures: dict) -> SdsResult:
     _check_square_stack(mats)
     for idx, m in enumerate(mats):
-        lam = numkernel.defective_eigenvalue(m, tol)
+        lam = _defective_eigenvalue(np.asarray(m), tol, structures)
         if lam is not None:
             return SdsResult(ok=False, refutation=NonDiagonalisable(idx + 1, lam))
     for i in range(len(mats)):
@@ -147,5 +211,5 @@ def are_sds(
             bound = tol.commute_rtol * float(np.linalg.norm(mats[i])) * float(np.linalg.norm(mats[j]))
             if norm > bound:
                 return SdsResult(ok=False, refutation=NonCommuting((i + 1, j + 1), norm))
-    q, spaces = common_eigenbasis(mats, tol, field)
+    q, spaces = _common_eigenbasis(mats, tol, field, structures)
     return SdsResult(ok=True, q=q, eigenspaces=spaces)

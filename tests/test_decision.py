@@ -8,7 +8,10 @@ from evoalg import (
     NOT_EVOLUTION,
     UNDETERMINED,
     ToleranceContext,
+    adapt_basis_to_annihilator,
+    adversarial_instance,
     annihilator_basis,
+    are_sds,
     change_basis,
     check_certificate,
     complexify,
@@ -16,14 +19,17 @@ from evoalg import (
     explain,
     is_evolution_algebra,
     m_structure_matrices,
+    numkernel,
     planted_evolution_algebra,
     quotient_by_annihilator,
+    sds,
     validate,
 )
 from evoalg.corpus import well_conditioned_matrix
 from evoalg.decision import Diagnostics, Verdict
-from evoalg.numkernel import DEFAULT_TOL
-from evoalg.sds import NonDiagonalisable
+from evoalg.numkernel import DEFAULT_TOL, inverse
+from evoalg.pencil import evaluate
+from evoalg.sds import NonCommuting, NonDiagonalisable
 from conftest import columns_match_up_to_scale
 from test_sdc import raw_pipeline
 
@@ -227,3 +233,75 @@ class TestToleranceBoundaries:
             assert v.outcome in (EVOLUTION, UNDETERMINED), f"n={n} seed={seed}"
             if v.outcome == EVOLUTION:
                 assert check_certificate(spec, v.certificate.p, tol).ok, f"n={n} seed={seed}"
+
+
+def cyclic_algebra(n):
+    """e_i^2 = (1 + i) e_{i+1} (indices mod n): natural, zero annihilator, every M_k singular."""
+    return validate(AlgebraSpec(n, "real", {(i, i, i % n + 1): 1.0 + i for i in range(1, n + 1)}))
+
+
+def scrambled_planted(n, kappa, seed):
+    """A planted instance re-expressed in a basis of condition number ``kappa``."""
+    spec, _ = planted_evolution_algebra(n, seed=seed)
+    rng = np.random.default_rng([seed, n, int(np.log10(kappa))])
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return change_basis(spec, u @ np.diag(np.logspace(0, -np.log10(kappa), n)) @ v.T)
+
+
+class TestConstructionFirst:
+    """Positive verdicts come from construction plus the checker; the scans only name witnesses."""
+
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_positive_path_skips_the_scans(self, monkeypatch, complex_mode):
+        positives = [
+            ("a", planted_evolution_algebra(4, seed=2)[0]),
+            ("a", planted_evolution_algebra(5, seed=1)[0]),
+            ("b.1", cyclic_algebra(3)),
+            ("b.1", cyclic_algebra(5)),
+            ("b.2", planted_evolution_algebra(4, seed=0)[0]),
+            ("b.2", planted_evolution_algebra(6, seed=4)[0]),
+        ]
+
+        def scan(*args, **kwargs):
+            raise AssertionError("a similarity scan ran on the positive path")
+
+        monkeypatch.setattr(sds, "_defective_eigenvalue", scan)
+        monkeypatch.setattr(numkernel, "commutator_norm", scan)
+        for branch, spec in positives:
+            if complex_mode:
+                spec = complexify(spec)
+            v = is_evolution_algebra(spec)
+            assert v.outcome == EVOLUTION and v.diagnostics.branch == branch, (branch, spec.dim)
+            assert check_certificate(spec, v.certificate.p).ok
+
+    def test_refutations_equal_the_scan_witness(self):
+        checked = 0
+        for kind in ("defective", "noncommuting"):
+            for n in range(3, 13):
+                for seed in range(5):
+                    spec = adversarial_instance(kind, n, seed)
+                    v = is_evolution_algebra(spec)
+                    if v.outcome != NOT_EVOLUTION or not isinstance(v.refutation, (NonDiagonalisable, NonCommuting)):
+                        continue
+                    d = v.diagnostics
+                    assert np.all(d.lambda0.imag == 0) and not d.notes, (kind, n, seed)
+                    stack = adapt_basis_to_annihilator(spec).blocks if d.branch == "b.2" else m_structure_matrices(spec)
+                    stack = list(stack)
+                    w_inv = inverse(evaluate(stack, d.lambda0.real))
+                    res = are_sds([w_inv @ m for m in stack], field="real")
+                    assert res.refutation == v.refutation, (kind, n, seed)
+                    checked += 1
+        assert checked >= 90
+
+    @pytest.mark.parametrize(
+        "n, kappa, seed",
+        [(6, 1e4, 11), (8, 1e4, 5), (8, 1e4, 6), (8, 1e4, 14), (8, 1e5, 1), (8, 1e5, 3)],
+    )
+    def test_badly_conditioned_planted_instances_are_certified(self, n, kappa, seed):
+        # the scans refuted these with a NonDiagonalisable witness; the
+        # constructed basis passes the checker
+        spec = scrambled_planted(n, kappa, seed)
+        v = is_evolution_algebra(spec)
+        assert v.outcome == EVOLUTION
+        assert check_certificate(spec, v.certificate.p).ok
