@@ -1,4 +1,4 @@
-.PHONY: test acceptance bench
+.PHONY: test acceptance bench reports
 
 # the sources under src/ are tested directly, without an installed copy
 PYTEST = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest
@@ -15,3 +15,14 @@ acceptance:
 
 bench:
 	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds 35 --trace 0
+
+# the six C10 `check --json --seed 42` reports without runtime_ms, one per line,
+# so that two checkouts compare with a plain diff
+C10 = "example://simple2d" "example://mendel --epsilon 0" "example://mendel --epsilon 0.25" \
+      "example://tetraploid --epsilon 0.1" "example://nota2" "example://mendel3d_ann --epsilon 0.2"
+DROP_RUNTIME = import json, sys; b = json.load(sys.stdin); b["diagnostics"].pop("runtime_ms"); print(json.dumps(b, sort_keys=True))
+
+reports:
+	@for args in $(C10); do \
+		PYTHONPATH=src python -m evoalg.cli check $$args --json --seed 42 | python -c '$(DROP_RUNTIME)'; \
+	done

@@ -40,7 +40,6 @@ from .decision import (
 from .fileformat import parse, serialise
 from .numkernel import DEFAULT_TOL, ToleranceContext
 from .pencil import PencilRankWitness, max_pencil_rank
-from .sdc import SdcResult, sdc_full_rank, sdc_reduced
 from .sds import SdsResult, are_sds, common_eigenbasis
 
 __version__ = "0.1.0"
@@ -59,7 +58,6 @@ __all__ = [
     "Certificate",
     "PencilRankWitness",
     "SdsResult",
-    "SdcResult",
     "MalformedSpec",
     "AlreadyComplex",
     "EmptyAnnihilator",
@@ -75,8 +73,6 @@ __all__ = [
     "max_pencil_rank",
     "are_sds",
     "common_eigenbasis",
-    "sdc_full_rank",
-    "sdc_reduced",
     "is_evolution_algebra",
     "check_certificate",
     "explain",

@@ -2,38 +2,42 @@
 
 The procedure mirrors the structure of the underlying theory:
 
-* branch "a": some structure matrix is invertible; use it as the pencil
+* branch "a": the canonical scan of the pencil search (the structure
+  matrices in index order) finds an invertible one; use it as the pencil
   point and reduce to a similarity problem (invertible-matrix shortcut).
 * branch "b.1": the annihilator is zero and no structure matrix is
-  invertible; search for a full-rank pencil point.  If the search tops out
-  below full rank, the kernel dimension (zero) contradicts the rank defect
-  and the algebra is not an evolution algebra.
+  invertible; the pencil search goes on with its random trials.  If it tops
+  out below full rank, the kernel dimension (zero) contradicts the rank
+  defect and the algebra is not an evolution algebra.
 * branch "b.2": the annihilator is non-zero; re-express the algebra with the
-  annihilator last, decide the leading blocks, and embed the transform back.
+  annihilator last, search a pencil point of the leading blocks, decide
+  them, and embed the transform back.
 
-Real algebras are decided through their complexification; a positive verdict
-is reported only with a real change of basis.  When the similarity spectrum
-is not real, the honest outcome is "complex only, undetermined over R" with
-the complex certificate attached.
+A real algebra has a real pencil point and is decided in real arithmetic; a
+positive verdict is reported only with a real change of basis.  When the
+similarity spectrum is not real, the family is decided again over C, and the
+honest outcome is "complex only, undetermined over R" with the complex
+certificate attached.
 
-Construction comes first: the similarity family is built into a common
-eigenbasis and a congruence transform, and a transform that passes the
-certificate check is the positive verdict.  Only when that fails do the
-per-matrix defect and pairwise commutator scans run, to name the witness of
-a refutation (or to confirm that the construction failed numerically).
+Each arithmetic is one pass: the similarity family is built once, then
+constructed into a common eigenbasis and a congruence transform, and a
+transform that passes the certificate check is the positive verdict.  Only
+when that fails do the per-matrix defect and pairwise commutator scans run,
+to name the witness of a refutation (or to confirm that the construction
+failed numerically).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import algebra, numkernel, pencil, sdc, sds
-from .algebra import REAL, AlgebraSpec
+from .algebra import COMPLEX, REAL, AlgebraSpec
 from .numkernel import DEFAULT_TOL, NonConvergence, Singular, ToleranceContext
-from .pencil import DEFAULT_TRIALS, PencilRankWitness
+from .pencil import DEFAULT_TRIALS
 from .sdc import GramFactorisationError, Refutation
 from .sds import NonRealSpectrum, RefinementInconsistency
 
@@ -129,7 +133,10 @@ def _embed(p_work: np.ndarray, embed: Optional[tuple[np.ndarray, int]]) -> np.nd
     """The transform of the whole algebra from that of the stack.
 
     ``embed`` is ``(transform, ann_dim)`` of the adapted basis in branch b.2,
-    where annihilator directions join the natural basis, else ``None``.
+    where annihilator directions join the natural basis, else ``None``.  They
+    join at the root-mean-square norm of the constructed columns, which scale
+    as ``||W||^(-1/2)``; at unit norm the transform of a rescaled algebra
+    would fail the checker's rank test.
     """
     if embed is None:
         return p_work
@@ -138,78 +145,54 @@ def _embed(p_work: np.ndarray, embed: Optional[tuple[np.ndarray, int]]) -> np.nd
     r = n - a
     p_full = np.zeros((n, n), dtype=np.result_type(p_work.dtype, transform.dtype))
     p_full[:r, :r] = p_work
-    p_full[r:, r:] = np.eye(a)
+    p_full[r:, r:] = np.eye(a) * (np.linalg.norm(p_work) / np.sqrt(r))
     return transform @ p_full
 
 
-def _find_real_pencil_point(
-    mats: list[np.ndarray], tol: ToleranceContext, trials: int, seed: int
-) -> Optional[np.ndarray]:
-    """Random real Gaussian search for a full-rank pencil point."""
-    n = mats[0].shape[0]
-    m = len(mats)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, 0x8EA7, t])
-        lam = rng.standard_normal(m)
-        lam = lam / np.linalg.norm(lam)
-        if numkernel.rank(pencil.evaluate(mats, lam), tol) == n:
-            return lam.astype(np.complex128)
-    return None
-
-
-def _pencil_point(
-    mats: list[np.ndarray],
-    witness: PencilRankWitness,
-    real_input: bool,
-    tol: ToleranceContext,
-    trials: int,
-    seed: int,
-    notes: list[str],
-) -> tuple[PencilRankWitness, str]:
-    """The pencil point and the arithmetic ("real" or "complex") the stack is solved in.
-
-    A real input is solved in real arithmetic at a real pencil point,
-    re-searched when the witness is not real; without one it is decided over
-    C only.
-    """
-    if not real_input:
-        return witness, "complex"
-    if np.max(np.abs(np.asarray(witness.lambda0).imag)) <= 1e-14:
-        return witness, "real"
-    real_lam = _find_real_pencil_point(mats, tol, trials, seed)
-    if real_lam is None:
-        notes.append("no real full-rank pencil point found; decided over C only")
-        return witness, "complex"
-    notes.append("real full-rank pencil point found by re-search")
-    return replace(witness, lambda0=real_lam, canonical_index=None), "real"
-
-
-def _solve_stack(
-    mats: list[np.ndarray],
-    witness: PencilRankWitness,
+def _solve(
+    t: np.ndarray,
+    stack: np.ndarray,
+    lam: np.ndarray,
     field: str,
-    real_input: bool,
+    embed: Optional[tuple[np.ndarray, int]],
     tol: ToleranceContext,
     seed: int,
-    notes: list[str],
-    structures: dict,
-) -> tuple[str, Optional[np.ndarray], Optional[Refutation]]:
-    """Run the full-rank congruence solver, scans first, with the real/complex dance.
+) -> tuple[Optional[Certificate], Optional[Refutation]]:
+    """Decide the stack at the pencil point ``lam`` in the arithmetic of ``field``.
 
-    Returns ``(outcome, p, refutation)`` where outcome is one of EVOLUTION,
-    NOT_EVOLUTION, COMPLEX_ONLY_UNDETERMINED.
+    Builds the family ``N_k = W^{-1} M_k`` once.  When every ``N_k`` commutes
+    with their sum, the transform is constructed and checked; a transform the
+    checker accepts is the certificate.  Otherwise the scans run to name a
+    refutation witness.  Without one, a construction that raised re-raises,
+    a rejected transform gives ``(None, None)``, and a construction the
+    routing test skipped is made and checked once.
     """
-    if field == "real":
+    w, family = sdc._similarity_family(stack, lam, tol, field)
+    structures: dict = {}  # eigen-structures of whole matrices, shared by the construction and the scans
+
+    def construct() -> Optional[Certificate]:
+        _, spaces = sds._common_eigenbasis(family, tol, field, structures)
+        p = _embed(sdc._assemble(w, spaces, seed, field == REAL), embed)
+        check, products = _check(t, p, tol)
+        return _certificate(p, products) if check.ok else None
+
+    routed = sds._commute_with_sum(family, tol)
+    failure = None
+    if routed:
         try:
-            res = sdc._sdc_full_rank(mats, witness, tol, seed, "real", structures)
-        except NonRealSpectrum:
-            notes.append("similarity spectrum is not real; no real natural basis was certified")
+            certificate = construct()
+        except (NonConvergence, RefinementInconsistency, NonRealSpectrum, GramFactorisationError,
+                np.linalg.LinAlgError) as exc:
+            failure = exc  # the scans decide whether it stands
         else:
-            return (EVOLUTION, res.p, None) if res.ok else (NOT_EVOLUTION, None, res.refutation)
-    res = sdc._sdc_full_rank(mats, witness, tol, seed, "complex", structures)
-    if not res.ok:
-        return NOT_EVOLUTION, None, res.refutation
-    return (COMPLEX_ONLY_UNDETERMINED if real_input else EVOLUTION), res.p, None
+            if certificate is not None:
+                return certificate, None
+    refutation = sds._witness(family, tol, structures)
+    if refutation is not None:
+        return None, refutation
+    if failure is not None:
+        raise failure
+    return (None if routed else construct()), None
 
 
 def is_evolution_algebra(
@@ -240,27 +223,17 @@ def is_evolution_algebra(
             p = np.eye(n)
             return Verdict(EVOLUTION, _certificate(p, _check(t, p, tol)[1]), None, diag("b.2", 0, None, n, None))
 
-        witness = None
-        branch = None
-        ann_dim: Optional[int] = None
-        work = t
+        stack = t
         embed: Optional[tuple[np.ndarray, int]] = None
-
-        for k, m in enumerate(t):
-            if numkernel.rank(m, tol) == n:
-                lam = np.zeros(n, dtype=np.complex128)
-                lam[k] = 1.0
-                witness = PencilRankWitness(lam, n, k + 1, seed, canonical_index=k + 1)
-                branch = "a"
-                ann_dim = 0  # an invertible structure matrix forces a zero annihilator
-                break
-
-        if witness is None:
+        witness = pencil._canonical_scan(t, tol, seed)
+        if witness.r0 == n:
+            branch, ann_dim = "a", 0  # an invertible structure matrix forces a zero annihilator
+        else:
             ann = algebra._annihilator(t, tol)
             ann_dim = ann.shape[1]
             if ann_dim == 0:
                 branch = "b.1"
-                witness = pencil.max_pencil_rank(t, tol, trials, seed)
+                witness = pencil._random_search(t, witness, tol, trials, seed)
                 if witness.r0 < n:
                     notes.append(
                         "no full-rank pencil point found by randomized search; "
@@ -275,11 +248,10 @@ def is_evolution_algebra(
             else:
                 branch = "b.2"
                 adapted = algebra._adapt(t, ann)
-                r = n - ann_dim
-                work = adapted.blocks
+                stack = adapted.blocks
                 embed = (adapted.transform, ann_dim)
-                witness = pencil.max_pencil_rank(work, tol, trials, seed)
-                if witness.r0 < r:
+                witness = pencil.max_pencil_rank(stack, tol, trials, seed)
+                if witness.r0 < n - ann_dim:
                     notes.append("randomized search found no invertible pencil point for the reduced blocks")
                     return Verdict(
                         NOT_EVOLUTION,
@@ -288,35 +260,23 @@ def is_evolution_algebra(
                         diag(branch, witness.r0, witness.lambda0, ann_dim, witness.trials_used),
                     )
 
-        stack = list(work)
-        solve_witness, field = _pencil_point(stack, witness, real_input, tol, trials, seed, notes)
-        structures: dict = {}  # eigen-structures of whole matrices, shared by the attempt and the scans
-        if field == "real" or not real_input:
-            # construction first: a transform that passes the checker is the verdict;
-            # anything else falls back to the scans, which name the witness
-            try:
-                p_work = sdc._construct(stack, solve_witness, tol, seed, field, structures)
-            except (NonConvergence, RefinementInconsistency, NonRealSpectrum, GramFactorisationError,
-                    np.linalg.LinAlgError):
-                p_work = None
-            if p_work is not None:
-                p = _embed(p_work, embed)
-                check, products = _check(t, p, tol)
-                if check.ok:
-                    diagnostics = diag(branch, witness.r0, witness.lambda0, ann_dim, witness.trials_used)
-                    return Verdict(EVOLUTION, _certificate(p, products), None, diagnostics)
-
-        outcome, p_work, refutation = _solve_stack(stack, solve_witness, field, real_input, tol, seed, notes, structures)
-        diagnostics = diag(branch, witness.r0, witness.lambda0, ann_dim, witness.trials_used)
-        if outcome == NOT_EVOLUTION:
-            return Verdict(NOT_EVOLUTION, None, refutation, diagnostics)
-
-        p = _embed(p_work, embed)
-        check, products = _check(t, p, tol)
-        if not check.ok:
+        # a real algebra is decided in real arithmetic, over C only when its similarity spectrum is not real
+        field = REAL if real_input else COMPLEX
+        try:
+            certificate, refutation = _solve(t, stack, witness.lambda0, field, embed, tol, seed)
+        except NonRealSpectrum:
+            notes.append("similarity spectrum is not real; no real natural basis was certified")
+            field = COMPLEX
+            certificate, refutation = _solve(t, stack, witness.lambda0, field, embed, tol, seed)
+        if refutation is not None:
+            outcome = NOT_EVOLUTION
+        elif certificate is None:
             notes.append("constructed transform failed independent congruence verification")
-            return Verdict(UNDETERMINED, None, None, diag(branch, witness.r0, witness.lambda0, ann_dim, witness.trials_used))
-        return Verdict(outcome, _certificate(p, products), None, diagnostics)
+            outcome = UNDETERMINED
+        else:
+            outcome = COMPLEX_ONLY_UNDETERMINED if real_input and field == COMPLEX else EVOLUTION
+        diagnostics = diag(branch, witness.r0, witness.lambda0, ann_dim, witness.trials_used)
+        return Verdict(outcome, certificate, refutation, diagnostics)
     except (NonConvergence, RefinementInconsistency, GramFactorisationError, Singular) as exc:
         notes.append(f"numerical failure: {exc}")
         return Verdict(UNDETERMINED, None, None, diag(None, None, None, None, None))

@@ -77,6 +77,17 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
+def _check_stack(mats) -> int:
+    """Size of a non-empty stack of equal square matrices (a list or an ``(m, n, n)`` array)."""
+    if len(mats) == 0:
+        raise DimensionMismatch("need at least one matrix")
+    n = mats[0].shape[0]
+    for m in mats:
+        if m.shape != (n, n):
+            raise DimensionMismatch(f"matrices must all be {n}x{n}, got {m.shape}")
+    return n
+
+
 def _svd_cutoff(s: np.ndarray, shape: tuple[int, int], tol: ToleranceContext) -> float:
     if s.size == 0:
         return 0.0

@@ -4,12 +4,17 @@ Given matrices ``M_1 .. M_m``, the pencil is ``M(lam) = sum_j lam_j M_j``.
 The rank of ``M(lam)`` is maximised outside a proper algebraic subvariety, so
 a random unit vector attains the maximum with probability one; the canonical
 directions are tried first so that an invertible ``M_k`` is found
-deterministically whenever one exists.
+deterministically whenever one exists.  For real matrices the rank defect is
+a real polynomial condition, so a real random vector does as well.
+
+The search is one canonical scan followed by the random trials.  The
+decision runs the scan on its own first (an invertible ``M_k`` is branch "a"
+and needs no annihilator), then continues the same search with the trials.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,19 +43,9 @@ class PencilRankWitness:
     smallest_kept_sv: float = 0.0
 
 
-def _check_stack(mats: Sequence[np.ndarray]) -> int:
-    if len(mats) == 0:
-        raise DimensionMismatch("a pencil needs at least one matrix")
-    n = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (n, n):
-            raise DimensionMismatch(f"pencil matrices must all be {n}x{n}, got {m.shape}")
-    return n
-
-
 def evaluate(mats: Sequence[np.ndarray], lam) -> np.ndarray:
     """Evaluate ``sum_j lam_j M_j``; symmetric whenever the inputs are."""
-    n = _check_stack(mats)
+    n = numkernel._check_stack(mats)
     coeffs = np.asarray(lam)
     if coeffs.shape != (len(mats),):
         raise DimensionMismatch(f"pencil over {len(mats)} matrices needs {len(mats)} coefficients, got {coeffs.shape}")
@@ -69,10 +64,50 @@ def _rank_and_smin(m: np.ndarray, tol: ToleranceContext) -> tuple[int, float]:
     return r, (float(s[r - 1]) if r else 0.0)
 
 
-def _unit_gaussian(m: int, seed: int, trial: int) -> np.ndarray:
+def _unit_gaussian(m: int, seed: int, trial: int, real: bool) -> np.ndarray:
+    """Unit direction with standard Gaussian coordinates on the stream ``[seed, trial]``."""
     rng = np.random.default_rng([seed, trial])
-    z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    return z / np.linalg.norm(z)
+    z = rng.standard_normal(m) if real else rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return (z / np.linalg.norm(z)).astype(np.complex128)
+
+
+def _canonical_scan(mats: Sequence[np.ndarray], tol: ToleranceContext, seed: int) -> PencilRankWitness:
+    """The best unit direction ``e_k``, scanned in ascending index.
+
+    Returns the first full-rank one at once; otherwise the first of the
+    highest rank, with ``trials_used`` counting all ``m`` directions.
+    """
+    n = numkernel._check_stack(mats)
+    m = len(mats)
+    best: Optional[PencilRankWitness] = None
+    for k in range(m):
+        lam = np.zeros(m, dtype=np.complex128)
+        lam[k] = 1.0
+        r, smin = _rank_and_smin(np.asarray(mats[k]), tol)
+        if r == n:
+            return PencilRankWitness(lam, r, k + 1, seed, canonical_index=k + 1, smallest_kept_sv=smin)
+        if best is None or r > best.r0:
+            best = PencilRankWitness(lam, r, m, seed, canonical_index=k + 1, smallest_kept_sv=smin)
+    return best
+
+
+def _random_search(
+    mats: Sequence[np.ndarray], best: PencilRankWitness, tol: ToleranceContext, trials: int, seed: int
+) -> PencilRankWitness:
+    """Continue from the canonical scan's witness ``best`` with the random trials."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if best.r0 == mats[0].shape[0]:
+        return best
+    real = not np.iscomplexobj(mats[0])
+    used = best.trials_used
+    for t in range(trials):
+        lam = _unit_gaussian(len(mats), seed, t, real)
+        used += 1
+        r, smin = _rank_and_smin(evaluate(mats, lam.real if real else lam), tol)
+        if r > best.r0 or (r == best.r0 and best.canonical_index is None and smin > best.smallest_kept_sv):
+            best = PencilRankWitness(lam, r, used, seed, canonical_index=None, smallest_kept_sv=smin)
+    return replace(best, trials_used=used)
 
 
 def max_pencil_rank(
@@ -85,34 +120,11 @@ def max_pencil_rank(
 
     Canonical directions are scanned first in ascending index and returned
     immediately when one reaches full rank.  Random candidates have standard
-    complex Gaussian coordinates on per-trial streams derived from the seed,
-    so the result is reproducible bit for bit; among random candidates of
-    equal rank the one with the largest smallest retained singular value wins.
-    A random candidate never displaces an equal-rank canonical one.
+    Gaussian coordinates on per-trial streams derived from the seed, so the
+    result is reproducible bit for bit.  They are real when the matrices are
+    real (any real dtype) and complex otherwise; ``lambda0`` is complex128
+    either way.  Among random candidates of equal rank the one with the
+    largest smallest retained singular value wins.  A random candidate never
+    displaces an equal-rank canonical one.
     """
-    n = _check_stack(mats)
-    m = len(mats)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    best: Optional[PencilRankWitness] = None
-    used = 0
-    for k in range(m):
-        lam = np.zeros(m, dtype=np.complex128)
-        lam[k] = 1.0
-        used += 1
-        r, smin = _rank_and_smin(evaluate(mats, lam.real if not np.iscomplexobj(mats[0]) else lam), tol)
-        witness = PencilRankWitness(lam, r, used, seed, canonical_index=k + 1, smallest_kept_sv=smin)
-        if r == n:
-            return witness
-        if best is None or r > best.r0:
-            best = witness
-    for t in range(trials):
-        lam = _unit_gaussian(m, seed, t)
-        used += 1
-        r, smin = _rank_and_smin(evaluate(mats, lam), tol)
-        replace = r > best.r0 or (
-            r == best.r0 and best.canonical_index is None and smin > best.smallest_kept_sv
-        )
-        if replace:
-            best = PencilRankWitness(lam, r, used, seed, canonical_index=None, smallest_kept_sv=smin)
-    return PencilRankWitness(best.lambda0, best.r0, used, seed, best.canonical_index, best.smallest_kept_sv)
+    return _random_search(mats, _canonical_scan(mats, tol, seed), tol, trials, seed)

@@ -10,8 +10,10 @@ hence every ``P^T M_k P`` diagonal.  Distinct common eigenspaces are
 automatically ``W``-orthogonal.
 
 When the pencil rank tops out at ``r < n``, SDC forces the common kernel to
-have dimension exactly ``n - r``; splitting it off reduces the problem to an
-``r``-dimensional full-rank instance.
+have dimension exactly ``n - r``; the decision splits it off as the
+annihilator (``algebra``) and solves the ``r``-dimensional leading blocks.
+This module holds the pieces it assembles: the similarity family, the Gram
+factorisation, the transform and the refutation witnesses of congruence.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import numkernel, pencil, sds
-from .numkernel import DEFAULT_TOL, ToleranceContext
-from .pencil import PencilRankWitness
+from . import numkernel, pencil
+from .numkernel import ToleranceContext
 from .sds import CommonEigenspace, NonCommuting, NonDiagonalisable
 
 
@@ -48,15 +49,6 @@ class NoFullRankPencil:
 
 
 Refutation = Union[NonDiagonalisable, NonCommuting, KernelDimensionMismatch, NoFullRankPencil]
-
-
-@dataclass(frozen=True)
-class SdcResult:
-    ok: bool
-    p: Optional[np.ndarray] = None
-    diagonals: Optional[tuple[np.ndarray, ...]] = None  # diag of P^T M_k P, one per matrix
-    eigenspaces: Optional[tuple[CommonEigenspace, ...]] = None
-    refutation: Optional[Refutation] = None
 
 
 def _random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
@@ -137,6 +129,7 @@ def _assemble(
     seed: int,
     real: bool,
 ) -> np.ndarray:
+    """The congruence transform: one block ``V C^{-T}`` per common eigenspace of the family at ``W``."""
     rng = np.random.default_rng([seed, 0x9D])
     blocks = []
     for space in spaces:
@@ -148,121 +141,18 @@ def _assemble(
 
 
 def _similarity_family(
-    mats: Sequence[np.ndarray], witness: PencilRankWitness, tol: ToleranceContext, field: str
-) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
-    """The stack in the arithmetic of ``field``, ``W = M(lambda0)`` and the family ``W^{-1} M_k``."""
-    n = mats[0].shape[0]
-    if witness.r0 != n:
-        raise ValueError(f"full-rank solver needs r0 == {n}, got {witness.r0}")
+    mats: Sequence[np.ndarray], lam: np.ndarray, tol: ToleranceContext, field: str
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``W = M(lam)`` and the family ``W^{-1} M_k``, in the arithmetic of ``field``.
+
+    Raises :class:`numkernel.Singular` when ``W`` is rank-deficient.
+    """
     if field == "real":
-        lam = np.asarray(witness.lambda0).real
+        lam = np.asarray(lam).real
         work = [np.asarray(m).real.astype(np.float64) for m in mats]
     else:
-        lam = np.asarray(witness.lambda0).astype(np.complex128)
+        lam = np.asarray(lam).astype(np.complex128)
         work = [np.asarray(m).astype(np.complex128) for m in mats]
     w = pencil.evaluate(work, lam)
     winv = numkernel.inverse(w, tol)
-    return work, w, [winv @ m for m in work]
-
-
-def _construct(
-    mats: Sequence[np.ndarray],
-    witness: PencilRankWitness,
-    tol: ToleranceContext,
-    seed: int,
-    field: str,
-    structures: dict,
-) -> Optional[np.ndarray]:
-    """The congruence transform built without the similarity scans.
-
-    Returns ``None`` when the family ``W^{-1} M_k`` fails the routing test
-    (some member does not commute with the family's sum), else the
-    transform of :func:`sdc_full_rank` for an SDS family, unchecked.  Raises
-    whatever the refinement and the Gram factorisation raise, a whole-space
-    defect included.  ``structures`` is the eigen-structure memo shared with
-    the scans.
-    """
-    work, w, similar = _similarity_family(mats, witness, tol, field)
-    if not sds._commute_with_sum(similar, tol):
-        return None
-    _, spaces = sds._common_eigenbasis(similar, tol, field, structures)
-    return _assemble(w, spaces, seed, field == "real")
-
-
-def sdc_full_rank(
-    mats: Sequence[np.ndarray],
-    witness: PencilRankWitness,
-    tol: ToleranceContext = DEFAULT_TOL,
-    seed: int = 0,
-    field: str = "complex",
-) -> SdcResult:
-    """SDC for a stack whose pencil witness has full rank, decided by the scans.
-
-    Runs the similarity scans of :func:`sds.are_sds` on ``W^{-1} M_k`` and,
-    when they pass, builds the congruence transform per common eigenspace;
-    otherwise the scans' witness is returned as the refutation.  The
-    decision certifies a positive answer by building this transform first
-    and checking it, and calls the scans only when that fails.  With
-    ``field="real"`` the whole construction stays in real arithmetic
-    (requires real inputs and a real pencil point) and raises
-    :class:`sds.NonRealSpectrum` when the common spectrum is not real.
-    """
-    return _sdc_full_rank(mats, witness, tol, seed, field, {})
-
-
-def _sdc_full_rank(
-    mats: Sequence[np.ndarray],
-    witness: PencilRankWitness,
-    tol: ToleranceContext,
-    seed: int,
-    field: str,
-    structures: dict,
-) -> SdcResult:
-    work, w, similar = _similarity_family(mats, witness, tol, field)
-    res = sds._are_sds(similar, tol, field, structures)
-    if not res.ok:
-        return SdcResult(ok=False, refutation=res.refutation)
-    p = _assemble(w, res.eigenspaces, seed, field == "real")
-    diagonals = tuple(np.diag(p.T @ m @ p).copy() for m in work)
-    return SdcResult(ok=True, p=p, diagonals=diagonals, eigenspaces=res.eigenspaces)
-
-
-def sdc_reduced(
-    mats: Sequence[np.ndarray],
-    witness: PencilRankWitness,
-    tol: ToleranceContext = DEFAULT_TOL,
-    seed: int = 0,
-    field: str = "complex",
-) -> SdcResult:
-    """SDC for a stack whose maximum pencil rank falls short of the size.
-
-    Checks the common-kernel dimension against ``n - r0``, splits the kernel
-    off, compresses to the leading blocks and recurses into the full-rank
-    solver at the same pencil point, then embeds the transform back.
-    """
-    n = mats[0].shape[0]
-    r0 = witness.r0
-    real_mode = field == "real"
-    work = [np.asarray(m).real.astype(np.float64) if real_mode else np.asarray(m).astype(np.complex128) for m in mats]
-    kernel = numkernel.kernel_basis(np.vstack(work), tol)
-    k_dim = kernel.shape[1]
-    if k_dim != n - r0:
-        return SdcResult(ok=False, refutation=KernelDimensionMismatch(k_dim, n - r0))
-    if r0 == 0:
-        p = kernel  # spans everything; for an all-zero stack this is the identity
-        diagonals = tuple(np.zeros(n, dtype=work[0].dtype) for _ in work)
-        return SdcResult(ok=True, p=p, diagonals=diagonals)
-    indices = numkernel.complete_to_basis(kernel)
-    eye = np.eye(n, dtype=kernel.dtype)
-    t = np.column_stack([eye[:, indices], kernel]) if k_dim else eye[:, indices]
-    compressed = [(t.T @ m @ t)[:r0, :r0] for m in work]
-    sub = sdc_full_rank(compressed, witness, tol, seed, field)
-    if not sub.ok:
-        return SdcResult(ok=False, refutation=sub.refutation)
-    p_full = np.zeros((n, n), dtype=sub.p.dtype)
-    p_full[:r0, :r0] = sub.p
-    p_full[r0:, r0:] = np.eye(n - r0)
-    p = t @ p_full
-    diagonals = tuple(np.diag(p.T @ m @ p).copy() for m in work)
-    return SdcResult(ok=True, p=p, diagonals=diagonals, eigenspaces=sub.eigenspaces)
-
+    return w, [winv @ m for m in work]

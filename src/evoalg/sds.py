@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import numkernel
-from .numkernel import DEFAULT_TOL, DimensionMismatch, ToleranceContext
+from .numkernel import DEFAULT_TOL, ToleranceContext
 
 
 class RefinementInconsistency(Exception):
@@ -63,16 +63,6 @@ class SdsResult:
     q: Optional[np.ndarray] = None
     eigenspaces: Optional[tuple[CommonEigenspace, ...]] = None
     refutation: Optional[Union[NonDiagonalisable, NonCommuting]] = None
-
-
-def _check_square_stack(mats: Sequence[np.ndarray]) -> int:
-    if len(mats) == 0:
-        raise DimensionMismatch("need at least one matrix")
-    n = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (n, n):
-            raise DimensionMismatch(f"matrices must all be {n}x{n}, got {m.shape}")
-    return n
 
 
 def _structure(m: np.ndarray, tol: ToleranceContext, structures: dict) -> numkernel.EigenStructure:
@@ -128,7 +118,7 @@ def common_eigenbasis(
 def _common_eigenbasis(
     mats: Sequence[np.ndarray], tol: ToleranceContext, field: str, structures: dict
 ) -> tuple[np.ndarray, tuple[CommonEigenspace, ...]]:
-    n = _check_square_stack(mats)
+    n = numkernel._check_stack(mats)
     real_mode = field == "real"
     dtype = np.float64 if real_mode else np.complex128
     work = [np.asarray(m).real.astype(dtype) if real_mode else np.asarray(m).astype(dtype) for m in mats]
@@ -182,6 +172,26 @@ def _common_eigenbasis(
     return q, spaces
 
 
+def _witness(
+    mats: Sequence[np.ndarray], tol: ToleranceContext, structures: dict
+) -> Optional[Union[NonDiagonalisable, NonCommuting]]:
+    """The scans: a defect check per matrix in ascending index, then a commutator per pair in index order.
+
+    Returns the first failure as the refutation witness, else ``None``.
+    """
+    for idx, m in enumerate(mats):
+        lam = _defective_eigenvalue(np.asarray(m), tol, structures)
+        if lam is not None:
+            return NonDiagonalisable(idx + 1, lam)
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            norm = numkernel.commutator_norm(mats[i], mats[j])
+            bound = tol.commute_rtol * float(np.linalg.norm(mats[i])) * float(np.linalg.norm(mats[j]))
+            if norm > bound:
+                return NonCommuting((i + 1, j + 1), norm)
+    return None
+
+
 def are_sds(
     mats: Sequence[np.ndarray],
     tol: ToleranceContext = DEFAULT_TOL,
@@ -196,20 +206,10 @@ def are_sds(
     construction and the certificate check, and runs these scans only to
     produce the witness of a refutation.
     """
-    return _are_sds(mats, tol, field, {})
-
-
-def _are_sds(mats: Sequence[np.ndarray], tol: ToleranceContext, field: str, structures: dict) -> SdsResult:
-    _check_square_stack(mats)
-    for idx, m in enumerate(mats):
-        lam = _defective_eigenvalue(np.asarray(m), tol, structures)
-        if lam is not None:
-            return SdsResult(ok=False, refutation=NonDiagonalisable(idx + 1, lam))
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            norm = numkernel.commutator_norm(mats[i], mats[j])
-            bound = tol.commute_rtol * float(np.linalg.norm(mats[i])) * float(np.linalg.norm(mats[j]))
-            if norm > bound:
-                return SdsResult(ok=False, refutation=NonCommuting((i + 1, j + 1), norm))
+    numkernel._check_stack(mats)
+    structures: dict = {}
+    refutation = _witness(mats, tol, structures)
+    if refutation is not None:
+        return SdsResult(ok=False, refutation=refutation)
     q, spaces = _common_eigenbasis(mats, tol, field, structures)
     return SdsResult(ok=True, q=q, eigenspaces=spaces)

@@ -253,8 +253,6 @@ OPERATIONS = [
     ("evoalg.pencil", "max_pencil_rank"),
     ("evoalg.sds", "are_sds"),
     ("evoalg.sds", "common_eigenbasis"),
-    ("evoalg.sdc", "sdc_full_rank"),
-    ("evoalg.sdc", "sdc_reduced"),
     ("evoalg.decision", "is_evolution_algebra"),
     ("evoalg.decision", "check_certificate"),
     ("evoalg.decision", "explain"),

@@ -2,19 +2,18 @@ import numpy as np
 import pytest
 
 from evoalg import (
+    EVOLUTION,
+    NOT_EVOLUTION,
     AlgebraSpec,
     check_certificate,
     example_algebra,
+    is_evolution_algebra,
     m_structure_matrices,
-    max_pencil_rank,
     multiply,
     planted_evolution_algebra,
-    sdc_full_rank,
-    sdc_reduced,
     validate,
 )
 from evoalg.corpus import well_conditioned_matrix
-from evoalg.numkernel import DEFAULT_TOL
 from evoalg.sdc import KernelDimensionMismatch, gram_factor
 from evoalg.sds import NonCommuting, NonDiagonalisable
 
@@ -31,12 +30,15 @@ def pad(m, extra=1):
     return out
 
 
-def raw_pipeline(mats, tol=DEFAULT_TOL, trials=16, seed=0):
-    """Decide SDC for a bare stack: pencil search, then the matching solver."""
-    witness = max_pencil_rank(mats, tol, trials, seed)
-    if witness.r0 == mats[0].shape[0]:
-        return sdc_full_rank(mats, witness, tol, seed)
-    return sdc_reduced(mats, witness, tol, seed)
+def spec_of(mats):
+    """The real algebra whose structure matrices are the symmetric stack ``mats``."""
+    n = len(mats)
+    constants = {(i + 1, j + 1, k + 1): m[i, j] for k, m in enumerate(mats) for i in range(n) for j in range(i, n)}
+    return validate(AlgebraSpec(n, "real", constants))
+
+
+def scaled(spec, factor):
+    return validate(AlgebraSpec(spec.dim, spec.field, {key: factor * v for key, v in spec.constants.items()}))
 
 
 class TestGramFactor:
@@ -72,61 +74,67 @@ class TestGramFactor:
 
 
 class TestFullRank:
+    """Stacks with an invertible structure matrix, decided through ``is_evolution_algebra``."""
+
     def test_simple2d(self):
         spec = example_algebra("simple2d")
-        mats = m_structure_matrices(spec)
-        res = sdc_full_rank(mats, max_pencil_rank(mats))
-        assert res.ok
-        assert check_certificate(spec, res.p).ok
-        d1, d2 = res.diagonals
+        v = is_evolution_algebra(spec)
+        assert v.outcome == EVOLUTION and v.diagnostics.branch == "a"
+        assert check_certificate(spec, v.certificate.p).ok
+        d1, d2 = v.certificate.diagonals
         ratios = sorted(np.real(d2 / d1))
         assert ratios == pytest.approx([-1.0, 1.0])
 
     @pytest.mark.parametrize("eps", [0.1, 0.5])
     def test_mendel_deformed(self, eps):
-        mats = m_structure_matrices(example_algebra("mendel", eps))
-        res = sdc_full_rank(mats, max_pencil_rank(mats))
-        assert res.ok
-        d1, d2 = res.diagonals
+        v = is_evolution_algebra(example_algebra("mendel", eps))
+        assert v.outcome == EVOLUTION
+        d1, d2 = v.certificate.diagonals
         ratios = sorted(np.real(d2 / d1))
         assert ratios == pytest.approx(sorted([-1.0, 4 * eps - 1.0]), abs=1e-8)
 
     def test_mendel_classical_refuted(self, mendel0_mats):
-        res = sdc_full_rank(mendel0_mats, max_pencil_rank(mendel0_mats))
-        assert not res.ok
-        assert isinstance(res.refutation, NonDiagonalisable)
-        assert res.refutation.index == 2
-        assert abs(res.refutation.eigenvalue - (-1.0)) < 1e-8
+        spec = example_algebra("mendel", 0.0)
+        np.testing.assert_array_equal(m_structure_matrices(spec), mendel0_mats)
+        v = is_evolution_algebra(spec)
+        assert v.outcome == NOT_EVOLUTION
+        assert isinstance(v.refutation, NonDiagonalisable)
+        assert v.refutation.index == 2
+        assert abs(v.refutation.eigenvalue - (-1.0)) < 1e-8
 
     def test_requires_full_rank_witness(self):
-        mats = [pad(np.eye(2)), pad(X)]
-        with pytest.raises(ValueError):
-            sdc_full_rank(mats, max_pencil_rank(mats))
+        # no point of the padded pencil is invertible, so the kernel is split
+        # off first and the full-rank solve runs on the leading blocks only
+        v = is_evolution_algebra(PADDED)
+        d = v.diagnostics
+        assert (d.branch, d.r0, d.ann_dim) == ("b.2", 2, 1)
+        assert d.lambda0.shape == (3,)
 
 
 class TestReduced:
+    """Stacks with a common kernel, decided through ``is_evolution_algebra``."""
+
     def test_noncommuting_padded_blocks(self):
-        mats = [pad(np.eye(2)), pad(X), pad(Z)]
-        res = sdc_reduced(mats, max_pencil_rank(mats))
-        assert not res.ok
-        assert isinstance(res.refutation, NonCommuting)
-        assert res.refutation.pair == (2, 3)
+        spec = spec_of([pad(np.eye(2)), pad(X), pad(Z)])
+        assert spec.constants == example_algebra("nota2").constants
+        v = is_evolution_algebra(spec)
+        assert v.outcome == NOT_EVOLUTION
+        assert isinstance(v.refutation, NonCommuting)
+        assert v.refutation.pair == (2, 3)
 
     def test_two_padded_blocks_diagonalise(self):
-        mats = [pad(np.eye(2)), pad(X)]
-        np.testing.assert_array_equal(m_structure_matrices(PADDED)[:2], mats)
-        res = sdc_reduced(mats, max_pencil_rank(mats))
-        assert res.ok
-        assert check_certificate(PADDED, res.p).ok
+        np.testing.assert_array_equal(m_structure_matrices(PADDED)[:2], [pad(np.eye(2)), pad(X)])
+        v = is_evolution_algebra(PADDED)
+        assert v.outcome == EVOLUTION
+        assert check_certificate(PADDED, v.certificate.p).ok
         # the kernel direction stays a natural direction with zero square
-        assert all(abs(d[2]) < 1e-12 for d in res.diagonals)
+        assert all(abs(d[2]) < 1e-12 for d in v.certificate.diagonals)
 
     def test_all_zero_stack(self):
-        mats = [np.zeros((3, 3)) for _ in range(3)]
-        res = sdc_reduced(mats, max_pencil_rank(mats))
-        assert res.ok
-        np.testing.assert_array_equal(res.p, np.eye(3))
-        assert all(not np.any(d) for d in res.diagonals)
+        v = is_evolution_algebra(validate(AlgebraSpec(3, "real", {})))
+        assert v.outcome == EVOLUTION
+        np.testing.assert_array_equal(v.certificate.p, np.eye(3))
+        assert all(not np.any(d) for d in v.certificate.diagonals)
 
     def test_kernel_dimension_mismatch(self):
         # arrowhead family: rank never exceeds 2, common kernel is zero
@@ -134,20 +142,22 @@ class TestReduced:
         arrow[0][0, 0] = 1.0
         arrow[1][0, 1] = arrow[1][1, 0] = 1.0
         arrow[2][0, 2] = arrow[2][2, 0] = 1.0
-        res = sdc_reduced(arrow, max_pencil_rank(arrow))
-        assert not res.ok
-        assert res.refutation == KernelDimensionMismatch(kernel_dim=0, expected=1)
+        v = is_evolution_algebra(spec_of(arrow))
+        assert v.outcome == NOT_EVOLUTION
+        assert v.refutation == KernelDimensionMismatch(kernel_dim=0, expected=1)
 
     def test_agrees_with_full_rank_when_witness_is_full(self):
+        # simple2d padded with an annihilator direction: the leading blocks are
+        # simple2d's own matrices, so the kernel split changes nothing there
         spec = example_algebra("simple2d")
-        mats = m_structure_matrices(spec)
-        witness = max_pencil_rank(mats)
-        full = sdc_full_rank(mats, witness)
-        red = sdc_reduced(mats, witness)
-        assert full.ok and red.ok
-        assert check_certificate(spec, red.p).ok
-        for a, b in zip(full.diagonals, red.diagonals):
-            np.testing.assert_allclose(a, b, atol=1e-10)
+        padded = validate(AlgebraSpec(3, "real", dict(spec.constants)))
+        full = is_evolution_algebra(spec)
+        red = is_evolution_algebra(padded)
+        assert (full.diagnostics.branch, red.diagnostics.branch) == ("a", "b.2")
+        assert full.outcome == red.outcome == EVOLUTION
+        assert check_certificate(padded, red.certificate.p).ok
+        for a, b in zip(full.certificate.diagonals, red.certificate.diagonals):
+            np.testing.assert_allclose(a, b[:2], atol=1e-10)
 
 
 class TestVerifyCongruence:
@@ -197,9 +207,9 @@ class TestStackInvariants:
     def test_soundness_on_planted(self):
         for seed in range(25):
             spec, _ = planted_evolution_algebra(2 + seed % 5, seed=seed)
-            res = raw_pipeline(m_structure_matrices(spec), seed=seed)
-            assert res.ok
-            assert check_certificate(spec, res.p).ok
+            v = is_evolution_algebra(spec, seed=seed)
+            assert v.outcome == EVOLUTION
+            assert check_certificate(spec, v.certificate.p).ok
 
     def test_verdict_invariant_under_congruence(self):
         rng = np.random.default_rng(31)
@@ -215,14 +225,23 @@ class TestStackInvariants:
             for _ in range(10):
                 r = well_conditioned_matrix(n, rng)
                 moved = [r.T @ m @ r for m in mats]
-                assert raw_pipeline(moved).ok == want
+                assert (is_evolution_algebra(spec_of(moved)).outcome == EVOLUTION) == want
 
     def test_scaling_invariance(self):
-        mats = m_structure_matrices(example_algebra("simple2d"))
-        res = raw_pipeline(mats)
-        scaled = [3.7 * m for m in mats]
-        res_scaled = raw_pipeline(scaled)
-        assert res.ok and res_scaled.ok
+        spec = example_algebra("simple2d")
+        v = is_evolution_algebra(spec)
+        v_scaled = is_evolution_algebra(scaled(spec, 3.7))
+        assert v.outcome == v_scaled.outcome == EVOLUTION
         # with the original transform held fixed, the diagonal forms scale linearly
-        for m, d in zip(scaled, res.diagonals):
-            np.testing.assert_allclose(np.diag(res.p.T @ m @ res.p), 3.7 * d, atol=1e-10)
+        p = v.certificate.p
+        for m, d in zip(m_structure_matrices(scaled(spec, 3.7)), v.certificate.diagonals):
+            np.testing.assert_allclose(np.diag(p.T @ m @ p), 3.7 * d, atol=1e-10)
+
+    @pytest.mark.parametrize("factor", [1e-50, 1e-20, 1e20, 1e50])
+    def test_rescaled_annihilator_algebras_are_certified(self, factor):
+        # the annihilator columns join the certificate at the scale of the
+        # constructed ones, so a rescaled branch-b.2 algebra is not undetermined
+        for spec in (example_algebra("mendel3d_ann", 0.2), planted_evolution_algebra(6, seed=3)[0]):
+            v = is_evolution_algebra(scaled(spec, factor))
+            assert v.outcome == EVOLUTION and v.diagnostics.branch == "b.2"
+            assert check_certificate(scaled(spec, factor), v.certificate.p).ok
