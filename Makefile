@@ -1,4 +1,4 @@
-.PHONY: test acceptance bench reports
+.PHONY: test acceptance bench reports probe
 
 # the sources under src/ are tested directly, without an installed copy
 PYTEST = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest
@@ -26,3 +26,8 @@ reports:
 	@for args in $(C10); do \
 		PYTHONPATH=src python -m evoalg.cli check $$args --json --seed 42 | python -c '$(DROP_RUNTIME)'; \
 	done
+
+# one sorted line per decision over a fixed corpus at two tolerance sets (under a minute);
+# to compare with another checkout, diff against PYTHONPATH=<checkout>/src python tools/probe.py
+probe:
+	@PYTHONPATH=src python tools/probe.py

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import algebra, numkernel, pencil, sdc, sds
 from .algebra import COMPLEX, REAL, AlgebraSpec
-from .numkernel import DEFAULT_TOL, NonConvergence, Singular, ToleranceContext
+from .numkernel import DEFAULT_TOL, NonConvergence, ToleranceContext
 from .pencil import DEFAULT_TRIALS
 from .sdc import GramFactorisationError, Refutation
 from .sds import NonRealSpectrum, RefinementInconsistency
@@ -115,6 +115,8 @@ def _check(t: np.ndarray, p, tol: ToleranceContext) -> tuple[CertificateCheck, O
     pm = np.asarray(p)
     if pm.shape != (n, n):
         return CertificateCheck(ok=False, reason=f"transform must be {n}x{n}, got {pm.shape}"), None
+    if not np.all(np.isfinite(pm)):
+        return CertificateCheck(ok=False, reason="transform has non-finite entries"), None
     if numkernel.rank(pm, tol) < n:
         return CertificateCheck(ok=False, reason="transform is singular under the rank tolerance"), None
     products = pm.T @ t @ pm
@@ -277,7 +279,7 @@ def is_evolution_algebra(
             outcome = COMPLEX_ONLY_UNDETERMINED if real_input and field == COMPLEX else EVOLUTION
         diagnostics = diag(branch, witness.r0, witness.lambda0, ann_dim, witness.trials_used)
         return Verdict(outcome, certificate, refutation, diagnostics)
-    except (NonConvergence, RefinementInconsistency, GramFactorisationError, Singular) as exc:
+    except (NonConvergence, RefinementInconsistency, GramFactorisationError, np.linalg.LinAlgError) as exc:
         notes.append(f"numerical failure: {exc}")
         return Verdict(UNDETERMINED, None, None, diag(None, None, None, None, None))
 

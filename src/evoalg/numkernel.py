@@ -3,9 +3,24 @@
 Everything downstream (structure matrices, pencils, congruence solvers)
 reduces to a handful of primitives defined here: numerical rank, kernels,
 inverses, eigen-structure with explicit eigenvalue clustering, and
-commutator norms.  All thresholds are collected in a single
-:class:`ToleranceContext` so that a run is auditable: no function in this
-package compares a float against an ad-hoc constant.
+commutator norms.
+
+Every rank decision is one singular-value split (``_split``): the rank
+counts the singular values above ``max(rank_rtol * sigma_max * max(shape),
+atol)``.  :func:`rank`, the guard of :func:`inverse`, :func:`kernel_basis`
+and both scans of the pencil search call it.  Eigenspaces are numerical
+kernels of ``M - cI``, each computed once, in the arithmetic of ``M`` (see
+:func:`eigen_structure`).
+
+The tunable thresholds live in one :class:`ToleranceContext`.  A few fixed
+constants do not: :func:`eigen_structure` escalates its clustering radius
+no further than ``1e-2 * scale(M)`` and rejects a clustering whose
+eigenspaces have a joint smallest singular value of at most
+``100 * rho * sqrt(n)``; :func:`complete_to_basis` stops at a residual of
+``1e-12``; ``_phase_canonical`` treats moduli within a relative ``1e-9`` of
+the largest as ties; ``sdc.gram_factor`` treats a pivot below ``1e-8`` of
+its block as isotropic and a block below ``1e-13 * d`` of the Gram scale as
+zero.
 
 Real matrices are accepted everywhere and keep their dtype, but nothing
 here assumes realness; callers that need a real result pass real data in.
@@ -88,10 +103,22 @@ def _check_stack(mats) -> int:
     return n
 
 
-def _svd_cutoff(s: np.ndarray, shape: tuple[int, int], tol: ToleranceContext) -> float:
-    if s.size == 0:
-        return 0.0
-    return tol.rank_rtol * float(s[0]) * max(shape)
+def _split(a: np.ndarray, tol: ToleranceContext, atol: float = 0.0, vectors: bool = False):
+    """The one rank decision: ``(rank, singular values, full right factor or None)``.
+
+    The rank counts the singular values above
+    ``max(rank_rtol * sigma_max * max(shape), atol)``.  With ``vectors`` the
+    right factor ``V^H`` is returned in full, so its trailing rows span the
+    numerical kernel.  An all-zero matrix has rank 0 and needs no SVD.
+    """
+    if not np.any(a):
+        return 0, np.zeros(min(a.shape)), (np.eye(a.shape[1], dtype=a.dtype) if vectors else None)
+    if vectors:
+        _, s, vh = np.linalg.svd(a)
+    else:
+        s, vh = np.linalg.svd(a, compute_uv=False), None
+    cutoff = max(tol.rank_rtol * float(s[0]) * max(a.shape), atol)
+    return int(np.count_nonzero(s > cutoff)), s, vh
 
 
 def rank(m, tol: ToleranceContext = DEFAULT_TOL) -> int:
@@ -99,11 +126,7 @@ def rank(m, tol: ToleranceContext = DEFAULT_TOL) -> int:
 
     The zero matrix has rank 0; the function is total.
     """
-    a = _as_matrix(m)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(s > _svd_cutoff(s, a.shape, tol)))
+    return _split(_as_matrix(m), tol)[0]
 
 
 def inverse(m, tol: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
@@ -155,13 +178,8 @@ def kernel_basis(m, tol: ToleranceContext = DEFAULT_TOL, atol: float = 0.0) -> n
     a = _as_matrix(m)
     if a.shape[1] == 0:
         return np.zeros((0, 0), dtype=a.dtype)
-    if a.size == 0 or not np.any(a):
-        return _phase_canonical(np.eye(a.shape[1], dtype=a.dtype))
-    _, s, vh = np.linalg.svd(a)
-    cutoff = max(_svd_cutoff(s, a.shape, tol), atol)
-    r = int(np.count_nonzero(s > cutoff))
-    basis = vh[r:].conj().T
-    return _phase_canonical(np.ascontiguousarray(basis))
+    r, _, vh = _split(a, tol, atol, vectors=True)
+    return _phase_canonical(np.ascontiguousarray(vh[r:].conj().T))
 
 
 def complete_to_basis(columns: np.ndarray) -> list[int]:
@@ -247,7 +265,12 @@ def eigen_structure(m, tol: ToleranceContext = DEFAULT_TOL) -> EigenStructure:
     Eigenvalues are merged by single linkage starting at the radius
     ``eig_cluster_atol * scale(M)``; the eigenspace of a cluster is the
     numerical kernel of ``M - cI`` at the centroid ``c``, with the kernel
-    cutoff widened to the merge radius so every member contributes.
+    cutoff widened to the merge radius so every member contributes.  Each
+    eigenspace is computed once, in the arithmetic of ``M``: for a real
+    ``M`` a cluster with ``|Im c| <= radius/2`` is closed under conjugation
+    (the spectrum is, and single linkage keeps conjugate members together),
+    so it is shifted by ``Re c`` in real arithmetic and gets a real basis;
+    every other cluster keeps its complex shift and a complex basis.
 
     A defective cluster scatters its computed eigenvalues as far as
     ``eps**(1/multiplicity)``, well beyond any fixed radius, so a clustering
@@ -267,13 +290,15 @@ def eigen_structure(m, tol: ToleranceContext = DEFAULT_TOL) -> EigenStructure:
         raise NonConvergence(f"eigenvalue computation failed: {exc}") from exc
     sc = scale(a)
     eye = np.eye(n)
+    real = not np.iscomplexobj(a)
     rho = tol.eig_cluster_atol
     while rho <= 1e-2:
         radius = rho * sc
         clusters = []
         consistent = True
         for centroid, mult in _single_linkage(values, radius):
-            basis = kernel_basis(a - centroid * eye, tol, atol=radius)
+            shift = centroid.real if real and abs(centroid.imag) <= radius / 2 else centroid
+            basis = kernel_basis(a - shift * eye, tol, atol=radius)
             if basis.shape[1] > mult:
                 consistent = False
                 break
@@ -288,20 +313,6 @@ def eigen_structure(m, tol: ToleranceContext = DEFAULT_TOL) -> EigenStructure:
             return EigenStructure(tuple(clusters), radius)
         rho *= 10.0
     raise NonConvergence("eigenvalue clustering did not stabilise at any resolution")
-
-
-def defective_eigenvalue(m, tol: ToleranceContext = DEFAULT_TOL) -> Optional[complex]:
-    """First eigenvalue (in cluster order) whose eigenspace is too small.
-
-    Returns ``None`` when the matrix is diagonalisable by similarity.
-    """
-    cluster = eigen_structure(m, tol).defective_cluster()
-    return None if cluster is None else cluster.eigenvalue
-
-
-def is_diagonalisable(m, tol: ToleranceContext = DEFAULT_TOL) -> bool:
-    """Whether every eigenvalue cluster has a full-dimensional eigenspace."""
-    return defective_eigenvalue(m, tol) is None
 
 
 def commutator_norm(a, b) -> float:

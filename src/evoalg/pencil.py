@@ -55,15 +55,6 @@ def evaluate(mats: Sequence[np.ndarray], lam) -> np.ndarray:
     return out
 
 
-def _rank_and_smin(m: np.ndarray, tol: ToleranceContext) -> tuple[int, float]:
-    if not np.any(m):
-        return 0, 0.0
-    s = np.linalg.svd(m, compute_uv=False)
-    cutoff = tol.rank_rtol * float(s[0]) * max(m.shape)
-    r = int(np.count_nonzero(s > cutoff))
-    return r, (float(s[r - 1]) if r else 0.0)
-
-
 def _unit_gaussian(m: int, seed: int, trial: int, real: bool) -> np.ndarray:
     """Unit direction with standard Gaussian coordinates on the stream ``[seed, trial]``."""
     rng = np.random.default_rng([seed, trial])
@@ -83,7 +74,8 @@ def _canonical_scan(mats: Sequence[np.ndarray], tol: ToleranceContext, seed: int
     for k in range(m):
         lam = np.zeros(m, dtype=np.complex128)
         lam[k] = 1.0
-        r, smin = _rank_and_smin(np.asarray(mats[k]), tol)
+        r, s, _ = numkernel._split(np.asarray(mats[k]), tol)
+        smin = float(s[r - 1]) if r else 0.0
         if r == n:
             return PencilRankWitness(lam, r, k + 1, seed, canonical_index=k + 1, smallest_kept_sv=smin)
         if best is None or r > best.r0:
@@ -104,7 +96,8 @@ def _random_search(
     for t in range(trials):
         lam = _unit_gaussian(len(mats), seed, t, real)
         used += 1
-        r, smin = _rank_and_smin(evaluate(mats, lam.real if real else lam), tol)
+        r, s, _ = numkernel._split(evaluate(mats, lam.real if real else lam), tol)
+        smin = float(s[r - 1]) if r else 0.0
         if r > best.r0 or (r == best.r0 and best.canonical_index is None and smin > best.smallest_kept_sv):
             best = PencilRankWitness(lam, r, used, seed, canonical_index=None, smallest_kept_sv=smin)
     return replace(best, trials_used=used)

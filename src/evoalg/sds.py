@@ -106,11 +106,14 @@ def common_eigenbasis(
     unsplit, the refinement works on ``N_k`` itself, and a cluster that fills
     its subspace with a full eigenspace keeps the subspace's basis.
 
-    With ``field="real"`` the refinement runs in real arithmetic and raises
-    :class:`NonRealSpectrum` as soon as a non-real eigenvalue cluster shows
-    up.  Raises :class:`RefinementInconsistency` when a matrix of the whole
-    space has a defective eigenvalue, or a restriction turns out defective
-    inside a subspace.
+    Each subspace is split by the eigenspaces ``eigen_structure`` returns,
+    used as they are.  With ``field="real"`` the refinement runs in real
+    arithmetic and raises :class:`NonRealSpectrum` as soon as one of those
+    eigenspaces is complex, which for a real matrix happens exactly at a
+    cluster that is not closed under conjugation.  Raises
+    :class:`RefinementInconsistency` when a matrix of the whole space has a
+    defective eigenvalue, or a restriction turns out defective inside a
+    subspace.
     """
     return _common_eigenbasis(mats, tol, field, {})
 
@@ -129,43 +132,28 @@ def _common_eigenbasis(
         for basis, evs in subspaces:
             d = basis.shape[1]
             if d == 1:
-                r = basis.conj().T @ mat @ basis
-                lam = complex(r[0, 0])
-                if real_mode and abs(lam.imag) > tol.eig_cluster_atol * numkernel.scale(r):
-                    raise NonRealSpectrum(f"matrix {idx + 1} has non-real eigenvalue {lam}")
-                refined.append((basis, evs + (lam,)))
+                refined.append((basis, evs + (complex((basis.conj().T @ mat @ basis)[0, 0]),)))
                 continue
             if basis is whole:
-                r = mat
                 structure = _structure(mat, tol, structures)
                 defect = structure.defective_cluster()
                 if defect is not None:
                     raise RefinementInconsistency(f"matrix {idx + 1}: eigenvalue {defect.eigenvalue} is defective")
             else:
-                r = basis.conj().T @ mat @ basis
-                structure = numkernel.eigen_structure(r, tol)
+                structure = numkernel.eigen_structure(basis.conj().T @ mat @ basis, tol)
             for cluster in structure.clusters:
                 centroid = cluster.eigenvalue
-                if real_mode and abs(centroid.imag) > structure.cluster_radius:
+                if real_mode and np.iscomplexobj(cluster.basis):
                     raise NonRealSpectrum(f"matrix {idx + 1} has non-real eigenvalue {centroid}")
                 if cluster.multiplicity == d and cluster.eigenspace_dim == d:
-                    refined.append((basis, evs + (complex(centroid),)))  # the cluster fills the subspace
+                    refined.append((basis, evs + (centroid,)))  # the cluster fills the subspace
                     continue
-                if real_mode:
-                    # re-derive the eigenspace in real arithmetic at the same cutoff
-                    vc = numkernel.kernel_basis(
-                        r - centroid.real * np.eye(d, dtype=dtype),
-                        tol,
-                        atol=structure.cluster_radius,
-                    )
-                else:
-                    vc = cluster.basis
-                if vc.shape[1] != cluster.multiplicity:
+                if cluster.eigenspace_dim != cluster.multiplicity:
                     raise RefinementInconsistency(
                         f"matrix {idx + 1}: eigenvalue {centroid} has eigenspace dimension "
-                        f"{vc.shape[1]} inside a subspace of multiplicity {cluster.multiplicity}"
+                        f"{cluster.eigenspace_dim} inside a subspace of multiplicity {cluster.multiplicity}"
                     )
-                refined.append((basis @ vc, evs + (complex(centroid),)))
+                refined.append((basis @ cluster.basis, evs + (centroid,)))
         subspaces = refined
     q = np.hstack([basis for basis, _ in subspaces])
     spaces = tuple(CommonEigenspace(basis, evs) for basis, evs in subspaces)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evoalg import example_algebra, m_structure_matrices
+from evoalg import AlgebraSpec, example_algebra, m_structure_matrices, validate
 
 
 def assert_parallel(u, v, tol=1e-6):
@@ -33,6 +33,12 @@ def columns_match_up_to_scale(p, expected_columns, tol=1e-6):
                 break
         assert hit is not None, f"no column of {p} matches {want}"
         used.add(hit)
+
+
+def subnormal_tetraploid():
+    """tetraploid at eps = 0.1 with every constant multiplied by 1e-310; finite, so validate accepts it."""
+    spec = example_algebra("tetraploid", 0.1)
+    return validate(AlgebraSpec(spec.dim, spec.field, {k: v * 1e-310 for k, v in spec.constants.items()}))
 
 
 @pytest.fixture

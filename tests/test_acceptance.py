@@ -239,7 +239,6 @@ OPERATIONS = [
     ("evoalg.numkernel", "inverse"),
     ("evoalg.numkernel", "kernel_basis"),
     ("evoalg.numkernel", "eigen_structure"),
-    ("evoalg.numkernel", "is_diagonalisable"),
     ("evoalg.numkernel", "commutator_norm"),
     ("evoalg.algebra", "validate"),
     ("evoalg.algebra", "m_structure_matrices"),

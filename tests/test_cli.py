@@ -5,6 +5,7 @@ import pytest
 
 from evoalg import cli, example_algebra, parse
 from evoalg.fileformat import format_matrix, serialise
+from conftest import subnormal_tetraploid
 
 
 def run(capsys, *argv):
@@ -125,6 +126,18 @@ class TestOtherCommands:
         assert code == 1
         report = json.loads(out)
         assert report["ok"] is False and report["offending_pair"] == [1, 2]
+
+    def test_verify_rejects_non_finite_transform(self, tmp_path, capsys):
+        p = tmp_path / "inf.mat"
+        p.write_text("1e999 1\n1 -1\n")  # 1e999 parses as inf
+        code, out, _ = run(capsys, "verify", "example://simple2d", "--p", str(p))
+        assert code == 1 and "transform has non-finite entries" in out
+
+    def test_lapack_failure_exits_undetermined(self, tmp_path, capsys):
+        f = tmp_path / "subnormal.alg"
+        f.write_text(serialise(subnormal_tetraploid()))
+        code, out, _ = run(capsys, "check", str(f))
+        assert code == 2 and "undetermined" in out and "numerical failure" in out
 
 
 class TestErrors:

@@ -32,7 +32,7 @@ from evoalg.decision import Diagnostics, Verdict
 from evoalg.numkernel import DEFAULT_TOL, inverse
 from evoalg.pencil import evaluate
 from evoalg.sds import NonCommuting, NonDiagonalisable
-from conftest import columns_match_up_to_scale
+from conftest import columns_match_up_to_scale, subnormal_tetraploid
 
 
 class TestFixtureVerdicts:
@@ -99,6 +99,11 @@ class TestCheckCertificate:
     def test_rejects_singular(self):
         check = check_certificate(example_algebra("simple2d"), np.ones((2, 2)))
         assert not check.ok and check.reason is not None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_transform(self, bad):
+        check = check_certificate(example_algebra("simple2d"), [[bad, 1.0], [1.0, -1.0]])
+        assert not check.ok and check.reason == "transform has non-finite entries"
 
     def test_independent_of_solver(self):
         for seed in range(10):
@@ -209,6 +214,13 @@ class TestRefutationEdges:
 
         monkeypatch.setattr(np.linalg, "eigvals", boom)
         v = is_evolution_algebra(example_algebra("simple2d"))
+        assert v.outcome == UNDETERMINED
+        assert any("numerical failure" in note for note in v.diagnostics.notes)
+
+    def test_lapack_failure_is_undetermined(self):
+        # finite constants near the subnormal range: the rank test passes and
+        # LAPACK's own inverse then finds the pencil point singular
+        v = is_evolution_algebra(subnormal_tetraploid())
         assert v.outcome == UNDETERMINED
         assert any("numerical failure" in note for note in v.diagnostics.notes)
 
@@ -354,6 +366,31 @@ class TestOnePath:
             assert (n, n) not in evaluated
             assert ((r, r) in evaluated) == blocks_searched_at_random
             evaluated.clear()
+
+    @pytest.mark.parametrize(
+        "spec, outcome",
+        [
+            (planted_evolution_algebra(6, seed=4)[0], EVOLUTION),  # b.2
+            (adversarial_instance("defective", 6, 0), NOT_EVOLUTION),  # a
+            (adversarial_instance("defective", 4, None), NOT_EVOLUTION),  # b.1
+        ],
+    )
+    def test_real_spectra_are_factored_in_real_arithmetic(self, monkeypatch, spec, outcome):
+        # every eigenspace of a real family with a real spectrum is computed
+        # once, as a real kernel, by the construction and the scans alike
+        complex_svds = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            complex_svds.append(np.iscomplexobj(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        v = is_evolution_algebra(spec)
+        assert v.outcome == outcome
+        if outcome == NOT_EVOLUTION:
+            assert isinstance(v.refutation, NonDiagonalisable)
+        assert complex_svds and not any(complex_svds)
 
     def test_rejected_transform_is_checked_once(self, monkeypatch):
         calls = []

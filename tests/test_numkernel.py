@@ -11,10 +11,8 @@ from evoalg.numkernel import (
     ToleranceContext,
     commutator_norm,
     complete_to_basis,
-    defective_eigenvalue,
     eigen_structure,
     inverse,
-    is_diagonalisable,
     kernel_basis,
     rank,
 )
@@ -116,6 +114,19 @@ class TestEigenStructure:
         assert c.multiplicity == 2
         assert c.eigenspace_dim == 1
 
+    def test_eigenspaces_in_the_arithmetic_of_the_matrix(self):
+        # a rotation block (eigenvalues +-i) next to a double real eigenvalue
+        m = np.zeros((4, 4))
+        m[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
+        m[2:, 2:] = 2.0 * np.eye(2)
+        minus_i, plus_i, two = eigen_structure(m).clusters
+        assert abs(minus_i.eigenvalue + 1j) < 1e-12 and abs(plus_i.eigenvalue - 1j) < 1e-12
+        assert np.iscomplexobj(minus_i.basis) and np.iscomplexobj(plus_i.basis)
+        assert abs(two.eigenvalue - 2.0) < 1e-12 and two.eigenspace_dim == 2
+        assert two.basis.dtype == np.float64
+        assert all(c.basis.dtype == np.float64 for c in eigen_structure(TETRA_N).clusters)
+        assert all(np.iscomplexobj(c.basis) for c in eigen_structure(TETRA_N.astype(complex)).clusters)
+
     def test_diagonal_clusters(self):
         es = eigen_structure(np.diag([3.0, 3.0, 5.0]))
         got = [(c.eigenvalue, c.multiplicity, c.eigenspace_dim) for c in es.clusters]
@@ -152,24 +163,26 @@ class TestEigenStructure:
 
 class TestDiagonalisable:
     def test_mendel_defective(self):
-        assert defective_eigenvalue(MENDEL_N) is not None
-        assert abs(defective_eigenvalue(MENDEL_N) - (-1.0)) < 1e-8
+        defect = eigen_structure(MENDEL_N).defective_cluster()
+        assert defect is not None
+        assert abs(defect.eigenvalue - (-1.0)) < 1e-8
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=6))
     @settings(max_examples=40, deadline=None)
     def test_any_diagonal_is_diagonalisable(self, values):
-        assert is_diagonalisable(np.diag(values))
+        assert eigen_structure(np.diag(values)).defective_cluster() is None
 
     @pytest.mark.parametrize("size", [2, 3, 4])
     @pytest.mark.parametrize("lam", [0.0, 1.0, -3.5])
     def test_jordan_blocks_are_not(self, size, lam):
         j = lam * np.eye(size) + np.diag(np.ones(size - 1), 1)
-        assert not is_diagonalisable(j)
-        assert abs(defective_eigenvalue(j) - lam) < 1e-4
+        defect = eigen_structure(j).defective_cluster()
+        assert defect is not None
+        assert abs(defect.eigenvalue - lam) < 1e-4
 
     def test_distinct_eigenvalues(self):
         # triangular with eigenvalues -1 and 1
-        assert is_diagonalisable(np.array([[1.0, 2.0], [0.0, -1.0]]))
+        assert eigen_structure(np.array([[1.0, 2.0], [0.0, -1.0]])).defective_cluster() is None
 
 
 class TestCommutator:

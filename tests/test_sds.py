@@ -3,7 +3,7 @@ import pytest
 
 from evoalg import are_sds, common_eigenbasis, example_algebra, m_structure_matrices
 from evoalg.corpus import well_conditioned_matrix
-from evoalg.numkernel import DimensionMismatch, inverse, is_diagonalisable
+from evoalg.numkernel import DimensionMismatch, eigen_structure, inverse
 from evoalg.sds import NonCommuting, NonDiagonalisable, NonRealSpectrum
 
 MENDEL_N = np.array([[1.0, 2.0], [-2.0, -3.0]])
@@ -84,7 +84,7 @@ class TestAreSds:
 
     def test_single_matrix_reduces_to_diagonalisability(self):
         for m in [MENDEL_N, np.diag([1.0, 2.0]), np.array([[1.0, 2.0], [0.0, -1.0]])]:
-            assert are_sds([m]).ok == is_diagonalisable(m)
+            assert are_sds([m]).ok == (eigen_structure(m).defective_cluster() is None)
 
 
 class TestCommonEigenbasis:

@@ -1,0 +1,105 @@
+"""Print one line per decision over a fixed corpus, for comparing two versions of evoalg.
+
+    PYTHONPATH=src python tools/probe.py          (or: make probe)
+
+Each line names the instance and the tolerance set, then the verdict, the
+refutation, branch, r0, ann_dim, trials_used, notes, and the SHA-1 of the
+bytes of ``lambda0`` and of the certificate (``p`` then the squares of the
+natural basis).  Lines are sorted and contain no timing, so the output of
+two checkouts compares with a plain diff: run this script with
+``PYTHONPATH`` pointing at each ``src``.
+
+The corpus is decided at the default tolerances and at
+``eig_cluster_atol=1e-5``:
+
+* planted instances, n = 2…12, seeds 0–11, real and complexified;
+* the three adversarial kinds, n = 3…12, seeds None and 0–9;
+* planted n ∈ {4, 6, 8} re-expressed in a basis of condition number
+  κ ∈ {1e3, 1e4, 1e5, 1e6}, seeds 0–19;
+* the named examples at the ε of the README and the acceptance tests, real
+  and complexified.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from evoalg import (
+    ToleranceContext,
+    adversarial_instance,
+    change_basis,
+    complexify,
+    example_algebra,
+    is_evolution_algebra,
+    planted_evolution_algebra,
+)
+
+TOLERANCES = {"default": ToleranceContext(), "eig_cluster_atol=1e-5": ToleranceContext(eig_cluster_atol=1e-5)}
+
+EXAMPLES = [
+    ("simple2d", None),
+    ("nota2", None),
+    *(("mendel", eps) for eps in (0.0, 0.1, 0.25, 0.5, 1.0)),
+    *(("tetraploid", eps) for eps in (0.0, 0.05, 0.1, 0.2)),
+    *(("mendel3d_ann", eps) for eps in (0.0, 0.1, 0.2, 0.5)),
+]
+
+
+def scrambled_planted(n, kappa, seed):
+    """A planted instance re-expressed in a basis of condition number ``kappa``, as in the tests."""
+    spec, _ = planted_evolution_algebra(n, seed=seed)
+    rng = np.random.default_rng([seed, n, int(np.log10(kappa))])
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return change_basis(spec, u @ np.diag(np.logspace(0, -np.log10(kappa), n)) @ v.T)
+
+
+def corpus():
+    """``(label, spec)`` for every instance, real and complexified where listed."""
+    for n in range(2, 13):
+        for seed in range(12):
+            spec, _ = planted_evolution_algebra(n, seed=seed)
+            yield f"planted n={n} seed={seed} real", spec
+            yield f"planted n={n} seed={seed} complex", complexify(spec)
+    for kind in ("defective", "noncommuting", "ann_mismatch"):
+        for n in range(3, 13):
+            for seed in (None, *range(10)):
+                yield f"adversarial {kind} n={n} seed={seed}", adversarial_instance(kind, n, seed)
+    for n in (4, 6, 8):
+        for kappa in (1e3, 1e4, 1e5, 1e6):
+            for seed in range(20):
+                yield f"scrambled n={n} kappa={kappa:g} seed={seed}", scrambled_planted(n, kappa, seed)
+    for name, eps in EXAMPLES:
+        spec = example_algebra(name, eps)
+        yield f"example {name} eps={eps} real", spec
+        yield f"example {name} eps={eps} complex", complexify(spec)
+
+
+def sha1(*arrays) -> str:
+    h = hashlib.sha1()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def line(label: str, tol_name: str, spec) -> str:
+    v = is_evolution_algebra(spec, TOLERANCES[tol_name])
+    d = v.diagnostics
+    lam = "-" if d.lambda0 is None else sha1(d.lambda0)
+    cert = "-" if v.certificate is None else sha1(v.certificate.p, v.certificate.natural_basis_products)
+    return (
+        f"{label} | tol {tol_name} | {v.outcome} | {v.refutation!r} | branch={d.branch} r0={d.r0} "
+        f"ann_dim={d.ann_dim} trials_used={d.trials_used} | notes={list(d.notes)} | lambda0={lam} cert={cert}"
+    )
+
+
+def main() -> None:
+    instances = list(corpus())
+    for out in sorted(line(label, tol_name, spec) for tol_name in TOLERANCES for label, spec in instances):
+        print(out)
+
+
+if __name__ == "__main__":
+    main()
