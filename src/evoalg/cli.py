@@ -54,6 +54,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
 def _pair(z: complex) -> list[float]:
     z = complex(z)
     return [float(z.real), float(z.imag)]
@@ -126,16 +139,16 @@ def _tolerances(values: Optional[list[str]]) -> ToleranceContext:
         return DEFAULT_TOL
     fields = {f.name for f in dataclasses.fields(ToleranceContext)}
     overrides = {}
-    for item in values:
-        if "=" in item:
-            name, _, raw = item.partition("=")
-            if name not in fields:
-                raise UsageError(f"unknown tolerance {name!r}; choose from {', '.join(sorted(fields))}")
-            overrides[name] = float(raw)
-        else:
-            value = float(item)
-            overrides = {name: value for name in fields}
-    try:
+    try:  # a value that is no float, or one the context rejects, is a usage error
+        for item in values:
+            if "=" in item:
+                name, _, raw = item.partition("=")
+                if name not in fields:
+                    raise UsageError(f"unknown tolerance {name!r}; choose from {', '.join(sorted(fields))}")
+                overrides[name] = float(raw)
+            else:
+                value = float(item)
+                overrides = {name: value for name in fields}
         return dataclasses.replace(DEFAULT_TOL, **overrides)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -144,8 +157,9 @@ def _tolerances(values: Optional[list[str]]) -> ToleranceContext:
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--tol", action="append", metavar="VALUE|NAME=VALUE",
                    help="override tolerances: a bare value sets all four, name=value sets one; repeatable")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="random pencil trials (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="seed for all randomized steps (default %(default)s)")
+    p.add_argument("--trials", type=_int_at_least(1), default=DEFAULT_TRIALS,
+                   help="random pencil trials (default %(default)s)")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="seed of the pencil search (default %(default)s)")
     p.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
     p.add_argument("--epsilon", type=float, default=None, help="deformation parameter for example:// sources")
 
@@ -171,8 +185,8 @@ def _build_parser() -> _Parser:
     p_example.add_argument("--epsilon", type=float, default=None)
 
     p_random = sub.add_parser("random", help="emit a random instance as an algebra file")
-    p_random.add_argument("--dim", type=int, required=True)
-    p_random.add_argument("--seed", type=int, default=0)
+    p_random.add_argument("--dim", type=_int_at_least(1), required=True)
+    p_random.add_argument("--seed", type=_int_at_least(0), default=0)
     p_random.add_argument("--density", type=float, default=0.7)
     p_random.add_argument("--adversarial", choices=corpus.ADVERSARIAL_KINDS, default=None)
 
@@ -241,10 +255,13 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_random(args) -> int:
-    if args.adversarial is not None:
-        spec = corpus.adversarial_instance(args.adversarial, args.dim, args.seed)
-    else:
-        spec, _ = corpus.planted_evolution_algebra(args.dim, args.density, args.seed)
+    try:
+        if args.adversarial is not None:
+            spec = corpus.adversarial_instance(args.adversarial, args.dim, args.seed)
+        else:
+            spec, _ = corpus.planted_evolution_algebra(args.dim, args.density, args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     sys.stdout.write(fileformat.serialise(spec))
     return 0
 
@@ -291,13 +308,8 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (fileformat.ParseError, algebra.MalformedSpec, corpus.OutOfRangeEpsilon, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (UsageError, fileformat.ParseError, algebra.MalformedSpec, corpus.OutOfRangeEpsilon, KeyError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -38,7 +38,7 @@ from . import algebra, numkernel, pencil, sdc, sds
 from .algebra import COMPLEX, REAL, AlgebraSpec
 from .numkernel import DEFAULT_TOL, NonConvergence, ToleranceContext
 from .pencil import DEFAULT_TRIALS
-from .sdc import GramFactorisationError, Refutation
+from .sdc import Refutation
 from .sds import NonRealSpectrum, RefinementInconsistency
 
 EVOLUTION = "evolution"
@@ -120,25 +120,24 @@ def _check(t: np.ndarray, p, tol: ToleranceContext) -> tuple[CertificateCheck, O
     if numkernel.rank(pm, tol) < n:
         return CertificateCheck(ok=False, reason="transform is singular under the rank tolerance"), None
     products = pm.T @ t @ pm
+    # both sides are compared divided by a power of two near max|t|: exact, and the norms cannot overflow
+    scale = np.ldexp(1.0, np.frexp(np.abs(t).max(initial=0.0))[1])
     rows, cols = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # the pairs i < j, row by row
-    residual = np.linalg.norm(products[:, rows, cols], axis=0)
+    residual = np.linalg.norm(products[:, rows, cols] / scale, axis=0)
     column_norms = np.linalg.norm(pm, axis=0)
-    bound = tol.verify_rtol * float(np.linalg.norm(t)) * column_norms[rows] * column_norms[cols]
-    if not np.any(residual > bound):
-        return CertificateCheck(ok=True, residual=float(residual.max(initial=0.0))), products
+    bound = tol.verify_rtol * float(np.linalg.norm(t / scale)) * column_norms[rows] * column_norms[cols]
+    if np.all(residual <= bound):
+        return CertificateCheck(ok=True, residual=scale * float(residual.max(initial=0.0))), products
     worst = int(np.argmax(residual))
     pair = (int(rows[worst]) + 1, int(cols[worst]) + 1)
-    return CertificateCheck(ok=False, offending_pair=pair, residual=float(residual[worst])), products
+    return CertificateCheck(ok=False, offending_pair=pair, residual=scale * float(residual[worst])), products
 
 
 def _embed(p_work: np.ndarray, embed: Optional[tuple[np.ndarray, int]]) -> np.ndarray:
     """The transform of the whole algebra from that of the stack.
 
     ``embed`` is ``(transform, ann_dim)`` of the adapted basis in branch b.2,
-    where annihilator directions join the natural basis, else ``None``.  They
-    join at the root-mean-square norm of the constructed columns, which scale
-    as ``||W||^(-1/2)``; at unit norm the transform of a rescaled algebra
-    would fail the checker's rank test.
+    where annihilator directions join the natural basis, else ``None``.
     """
     if embed is None:
         return p_work
@@ -147,7 +146,7 @@ def _embed(p_work: np.ndarray, embed: Optional[tuple[np.ndarray, int]]) -> np.nd
     r = n - a
     p_full = np.zeros((n, n), dtype=np.result_type(p_work.dtype, transform.dtype))
     p_full[:r, :r] = p_work
-    p_full[r:, r:] = np.eye(a) * (np.linalg.norm(p_work) / np.sqrt(r))
+    p_full[r:, r:] = np.eye(a)
     return transform @ p_full
 
 
@@ -158,7 +157,6 @@ def _solve(
     field: str,
     embed: Optional[tuple[np.ndarray, int]],
     tol: ToleranceContext,
-    seed: int,
 ) -> tuple[Optional[Certificate], Optional[Refutation]]:
     """Decide the stack at the pencil point ``lam`` in the arithmetic of ``field``.
 
@@ -174,7 +172,7 @@ def _solve(
 
     def construct() -> Optional[Certificate]:
         _, spaces = sds._common_eigenbasis(family, tol, field, structures)
-        p = _embed(sdc._assemble(w, spaces, seed, field == REAL), embed)
+        p = _embed(sdc._assemble(w, spaces), embed)
         check, products = _check(t, p, tol)
         return _certificate(p, products) if check.ok else None
 
@@ -183,8 +181,7 @@ def _solve(
     if routed:
         try:
             certificate = construct()
-        except (NonConvergence, RefinementInconsistency, NonRealSpectrum, GramFactorisationError,
-                np.linalg.LinAlgError) as exc:
+        except (NonConvergence, RefinementInconsistency, NonRealSpectrum, np.linalg.LinAlgError) as exc:
             failure = exc  # the scans decide whether it stands
         else:
             if certificate is not None:
@@ -208,8 +205,13 @@ def is_evolution_algebra(
     Every positive verdict carries a certificate that passes
     :func:`check_certificate`; every negative verdict carries an
     independently recheckable refutation witness.  Numerical failures give
-    an undetermined outcome, never a silently wrong verdict.
+    an undetermined outcome, never a silently wrong verdict.  Raises
+    :class:`ValueError` when ``trials < 1`` or ``seed < 0``.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     spec = algebra.validate(spec)
     n = spec.dim
     real_input = spec.field == REAL
@@ -265,11 +267,11 @@ def is_evolution_algebra(
         # a real algebra is decided in real arithmetic, over C only when its similarity spectrum is not real
         field = REAL if real_input else COMPLEX
         try:
-            certificate, refutation = _solve(t, stack, witness.lambda0, field, embed, tol, seed)
+            certificate, refutation = _solve(t, stack, witness.lambda0, field, embed, tol)
         except NonRealSpectrum:
             notes.append("similarity spectrum is not real; no real natural basis was certified")
             field = COMPLEX
-            certificate, refutation = _solve(t, stack, witness.lambda0, field, embed, tol, seed)
+            certificate, refutation = _solve(t, stack, witness.lambda0, field, embed, tol)
         if refutation is not None:
             outcome = NOT_EVOLUTION
         elif certificate is None:
@@ -279,7 +281,7 @@ def is_evolution_algebra(
             outcome = COMPLEX_ONLY_UNDETERMINED if real_input and field == COMPLEX else EVOLUTION
         diagnostics = diag(branch, witness.r0, witness.lambda0, ann_dim, witness.trials_used)
         return Verdict(outcome, certificate, refutation, diagnostics)
-    except (NonConvergence, RefinementInconsistency, GramFactorisationError, np.linalg.LinAlgError) as exc:
+    except (NonConvergence, RefinementInconsistency, np.linalg.LinAlgError) as exc:
         notes.append(f"numerical failure: {exc}")
         return Verdict(UNDETERMINED, None, None, diag(None, None, None, None, None))
 

@@ -18,9 +18,7 @@ no further than ``1e-2 * scale(M)`` and rejects a clustering whose
 eigenspaces have a joint smallest singular value of at most
 ``100 * rho * sqrt(n)``; :func:`complete_to_basis` stops at a residual of
 ``1e-12``; ``_phase_canonical`` treats moduli within a relative ``1e-9`` of
-the largest as ties; ``sdc.gram_factor`` treats a pivot below ``1e-8`` of
-its block as isotropic and a block below ``1e-13 * d`` of the Gram scale as
-zero.
+the largest as ties.
 
 Real matrices are accepted everywhere and keep their dtype, but nothing
 here assumes realness; callers that need a real result pass real data in.

@@ -160,6 +160,30 @@ class TestErrors:
         code, _, err = run(capsys, "check", "example://tetraploid", "--epsilon", "0.9")
         assert code == 3 and "epsilon" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "example://nota2", "--trials", "0"],
+            ["check", "example://simple2d", "--seed", "-1"],
+            ["check", "example://simple2d", "--tol", "abc"],
+            ["check", "example://simple2d", "--tol", "rank_rtol=abc"],
+            ["random", "--dim", "0"],
+            ["random", "--dim", "3", "--seed", "-2"],
+            ["random", "--dim", "2", "--adversarial", "ann_mismatch"],
+        ],
+    )
+    def test_bad_numbers_are_usage_errors(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and err.startswith("error: ")
+
+    def test_negative_seed_on_a_file_that_reaches_the_random_trials(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "random", "--dim", "4", "--adversarial", "ann_mismatch")
+        assert code == 0
+        f = tmp_path / "am.alg"
+        f.write_text(out)
+        code, _, err = run(capsys, "check", str(f), "--seed", "-1")
+        assert code == 3 and err.startswith("error: ") and "--seed" in err
+
 
 class TestDeterminism:
     def test_reports_identical_modulo_runtime(self, capsys):

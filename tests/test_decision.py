@@ -225,6 +225,19 @@ class TestRefutationEdges:
         assert any("numerical failure" in note for note in v.diagnostics.notes)
 
 
+class TestArguments:
+    # checked on entry, so the error does not depend on how far the decision gets
+    @pytest.mark.parametrize("spec", [example_algebra("simple2d"), validate(AlgebraSpec(2, "real", {}))])
+    def test_trials_below_one_raise(self, spec):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            is_evolution_algebra(spec, trials=0)
+
+    @pytest.mark.parametrize("spec", [example_algebra("simple2d"), example_algebra("mendel", 0.0)])
+    def test_negative_seed_raises(self, spec):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            is_evolution_algebra(spec, seed=-1)
+
+
 class TestToleranceBoundaries:
     def test_extreme_verification_tolerance_does_not_crash(self):
         tol = ToleranceContext(verify_rtol=1e-16)

@@ -6,6 +6,7 @@ from evoalg import (
     NOT_EVOLUTION,
     AlgebraSpec,
     check_certificate,
+    complexify,
     example_algebra,
     is_evolution_algebra,
     m_structure_matrices,
@@ -41,6 +42,15 @@ def scaled(spec, factor):
     return validate(AlgebraSpec(spec.dim, spec.field, {key: factor * v for key, v in spec.constants.items()}))
 
 
+def assert_unitary_congruence(g, x):
+    """``X^T G X`` is diagonal to 1e-12 of ``||G||``, ``X^H X = I``, and ``X`` is real exactly when ``G`` is."""
+    assert np.iscomplexobj(x) == np.iscomplexobj(g)
+    d = g.shape[0]
+    off = (x.T @ g @ x)[~np.eye(d, dtype=bool)]
+    assert np.all(np.abs(off) <= 1e-12 * np.linalg.norm(g))
+    np.testing.assert_allclose(x.conj().T @ x, np.eye(d), atol=1e-12)
+
+
 class TestGramFactor:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -48,29 +58,23 @@ class TestGramFactor:
         rng = np.random.default_rng([seed, d])
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         g = g + g.T
-        c, signs = gram_factor(g, np.random.default_rng(0))
-        np.testing.assert_allclose(c @ np.diag(signs) @ c.T, g, atol=1e-10 * max(1, np.linalg.norm(g)))
-        assert np.all(signs == 1.0)
+        assert_unitary_congruence(g, gram_factor(g))
 
     def test_isotropic_block(self):
         g = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        c, signs = gram_factor(g, np.random.default_rng(1))
-        np.testing.assert_allclose(c @ np.diag(signs) @ c.T, g, atol=1e-12)
+        assert_unitary_congruence(g, gram_factor(g))
 
     def test_real_indefinite(self):
         rng = np.random.default_rng(7)
         q = well_conditioned_matrix(4, rng)
         g = q @ np.diag([2.0, -1.0, 0.5, -3.0]) @ q.T
-        c, signs = gram_factor(g, np.random.default_rng(2), real=True)
-        assert c.dtype == np.float64
-        assert sorted(signs) == [-1.0, -1.0, 1.0, 1.0]
-        np.testing.assert_allclose(c @ np.diag(signs) @ c.T, g, atol=1e-10 * np.linalg.norm(g))
+        x = gram_factor(g)
+        assert_unitary_congruence(g, x)
+        assert sorted(np.sign(np.diag(x.T @ g @ x))) == [-1.0, -1.0, 1.0, 1.0]
 
     def test_real_isotropic(self):
         g = np.array([[0.0, 1.0], [1.0, 0.0]])
-        c, signs = gram_factor(g, np.random.default_rng(3), real=True)
-        assert c.dtype == np.float64
-        np.testing.assert_allclose(c @ np.diag(signs) @ c.T, g, atol=1e-12)
+        assert_unitary_congruence(g, gram_factor(g))
 
 
 class TestFullRank:
@@ -188,6 +192,13 @@ class TestVerifyCongruence:
         )
         assert check_certificate(example_algebra("tetraploid", eps), p).ok
 
+    @pytest.mark.parametrize("factor", [1e200, 1e300])
+    def test_identity_fails_at_extreme_scale(self, factor):
+        # ||t||_F overflows unless the test is scaled: a bound of inf would accept anything
+        check = check_certificate(scaled(example_algebra("simple2d"), factor), np.eye(2))
+        assert not check.ok and check.offending_pair == (1, 2)
+        assert check.residual == pytest.approx(factor)
+
     def test_batched_residual_matches_pairwise_products(self):
         spec, _ = planted_evolution_algebra(5, seed=3)
         p = well_conditioned_matrix(5, np.random.default_rng(8))  # not a natural basis
@@ -237,11 +248,29 @@ class TestStackInvariants:
         for m, d in zip(m_structure_matrices(scaled(spec, 3.7)), v.certificate.diagonals):
             np.testing.assert_allclose(np.diag(p.T @ m @ p), 3.7 * d, atol=1e-10)
 
-    @pytest.mark.parametrize("factor", [1e-50, 1e-20, 1e20, 1e50])
+    @pytest.mark.parametrize("factor", [1e-300, 1e-200, 1e-50, 1e-20, 1e20, 1e50, 1e200, 1e300])
     def test_rescaled_annihilator_algebras_are_certified(self, factor):
-        # the annihilator columns join the certificate at the scale of the
-        # constructed ones, so a rescaled branch-b.2 algebra is not undetermined
+        # the constructed and the annihilator columns all have unit norm, so a
+        # rescaled branch-b.2 algebra is not undetermined
         for spec in (example_algebra("mendel3d_ann", 0.2), planted_evolution_algebra(6, seed=3)[0]):
-            v = is_evolution_algebra(scaled(spec, factor))
-            assert v.outcome == EVOLUTION and v.diagnostics.branch == "b.2"
-            assert check_certificate(scaled(spec, factor), v.certificate.p).ok
+            assert_certified_at_unit_norm(scaled(spec, factor), "b.2")
+
+    @pytest.mark.parametrize("factor", [1e-300, 1e-200, 1e-50, 1e-20, 1e20, 1e50, 1e200, 1e300])
+    def test_rescaled_invertible_algebras_are_certified(self, factor):
+        for spec in (example_algebra("simple2d"), example_algebra("tetraploid", 0.1)):
+            assert_certified_at_unit_norm(scaled(spec, factor), "a")
+
+    def test_certificate_columns_have_unit_norm(self):
+        real = planted_evolution_algebra(5, seed=1)[0]
+        branch_b2 = planted_evolution_algebra(6, seed=3)[0]
+        for spec in (real, complexify(real), branch_b2, complexify(branch_b2)):
+            p = is_evolution_algebra(spec).certificate.p
+            np.testing.assert_allclose(np.linalg.norm(p, axis=0), 1.0, rtol=1e-12)
+        assert is_evolution_algebra(branch_b2).diagnostics.branch == "b.2"
+
+
+def assert_certified_at_unit_norm(spec, branch):
+    v = is_evolution_algebra(spec)
+    assert v.outcome == EVOLUTION and v.diagnostics.branch == branch
+    assert check_certificate(spec, v.certificate.p).ok
+    np.testing.assert_allclose(np.linalg.norm(v.certificate.p, axis=0), 1.0, rtol=1e-12)

@@ -3,11 +3,13 @@
     PYTHONPATH=src python tools/probe.py          (or: make probe)
 
 Each line names the instance and the tolerance set, then the verdict, the
-refutation, branch, r0, ann_dim, trials_used, notes, and the SHA-1 of the
+refutation, branch, r0, ann_dim, trials_used, notes, the SHA-1 of the
 bytes of ``lambda0`` and of the certificate (``p`` then the squares of the
-natural basis).  Lines are sorted and contain no timing, so the output of
-two checkouts compares with a plain diff: run this script with
-``PYTHONPATH`` pointing at each ``src``.
+natural basis), and whether ``check_certificate`` accepts that certificate
+at the line's tolerances, so that a changed certificate hash can be told
+harmless from the diff alone.  Lines are sorted and contain no timing, so
+the output of two checkouts compares with a plain diff: run this script
+with ``PYTHONPATH`` pointing at each ``src``.
 
 The corpus is decided at the default tolerances and at
 ``eig_cluster_atol=1e-5``:
@@ -30,6 +32,7 @@ from evoalg import (
     ToleranceContext,
     adversarial_instance,
     change_basis,
+    check_certificate,
     complexify,
     example_algebra,
     is_evolution_algebra,
@@ -88,7 +91,11 @@ def line(label: str, tol_name: str, spec) -> str:
     v = is_evolution_algebra(spec, TOLERANCES[tol_name])
     d = v.diagnostics
     lam = "-" if d.lambda0 is None else sha1(d.lambda0)
-    cert = "-" if v.certificate is None else sha1(v.certificate.p, v.certificate.natural_basis_products)
+    if v.certificate is None:
+        cert = "- cert_ok=-"
+    else:
+        ok = check_certificate(spec, v.certificate.p, TOLERANCES[tol_name]).ok
+        cert = f"{sha1(v.certificate.p, v.certificate.natural_basis_products)} cert_ok={ok}"
     return (
         f"{label} | tol {tol_name} | {v.outcome} | {v.refutation!r} | branch={d.branch} r0={d.r0} "
         f"ann_dim={d.ann_dim} trials_used={d.trials_used} | notes={list(d.notes)} | lambda0={lam} cert={cert}"
