@@ -119,18 +119,22 @@ def _check(t: np.ndarray, p, tol: ToleranceContext) -> tuple[CertificateCheck, O
         return CertificateCheck(ok=False, reason="transform has non-finite entries"), None
     if numkernel.rank(pm, tol) < n:
         return CertificateCheck(ok=False, reason="transform is singular under the rank tolerance"), None
-    products = pm.T @ t @ pm
-    # both sides are compared divided by a power of two near max|t|: exact, and the norms cannot overflow
-    scale = np.ldexp(1.0, np.frexp(np.abs(t).max(initial=0.0))[1])
+    # divide t and each column of p by 2^e, e the exponent of its largest entry: no entry exceeds 2, nothing overflows
+    t_exp, col_exp = np.frexp(np.abs(t).max(initial=0.0))[1] - 1, np.frexp(np.abs(pm).max(axis=0))[1] - 1
+    tn, q = t / np.ldexp(1.0, t_exp), pm / np.ldexp(1.0, col_exp)
+    scaled = q.T @ tn @ q
     rows, cols = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # the pairs i < j, row by row
-    residual = np.linalg.norm(products[:, rows, cols] / scale, axis=0)
-    column_norms = np.linalg.norm(pm, axis=0)
-    bound = tol.verify_rtol * float(np.linalg.norm(t / scale)) * column_norms[rows] * column_norms[cols]
-    if np.all(residual <= bound):
-        return CertificateCheck(ok=True, residual=scale * float(residual.max(initial=0.0))), products
+    residual = np.linalg.norm(scaled[:, rows, cols], axis=0)
+    column_norms = np.linalg.norm(q, axis=0)
+    ok = np.all(residual <= tol.verify_rtol * float(np.linalg.norm(tn)) * column_norms[rows] * column_norms[cols])
+    pair_exp = t_exp + col_exp[:, None] + col_exp
+    with np.errstate(over="ignore", invalid="ignore"):  # back at the scale of t and p; inf is beyond the range
+        products, residual = scaled * np.ldexp(1.0, pair_exp), np.ldexp(residual, pair_exp[rows, cols])
+    if ok:
+        return CertificateCheck(ok=True, residual=float(residual.max(initial=0.0))), products
     worst = int(np.argmax(residual))
     pair = (int(rows[worst]) + 1, int(cols[worst]) + 1)
-    return CertificateCheck(ok=False, offending_pair=pair, residual=scale * float(residual[worst])), products
+    return CertificateCheck(ok=False, offending_pair=pair, residual=float(residual[worst])), products
 
 
 def _embed(p_work: np.ndarray, embed: Optional[tuple[np.ndarray, int]]) -> np.ndarray:

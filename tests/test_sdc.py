@@ -192,12 +192,24 @@ class TestVerifyCongruence:
         )
         assert check_certificate(example_algebra("tetraploid", eps), p).ok
 
-    @pytest.mark.parametrize("factor", [1e200, 1e300])
+    @pytest.mark.parametrize("factor", [1e200, 1e300, 1e308])
     def test_identity_fails_at_extreme_scale(self, factor):
         # ||t||_F overflows unless the test is scaled: a bound of inf would accept anything
         check = check_certificate(scaled(example_algebra("simple2d"), factor), np.eye(2))
         assert not check.ok and check.offending_pair == (1, 2)
         assert check.residual == pytest.approx(factor)
+
+    @pytest.mark.parametrize("column", [1e160, 1e300])
+    def test_large_identity_fails(self, column):
+        # the products and column norms of p overflow unless p is scaled too
+        check = check_certificate(example_algebra("simple2d"), column * np.eye(2))
+        assert not check.ok and check.offending_pair == (1, 2)
+
+    @pytest.mark.parametrize("factor", [1e-300, 1.0, 1e300])
+    @pytest.mark.parametrize("column", [1e-150, 1e5, 1e150])
+    def test_natural_basis_passes_at_any_column_scale(self, factor, column):
+        spec = scaled(example_algebra("simple2d"), factor)
+        assert check_certificate(spec, column * np.array([[1.0, -1.0], [1.0, 1.0]])).ok
 
     def test_batched_residual_matches_pairwise_products(self):
         spec, _ = planted_evolution_algebra(5, seed=3)
