@@ -1,4 +1,4 @@
-.PHONY: test acceptance bench reports probe
+.PHONY: test acceptance bench reports probe scale
 
 # the sources under src/ are tested directly, without an installed copy
 PYTEST = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest
@@ -31,3 +31,8 @@ reports:
 # to compare with another checkout, diff against PYTHONPATH=<checkout>/src python tools/probe.py
 probe:
 	@PYTHONPATH=src python tools/probe.py
+
+# best-of-3 wall time of the decision and the certificate check on planted n = 16, 32, 48, 64;
+# not part of the benchmark (see tools/scale.py)
+scale:
+	@PYTHONPATH=src python tools/scale.py

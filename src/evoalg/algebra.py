@@ -6,8 +6,14 @@ non-commutative table is unrepresentable by construction.  The tensor is
 repackaged as the n symmetric "structure matrices" ``M_k`` with
 ``(M_k)_{ij} = m_ijk``, held as one ``(n, n, n)`` array; the whole product is
 then bilinear in coordinates: the k-th coordinate of ``a b`` is
-``a^T M_k b``.  Public functions validate their spec once on entry and work
-on that array from there on.
+``a^T M_k b``.
+
+A spec is checked in one pass over arrays (``_entries``): keys and values
+are read into arrays once, every check runs on them, and the first
+offending entry in iteration order is reported.  Public functions take
+their checked structure tensor from that pass once on entry
+(``_checked_tensor``) and work on the array from there on; ``validate`` is
+the same pass plus the canonical dict.
 """
 
 from __future__ import annotations
@@ -57,12 +63,33 @@ class AlgebraSpec:
     labels: Optional[tuple[str, ...]] = None
 
 
-def validate(spec: AlgebraSpec) -> AlgebraSpec:
-    """Check and canonicalise a spec.
+def _reject(key, value, n: int, real: bool) -> None:
+    """Raise the error of one constant, or return if the entry is valid.
 
-    Rejects non-finite constants, out-of-range or disordered indices and
-    non-positive dimension; drops exact zeros and coerces values to complex.
-    Raises :class:`MalformedSpec` with the offending entry in the message.
+    Words the :class:`MalformedSpec` of :func:`_entries`; ``complex(value)``
+    raises its own ``TypeError`` or ``ValueError`` for a non-number.
+    """
+    try:
+        i, j, k = map(int, key)
+    except (TypeError, ValueError):
+        raise MalformedSpec(f"constant key {key!r} is not an (i, j, k) index triple") from None
+    if not (1 <= i <= j <= n and 1 <= k <= n):
+        raise MalformedSpec(f"index triple {key!r} out of range for dimension {n} (need 1 <= i <= j <= n, 1 <= k <= n)")
+    v = complex(value)
+    if not cmath.isfinite(v):
+        raise MalformedSpec(f"constant at {key!r} is not finite: {value!r}")
+    if real and v.imag:
+        raise MalformedSpec(f"constant at {key!r} has non-zero imaginary part under field: real")
+
+
+def _entries(spec: AlgebraSpec):
+    """The one check of a spec, in one pass over arrays.
+
+    Returns ``(keys, values, labels)``: the ``(m, 3)`` index triples (1-based,
+    as ``np.intp``) and ``complex128`` values of the non-zero constants in
+    iteration order, and the labels as strings.  Keys are read as by
+    ``int()`` and values as by ``complex()``.  The first offending entry in
+    iteration order is reported by :func:`_reject`.
     """
     if not isinstance(spec.dim, int) or spec.dim < 1:
         raise MalformedSpec(f"dimension must be a positive integer, got {spec.dim!r}")
@@ -70,32 +97,63 @@ def validate(spec: AlgebraSpec) -> AlgebraSpec:
         raise MalformedSpec(f"field must be 'real' or 'complex', got {spec.field!r}")
     n = spec.dim
     real = spec.field == REAL
-    isfinite = cmath.isfinite
-    canonical: dict[tuple[int, int, int], complex] = {}
-    for key, value in spec.constants.items():
-        try:
-            i, j, k = map(int, key)
-        except (TypeError, ValueError):
-            raise MalformedSpec(f"constant key {key!r} is not an (i, j, k) index triple") from None
-        if not (1 <= i <= j <= n and 1 <= k <= n):
-            raise MalformedSpec(f"index triple {key!r} out of range for dimension {n} (need 1 <= i <= j <= n, 1 <= k <= n)")
-        v = complex(value)
-        if not isfinite(v):
-            raise MalformedSpec(f"constant at {key!r} is not finite: {value!r}")
-        if real and v.imag:
-            raise MalformedSpec(f"constant at {key!r} has non-zero imaginary part under field: real")
-        if v:
-            canonical[(i, j, k)] = v
+    constants = spec.constants
+    m = len(constants)
+    try:
+        if not {3}.issuperset(map(len, constants)):
+            raise ValueError("a key is not a triple")
+        keys = np.fromiter(itertools.chain.from_iterable(constants), dtype=np.intp, count=3 * m).reshape(m, 3)
+        values = np.fromiter(map(complex, constants.values()), dtype=np.complex128, count=m)
+    except (TypeError, ValueError, OverflowError):
+        # a key that is not a triple or int() cannot read, an index beyond
+        # np.intp, or a value complex() cannot read: the loop finds the first
+        for key, value in constants.items():
+            _reject(key, value, n, real)
+        raise
+    i, j, k = keys.T
+    bad = (i < 1) | (i > j) | (j > n) | (k < 1) | (k > n) | ~np.isfinite(values)
+    if real:
+        bad |= values.imag != 0
+    if bad.any():
+        _reject(*next(itertools.islice(constants.items(), int(bad.argmax()), None)), n, real)
     labels = spec.labels
     if labels is not None:
         labels = tuple(str(x) for x in labels)
         if len(labels) != n:
             raise MalformedSpec(f"{len(labels)} labels for dimension {n}")
-    return AlgebraSpec(n, spec.field, canonical, labels)
+    nonzero = values != 0
+    return keys[nonzero], values[nonzero], labels
 
 
-def _dtype(spec: AlgebraSpec):
-    return np.float64 if spec.field == REAL else np.complex128
+def validate(spec: AlgebraSpec) -> AlgebraSpec:
+    """Check and canonicalise a spec.
+
+    Rejects non-finite constants, out-of-range or disordered indices and
+    non-positive dimension; drops exact zeros and coerces values to complex.
+    Raises :class:`MalformedSpec` with the first offending entry in the
+    message.
+    """
+    keys, values, labels = _entries(spec)
+    return AlgebraSpec(spec.dim, spec.field, dict(zip(zip(*keys.T.tolist()), values.tolist())), labels)
+
+
+def _scatter(spec: AlgebraSpec, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The structure tensor of 1-based triples and their complex values."""
+    n = spec.dim
+    if spec.field == REAL:
+        values = values.real
+    t = np.zeros((n, n, n), dtype=values.dtype)
+    i, j, k = (keys - 1).T
+    # a triple given twice (say as (1, 2, 2) and (1.0, 2, 2)) keeps its last value, as in a dict
+    t[k, i, j] = values
+    t[k, j, i] = values
+    return t
+
+
+def _checked_tensor(spec: AlgebraSpec) -> np.ndarray:
+    """``m_structure_matrices(validate(spec))`` without building the canonical dict."""
+    keys, values, _ = _entries(spec)
+    return _scatter(spec, keys, values)
 
 
 def m_structure_matrices(spec: AlgebraSpec) -> np.ndarray:
@@ -105,18 +163,9 @@ def m_structure_matrices(spec: AlgebraSpec) -> np.ndarray:
     Symmetry is exact by construction.  Real algebras yield float64, complex
     ones complex128.
     """
-    n = spec.dim
-    t = np.zeros((n, n, n), dtype=_dtype(spec))
     m = len(spec.constants)
-    if m:
-        keys = np.fromiter(itertools.chain.from_iterable(spec.constants), dtype=np.intp, count=3 * m)
-        i, j, k = (keys.reshape(m, 3) - 1).T
-        values = np.fromiter(spec.constants.values(), dtype=np.complex128, count=m)
-        if spec.field == REAL:
-            values = values.real
-        t[k, i, j] = values
-        t[k, j, i] = values
-    return t
+    keys = np.fromiter(itertools.chain.from_iterable(spec.constants), dtype=np.intp, count=3 * m).reshape(m, 3)
+    return _scatter(spec, keys, np.fromiter(spec.constants.values(), dtype=np.complex128, count=m))
 
 
 def _spec_from_tensor(t: np.ndarray, field: str) -> AlgebraSpec:
@@ -148,12 +197,12 @@ def multiply(spec: AlgebraSpec, a, b) -> np.ndarray:
 
     The k-th output coordinate is ``a^T M_k b``.
     """
-    spec = validate(spec)
+    t = _checked_tensor(spec)
     x = np.asarray(a)
     y = np.asarray(b)
     if x.shape != (spec.dim,) or y.shape != (spec.dim,):
         raise DimensionMismatch(f"coordinate vectors must have length {spec.dim}, got {x.shape} and {y.shape}")
-    return m_structure_matrices(spec) @ y @ x
+    return t @ y @ x
 
 
 def change_basis(spec: AlgebraSpec, p, tol: ToleranceContext = DEFAULT_TOL) -> AlgebraSpec:
@@ -163,7 +212,7 @@ def change_basis(spec: AlgebraSpec, p, tol: ToleranceContext = DEFAULT_TOL) -> A
     re-coordinatised through ``P^{-1}``; products of elements commute with the
     coordinate change.  Raises :class:`Singular` for a rank-deficient ``p``.
     """
-    spec = validate(spec)
+    t = _checked_tensor(spec)
     n = spec.dim
     pm = np.asarray(p)
     if pm.shape != (n, n):
@@ -174,7 +223,7 @@ def change_basis(spec: AlgebraSpec, p, tol: ToleranceContext = DEFAULT_TOL) -> A
     field = REAL if (spec.field == REAL and p_is_real) else COMPLEX
     if field == REAL:
         pm = pm.real.astype(np.float64)
-    return _spec_from_tensor(_recoordinatise(m_structure_matrices(spec), pm), field)
+    return _spec_from_tensor(_recoordinatise(t, pm), field)
 
 
 def _annihilator(t: np.ndarray, tol: ToleranceContext) -> np.ndarray:
@@ -188,8 +237,7 @@ def annihilator_basis(spec: AlgebraSpec, tol: ToleranceContext = DEFAULT_TOL) ->
     The annihilator is the common kernel of the structure matrices; it is
     computed from the stacked ``(n^2) x n`` matrix in a single kernel call.
     """
-    spec = validate(spec)
-    return _annihilator(m_structure_matrices(spec), tol)
+    return _annihilator(_checked_tensor(spec), tol)
 
 
 @dataclass(frozen=True)
@@ -228,8 +276,7 @@ def adapt_basis_to_annihilator(spec: AlgebraSpec, tol: ToleranceContext = DEFAUL
     deterministic and well conditioned.  Raises :class:`EmptyAnnihilator` when
     the annihilator is zero.
     """
-    spec = validate(spec)
-    t = m_structure_matrices(spec)
+    t = _checked_tensor(spec)
     return _adapt(t, _annihilator(t, tol))
 
 
@@ -251,8 +298,7 @@ def quotient_by_annihilator(spec: AlgebraSpec, tol: ToleranceContext = DEFAULT_T
     Its structure matrices are exactly the first ``r`` leading blocks of the
     adapted basis, where ``r = n - ann_dim``.
     """
-    spec = validate(spec)
-    t = m_structure_matrices(spec)
+    t = _checked_tensor(spec)
     adapted = _adapt(t, _annihilator(t, tol))
     r = spec.dim - adapted.ann_dim
     if r == 0:

@@ -134,10 +134,13 @@ def planted_evolution_algebra(n: int, density: float = 0.7, seed: int = 0) -> tu
     is zeroed with probability 0.2, planting annihilator directions) and
     scrambles the natural form through a random well-conditioned change of
     basis.  Returns the spec together with the planted transform; any valid
-    certificate is acceptable, not just the planted one.
+    certificate is acceptable, not just the planted one.  Raises
+    :class:`ValueError` unless ``n >= 1`` and ``0 <= density <= 1``.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
+    if not 0.0 <= density <= 1.0:
+        raise ValueError(f"density must lie in [0, 1], got {density!r}")
     rng = np.random.default_rng([seed, n])
     tuples = np.zeros((n, n))
     for i in range(n):

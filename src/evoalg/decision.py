@@ -216,10 +216,9 @@ def is_evolution_algebra(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    spec = algebra.validate(spec)
+    t = algebra._checked_tensor(spec)
     n = spec.dim
     real_input = spec.field == REAL
-    t = algebra.m_structure_matrices(spec)
     notes: list[str] = []
 
     def diag(branch, r0, lambda0, ann_dim, trials_used):
@@ -302,8 +301,7 @@ def check_certificate(spec: AlgebraSpec, p, tol: ToleranceContext = DEFAULT_TOL)
     produced; :func:`is_evolution_algebra` gates its certificates on the same
     test.
     """
-    spec = algebra.validate(spec)
-    return _check(algebra.m_structure_matrices(spec), p, tol)[0]
+    return _check(algebra._checked_tensor(spec), p, tol)[0]
 
 
 def _fmt_complex(z: complex) -> str:

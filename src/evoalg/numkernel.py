@@ -107,12 +107,17 @@ def _split(a: np.ndarray, tol: ToleranceContext, atol: float = 0.0, vectors: boo
     The rank counts the singular values above
     ``max(rank_rtol * sigma_max * max(shape), atol)``.  With ``vectors`` the
     right factor ``V^H`` is returned in full, so its trailing rows span the
-    numerical kernel.  An all-zero matrix has rank 0 and needs no SVD.
+    numerical kernel.  A tall matrix (more rows than columns, such as the
+    ``(n^2, n)`` annihilator stack) takes the thin SVD: its ``V^H`` is already
+    square, and the unused ``rows x rows`` left factor is never built.
+    Square and wide matrices take the full SVD: a wide matrix's thin ``V^H``
+    would lack the rows that span its kernel.
+    An all-zero matrix has rank 0 and needs no SVD.
     """
     if not np.any(a):
         return 0, np.zeros(min(a.shape)), (np.eye(a.shape[1], dtype=a.dtype) if vectors else None)
     if vectors:
-        _, s, vh = np.linalg.svd(a)
+        _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] <= a.shape[1])
     else:
         s, vh = np.linalg.svd(a, compute_uv=False), None
     cutoff = max(tol.rank_rtol * float(s[0]) * max(a.shape), atol)

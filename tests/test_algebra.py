@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,8 @@ from evoalg import (
     quotient_by_annihilator,
     validate,
 )
+from evoalg.algebra import _checked_tensor
+from evoalg.corpus import ADVERSARIAL_KINDS, EXAMPLE_NAMES, adversarial_instance
 from evoalg.numkernel import DimensionMismatch, Singular
 
 SIMPLE2D = {(1, 1, 1): 1.0, (1, 2, 2): 1.0, (2, 2, 1): 1.0}
@@ -80,6 +84,151 @@ class TestStructureMatrices:
         spec, _ = planted_evolution_algebra(5, seed=2)
         for m in m_structure_matrices(spec):
             np.testing.assert_array_equal(m, m.T)
+
+
+def loop_validate(spec):
+    """Reference: the per-entry loop that ``validate`` replaced, kept verbatim."""
+    if not isinstance(spec.dim, int) or spec.dim < 1:
+        raise MalformedSpec(f"dimension must be a positive integer, got {spec.dim!r}")
+    if spec.field not in ("real", "complex"):
+        raise MalformedSpec(f"field must be 'real' or 'complex', got {spec.field!r}")
+    n = spec.dim
+    real = spec.field == "real"
+    canonical = {}
+    for key, value in spec.constants.items():
+        try:
+            i, j, k = map(int, key)
+        except (TypeError, ValueError):
+            raise MalformedSpec(f"constant key {key!r} is not an (i, j, k) index triple") from None
+        if not (1 <= i <= j <= n and 1 <= k <= n):
+            raise MalformedSpec(f"index triple {key!r} out of range for dimension {n} (need 1 <= i <= j <= n, 1 <= k <= n)")
+        v = complex(value)
+        if not cmath.isfinite(v):
+            raise MalformedSpec(f"constant at {key!r} is not finite: {value!r}")
+        if real and v.imag:
+            raise MalformedSpec(f"constant at {key!r} has non-zero imaginary part under field: real")
+        if v:
+            canonical[(i, j, k)] = v
+    labels = spec.labels
+    if labels is not None:
+        labels = tuple(str(x) for x in labels)
+        if len(labels) != n:
+            raise MalformedSpec(f"{len(labels)} labels for dimension {n}")
+    return AlgebraSpec(n, spec.field, canonical, labels)
+
+
+def _outcome(f, spec):
+    """What ``f(spec)`` did: the exact spec or tensor it returned, or the error it raised."""
+    try:
+        out = f(spec)
+    except Exception as exc:  # the reference may raise TypeError, ValueError or OverflowError as well
+        return "raised", type(exc), str(exc)
+    if isinstance(out, np.ndarray):
+        return "returned", out.dtype, out.shape, out.tobytes()
+    # repr keeps the types and the order of keys and values
+    return "returned", out.dim, out.field, repr(list(out.constants.items())), out.labels
+
+
+def assert_same_as_loop(spec):
+    assert _outcome(validate, spec) == _outcome(loop_validate, spec)
+    assert _outcome(_checked_tensor, spec) == _outcome(lambda s: m_structure_matrices(loop_validate(s)), spec)
+
+
+class TestArrayPassMatchesLoop:
+    """``validate`` and the private tensor pass agree with the per-entry loop, error for error."""
+
+    def test_corpus_and_fixtures(self):
+        specs = [example_algebra(name) for name in EXAMPLE_NAMES]
+        specs += [example_algebra("mendel", 0.25), example_algebra("tetraploid", 0.1), example_algebra("mendel3d_ann", 0.2)]
+        specs += [planted_evolution_algebra(n, seed=s)[0] for n in (1, 2, 5, 8) for s in (0, 1)]
+        specs += [adversarial_instance(kind, 4, seed) for kind in ADVERSARIAL_KINDS for seed in (None, 3)]
+        specs += [change_basis(example_algebra("simple2d"), np.array([[1.0, 1j], [1.0, -1j]]))]
+        specs += [AlgebraSpec(3, "real", {}), AlgebraSpec(2, "real", SIMPLE2D, labels=("u", 7))]
+        for spec in specs:
+            assert_same_as_loop(spec)
+            # the same constants as a user would write them: float values for a real algebra
+            floats = {key: v.real if spec.field == "real" else v for key, v in spec.constants.items()}
+            assert_same_as_loop(AlgebraSpec(spec.dim, spec.field, floats, spec.labels))
+
+    @pytest.mark.parametrize(
+        "key",
+        [(1, 1), (1, 1, 1, 1), None, 5, "11", (1.0, 2, 2), (1.7, 2.2, "2"), (np.int64(1), np.int32(2), np.int8(2)),
+         (2**70, 2, 2), (1, 2**70, 1), (-(2**70), 1, 1), (np.uint64(2**63 + 5), 1, 1), (float("nan"), 2, 2),
+         (float("inf"), 2, 2), ("1", "x", "2"), (2, 1, 1), (1, 1, 0), (1, 1, 3), (0, 1, 1), (1, 3, 1), "122"],
+    )
+    def test_keys(self, key):
+        assert_same_as_loop(AlgebraSpec(2, "real", {(1, 1, 1): 1.0, key: 2.0}))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), -float("inf"), complex(1, float("nan")), 1 + 1j, 1 - 0j, complex(0, -0.0), 0, 0.0,
+         -0.0, 0j, 3, 2**60 + 1, 10**400, np.float32(0.1), np.int64(-4), True, "1+2j", "2", "x", b"1", None, [1.0]],
+    )
+    def test_values(self, field, value):
+        assert_same_as_loop(AlgebraSpec(2, field, {(1, 1, 1): 1.0, (1, 2, 2): value}))
+
+    def test_exact_zeros_are_dropped(self):
+        spec = AlgebraSpec(2, "real", {(1, 1, 1): 0.0, (1, 2, 2): 1.0, (2, 2, 1): -0.0, (2, 2, 2): 0j})
+        assert validate(spec).constants == {(1, 2, 2): 1.0}
+        assert_same_as_loop(spec)
+
+    def test_duplicates_after_conversion(self):
+        # the position of the first occurrence, the last non-zero value
+        for constants in (
+            {(1, 2, 2): 5.0, (1.0, 2, 2): 3.0, (1, 1, 1): 1.0},
+            {(1, 2, 2): 5.0, (1.0, 2, 2): 0.0},
+            {(1, 2, 2): 0.0, (1.0, 2, 2): 3.0, (1, 1, 1): 1.0},
+        ):
+            assert_same_as_loop(AlgebraSpec(2, "real", constants))
+
+    @pytest.mark.parametrize(
+        "constants",
+        [
+            {(1, 1, 3): 1.0, (1, 1, 1): float("nan")},
+            {(1, 1, 1): float("nan"), (1, 1, 3): 1.0},
+            {(1, 1, 1): 1j, (2, 1, 1): 1.0},
+            {(1, 1, 1): float("nan"), None: 1.0},
+            {None: 1.0, (1, 1, 1): float("nan")},
+            {(1, 1, 1): None, (2**70, 1, 1): 1.0},
+            {(2**70, 1, 1): 1.0, (1, 1, 1): None},
+            {(1, 1, 1): 1.0, (1, 2, 2): "x", (1, 1): 1.0},
+        ],
+    )
+    def test_first_bad_entry_is_reported(self, constants):
+        assert_same_as_loop(AlgebraSpec(2, "real", constants))
+
+    @pytest.mark.parametrize(
+        "dim, field, labels",
+        [(0, "real", None), (-1, "real", None), (2.0, "real", None), ("2", "real", None), (True, "real", None),
+         (2, "quaternion", None), (2, "real", ("x",)), (2, "real", ("x", "y", "z")), (2, "complex", ("x", 2))],
+    )
+    def test_header(self, dim, field, labels):
+        assert_same_as_loop(AlgebraSpec(dim, field, {(1, 1, 1): 1.0}, labels))
+
+    @given(
+        st.integers(1, 4),
+        st.sampled_from(["real", "complex"]),
+        st.dictionaries(
+            st.one_of(
+                st.tuples(st.integers(-1, 5), st.integers(-1, 5), st.integers(-1, 5)),
+                st.tuples(st.floats(0, 5, allow_nan=False), st.integers(1, 4), st.integers(1, 4)),
+                st.tuples(st.integers(1, 4), st.integers(1, 4)),
+            ),
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 0j, 1.0, -2.5, 1j, float("nan"), float("inf")]),
+                st.floats(-1e300, 1e300, allow_nan=False),
+                st.complex_numbers(max_magnitude=1e10, allow_nan=False),
+            ),
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_specs(self, dim, field, constants):
+        assert_same_as_loop(AlgebraSpec(dim, field, constants))
+        # and the accepted part of it, so that most runs also compare a returned spec and tensor
+        valid = {k: v for k, v in constants.items() if _outcome(loop_validate, AlgebraSpec(dim, field, {k: v}))[0] == "returned"}
+        assert_same_as_loop(AlgebraSpec(dim, field, valid))
 
 
 class TestMultiply:

@@ -176,6 +176,16 @@ class TestErrors:
         code, _, err = run(capsys, *argv)
         assert code == 3 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("density", ["nan", "-1", "2", "inf"])
+    def test_density_outside_the_unit_interval_is_a_usage_error(self, capsys, density):
+        code, out, err = run(capsys, "random", "--dim", "3", "--density", density)
+        assert code == 3 and out == "" and err.startswith("error: ") and "density" in err
+
+    @pytest.mark.parametrize("density", ["0", "0.7", "1"])
+    def test_density_in_the_unit_interval_prints_an_algebra(self, capsys, density):
+        code, out, _ = run(capsys, "random", "--dim", "3", "--seed", "2", "--density", density)
+        assert code == 0 and parse(out).dim == 3
+
     def test_negative_seed_on_a_file_that_reaches_the_random_trials(self, tmp_path, capsys):
         code, out, _ = run(capsys, "random", "--dim", "4", "--adversarial", "ann_mismatch")
         assert code == 0

@@ -102,6 +102,15 @@ class TestPlanted:
         assert v.outcome == EVOLUTION
         np.testing.assert_array_equal(v.certificate.p, np.eye(3))
 
+    @pytest.mark.parametrize("density", [float("nan"), -1.0, -1e-9, 1.0 + 1e-9, 2.0, float("inf")])
+    def test_density_outside_the_unit_interval_is_rejected(self, density):
+        with pytest.raises(ValueError, match="density"):
+            planted_evolution_algebra(3, density=density, seed=1)
+
+    def test_density_one_fills_every_kept_square(self):
+        spec, _ = planted_evolution_algebra(3, density=1.0, seed=1)
+        assert is_evolution_algebra(spec).outcome == EVOLUTION
+
     def test_one_dimensional_always_evolution(self):
         for seed in range(5):
             spec, _ = planted_evolution_algebra(1, seed=seed)

@@ -357,6 +357,24 @@ class TestOnePath:
         for k, m in enumerate(t):
             assert sum(a.shape == m.shape and np.array_equal(a, m) for a in seen) == 1, k + 1
 
+    def test_no_svd_builds_a_left_factor_larger_than_its_input(self, monkeypatch):
+        # the (n^2, n) annihilator stack is split by a thin SVD, without an n^2 x n^2 U
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            out = svd(a, *args, **kwargs)
+            u_size = 0 if isinstance(out, np.ndarray) else out[0].size  # compute_uv=False returns s alone
+            shapes.append((np.shape(a), u_size))
+            return out
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        v = is_evolution_algebra(planted_evolution_algebra(16, seed=1)[0])
+        assert v.outcome == EVOLUTION and v.diagnostics.branch == "b.2"
+        assert any(shape == (256, 16) for shape, _ in shapes)
+        for shape, u_size in shapes:
+            assert u_size <= np.prod(shape), shape
+
     def test_b2_decision_draws_no_random_point_on_the_full_tensor(self, monkeypatch):
         evaluated = []
         evaluate_pencil = pencil.evaluate

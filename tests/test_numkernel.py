@@ -104,6 +104,22 @@ class TestKernel:
         np.testing.assert_allclose(k.conj().T @ k, np.eye(2), atol=1e-12)
         assert np.linalg.norm(m @ k) < 1e-12
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_tall_matrix_matches_full_svd_bit_for_bit(self, dtype):
+        # a tall matrix takes the thin SVD; its V^H must be the full one's
+        def full_svd_kernel(a):
+            _, s, vh = np.linalg.svd(a, full_matrices=True)
+            r = int(np.count_nonzero(s > DEFAULT_TOL.rank_rtol * s[0] * max(a.shape)))
+            return numkernel._phase_canonical(np.ascontiguousarray(vh[r:].conj().T))
+
+        rng = np.random.default_rng(11)
+        for rows, cols, r in [(4, 3, 3), (9, 3, 2), (16, 4, 4), (36, 6, 3), (49, 7, 1), (64, 8, 0)]:
+            left = rng.standard_normal((rows, r)) + (1j * rng.standard_normal((rows, r)) if dtype is np.complex128 else 0)
+            a = (left @ rng.standard_normal((r, cols))).astype(dtype)
+            got = kernel_basis(a)
+            assert got.dtype == dtype and got.shape == (cols, cols - r)
+            np.testing.assert_array_equal(got, full_svd_kernel(a))
+
 
 class TestEigenStructure:
     def test_mendel_defective(self):

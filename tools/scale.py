@@ -1,0 +1,52 @@
+"""Print how the positive decision and its certificate check scale with n.
+
+    PYTHONPATH=src python tools/scale.py          (or: make scale)
+
+For ``planted_evolution_algebra(n, seed=1)`` at n = 16, 32, 48 and 64 it
+prints the best of three wall times of ``is_evolution_algebra`` and of
+``check_certificate`` on the returned certificate, unscaled, in
+milliseconds.  BLAS runs with one thread when the variables below are not
+already set, as in the benchmark.  Outside the benchmark: the figures
+depend on the machine and its load, so compare two checkouts by running
+both on one machine, alternately.
+"""
+
+from __future__ import annotations
+
+import os
+import time
+
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+# numpy reads the thread settings when it is first imported
+from evoalg import EVOLUTION, check_certificate, is_evolution_algebra, planted_evolution_algebra  # noqa: E402
+
+SIZES = (16, 32, 48, 64)
+REPEATS = 3
+
+
+def best_ms(call) -> tuple[float, object]:
+    best, result = float("inf"), None
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        result = call()
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e3, result
+
+
+def main() -> None:
+    print(f"{'n':>3}  {'is_evolution_algebra ms':>24}  {'check_certificate ms':>21}")
+    for n in SIZES:
+        spec, _ = planted_evolution_algebra(n, seed=1)
+        decide_ms, verdict = best_ms(lambda: is_evolution_algebra(spec))
+        if verdict.outcome != EVOLUTION:
+            raise SystemExit(f"n={n}: expected an evolution verdict, got {verdict.outcome}")
+        check_ms, check = best_ms(lambda: check_certificate(spec, verdict.certificate.p))
+        if not check.ok:
+            raise SystemExit(f"n={n}: the certificate was rejected")
+        print(f"{n:>3}  {decide_ms:>24.1f}  {check_ms:>21.1f}")
+
+
+if __name__ == "__main__":
+    main()
