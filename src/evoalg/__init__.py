@@ -40,7 +40,6 @@ from .decision import (
 from .fileformat import parse, serialise
 from .numkernel import DEFAULT_TOL, ToleranceContext
 from .pencil import PencilRankWitness, max_pencil_rank
-from .sds import SdsResult, are_sds, common_eigenbasis
 
 __version__ = "0.1.0"
 
@@ -57,7 +56,6 @@ __all__ = [
     "Verdict",
     "Certificate",
     "PencilRankWitness",
-    "SdsResult",
     "MalformedSpec",
     "AlreadyComplex",
     "EmptyAnnihilator",
@@ -71,8 +69,6 @@ __all__ = [
     "complexify",
     "quotient_by_annihilator",
     "max_pencil_rank",
-    "are_sds",
-    "common_eigenbasis",
     "is_evolution_algebra",
     "check_certificate",
     "explain",

@@ -12,8 +12,8 @@ A spec is checked in one pass over arrays (``_entries``): keys and values
 are read into arrays once, every check runs on them, and the first
 offending entry in iteration order is reported.  Public functions take
 their checked structure tensor from that pass once on entry
-(``_checked_tensor``) and work on the array from there on; ``validate`` is
-the same pass plus the canonical dict.
+(``m_structure_matrices``) and work on the array from there on;
+``validate`` is the same pass plus the canonical dict.
 """
 
 from __future__ import annotations
@@ -64,18 +64,17 @@ class AlgebraSpec:
 
 
 def _reject(key, value, n: int, real: bool) -> None:
-    """Raise the error of one constant, or return if the entry is valid.
-
-    Words the :class:`MalformedSpec` of :func:`_entries`; ``complex(value)``
-    raises its own ``TypeError`` or ``ValueError`` for a non-number.
-    """
+    """Raise the :class:`MalformedSpec` of one constant, or return if the entry is valid."""
     try:
         i, j, k = map(int, key)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise MalformedSpec(f"constant key {key!r} is not an (i, j, k) index triple") from None
     if not (1 <= i <= j <= n and 1 <= k <= n):
         raise MalformedSpec(f"index triple {key!r} out of range for dimension {n} (need 1 <= i <= j <= n, 1 <= k <= n)")
-    v = complex(value)
+    try:
+        v = complex(value)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedSpec(f"constant at {key!r} does not convert to a complex number: {value!r}") from None
     if not cmath.isfinite(v):
         raise MalformedSpec(f"constant at {key!r} is not finite: {value!r}")
     if real and v.imag:
@@ -91,7 +90,7 @@ def _entries(spec: AlgebraSpec):
     ``int()`` and values as by ``complex()``.  The first offending entry in
     iteration order is reported by :func:`_reject`.
     """
-    if not isinstance(spec.dim, int) or spec.dim < 1:
+    if not isinstance(spec.dim, int) or isinstance(spec.dim, bool) or spec.dim < 1:
         raise MalformedSpec(f"dimension must be a positive integer, got {spec.dim!r}")
     if spec.field not in (REAL, COMPLEX):
         raise MalformedSpec(f"field must be 'real' or 'complex', got {spec.field!r}")
@@ -137,8 +136,15 @@ def validate(spec: AlgebraSpec) -> AlgebraSpec:
     return AlgebraSpec(spec.dim, spec.field, dict(zip(zip(*keys.T.tolist()), values.tolist())), labels)
 
 
-def _scatter(spec: AlgebraSpec, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The structure tensor of 1-based triples and their complex values."""
+def m_structure_matrices(spec: AlgebraSpec) -> np.ndarray:
+    """The structure tensor: an ``(n, n, n)`` array ``t`` with ``t[k] = M_k``.
+
+    ``(M_k)_{ij} = m_ijk``, checked as by :func:`validate` (raising its
+    :class:`MalformedSpec`) and built in one scatter, without the canonical
+    dict.  Symmetry is exact by construction.  Real algebras yield float64,
+    complex ones complex128.
+    """
+    keys, values, _ = _entries(spec)
     n = spec.dim
     if spec.field == REAL:
         values = values.real
@@ -148,24 +154,6 @@ def _scatter(spec: AlgebraSpec, keys: np.ndarray, values: np.ndarray) -> np.ndar
     t[k, i, j] = values
     t[k, j, i] = values
     return t
-
-
-def _checked_tensor(spec: AlgebraSpec) -> np.ndarray:
-    """``m_structure_matrices(validate(spec))`` without building the canonical dict."""
-    keys, values, _ = _entries(spec)
-    return _scatter(spec, keys, values)
-
-
-def m_structure_matrices(spec: AlgebraSpec) -> np.ndarray:
-    """The structure tensor: an ``(n, n, n)`` array ``t`` with ``t[k] = M_k``.
-
-    ``(M_k)_{ij} = m_ijk``, built in one scatter from a validated spec.
-    Symmetry is exact by construction.  Real algebras yield float64, complex
-    ones complex128.
-    """
-    m = len(spec.constants)
-    keys = np.fromiter(itertools.chain.from_iterable(spec.constants), dtype=np.intp, count=3 * m).reshape(m, 3)
-    return _scatter(spec, keys, np.fromiter(spec.constants.values(), dtype=np.complex128, count=m))
 
 
 def _spec_from_tensor(t: np.ndarray, field: str) -> AlgebraSpec:
@@ -197,7 +185,7 @@ def multiply(spec: AlgebraSpec, a, b) -> np.ndarray:
 
     The k-th output coordinate is ``a^T M_k b``.
     """
-    t = _checked_tensor(spec)
+    t = m_structure_matrices(spec)
     x = np.asarray(a)
     y = np.asarray(b)
     if x.shape != (spec.dim,) or y.shape != (spec.dim,):
@@ -212,7 +200,7 @@ def change_basis(spec: AlgebraSpec, p, tol: ToleranceContext = DEFAULT_TOL) -> A
     re-coordinatised through ``P^{-1}``; products of elements commute with the
     coordinate change.  Raises :class:`Singular` for a rank-deficient ``p``.
     """
-    t = _checked_tensor(spec)
+    t = m_structure_matrices(spec)
     n = spec.dim
     pm = np.asarray(p)
     if pm.shape != (n, n):
@@ -237,7 +225,7 @@ def annihilator_basis(spec: AlgebraSpec, tol: ToleranceContext = DEFAULT_TOL) ->
     The annihilator is the common kernel of the structure matrices; it is
     computed from the stacked ``(n^2) x n`` matrix in a single kernel call.
     """
-    return _annihilator(_checked_tensor(spec), tol)
+    return _annihilator(m_structure_matrices(spec), tol)
 
 
 @dataclass(frozen=True)
@@ -276,7 +264,7 @@ def adapt_basis_to_annihilator(spec: AlgebraSpec, tol: ToleranceContext = DEFAUL
     deterministic and well conditioned.  Raises :class:`EmptyAnnihilator` when
     the annihilator is zero.
     """
-    t = _checked_tensor(spec)
+    t = m_structure_matrices(spec)
     return _adapt(t, _annihilator(t, tol))
 
 
@@ -298,7 +286,7 @@ def quotient_by_annihilator(spec: AlgebraSpec, tol: ToleranceContext = DEFAULT_T
     Its structure matrices are exactly the first ``r`` leading blocks of the
     adapted basis, where ``r = n - ann_dim``.
     """
-    t = _checked_tensor(spec)
+    t = m_structure_matrices(spec)
     adapted = _adapt(t, _annihilator(t, tol))
     r = spec.dim - adapted.ann_dim
     if r == 0:

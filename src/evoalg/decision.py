@@ -21,10 +21,11 @@ certificate attached.
 
 Each arithmetic is one pass: the similarity family is built once, then
 constructed into a common eigenbasis and a congruence transform, and a
-transform that passes the certificate check is the positive verdict.  Only
-when that fails do the per-matrix defect and pairwise commutator scans run,
-to name the witness of a refutation (or to confirm that the construction
-failed numerically).
+transform that passes the certificate check is the positive verdict.  A
+defective matrix of the whole space met by the construction is the
+refutation.  Only when the construction fails otherwise do the per-matrix
+defect and pairwise commutator scans run, to name the witness of a
+refutation (or to confirm that the construction failed numerically).
 """
 
 from __future__ import annotations
@@ -166,36 +167,39 @@ def _solve(
 
     Builds the family ``N_k = W^{-1} M_k`` once.  When every ``N_k`` commutes
     with their sum, the transform is constructed and checked; a transform the
-    checker accepts is the certificate.  Otherwise the scans run to name a
-    refutation witness.  Without one, a construction that raised re-raises,
-    a rejected transform gives ``(None, None)``, and a construction the
-    routing test skipped is made and checked once.
+    checker accepts is the certificate, and a defective matrix of the whole
+    space met by the construction is the refutation (the scans' first
+    witness).  Otherwise the scans run to name a refutation witness.  Without
+    one, a construction that raised re-raises, a rejected transform gives
+    ``(None, None)``, and a construction the routing test skipped is made and
+    checked once.
     """
     w, family = sdc._similarity_family(stack, lam, tol, field)
-    structures: dict = {}  # eigen-structures of whole matrices, shared by the construction and the scans
 
-    def construct() -> Optional[Certificate]:
-        _, spaces = sds._common_eigenbasis(family, tol, field, structures)
-        p = _embed(sdc._assemble(w, spaces), embed)
+    def construct() -> tuple[Optional[Certificate], Optional[Refutation]]:
+        bases = sds._common_eigenbasis(family, tol, field)
+        if isinstance(bases, sds.NonDiagonalisable):
+            return None, bases
+        p = _embed(sdc._assemble(w, bases), embed)
         check, products = _check(t, p, tol)
-        return _certificate(p, products) if check.ok else None
+        return (_certificate(p, products) if check.ok else None), None
 
     routed = sds._commute_with_sum(family, tol)
     failure = None
     if routed:
         try:
-            certificate = construct()
+            certificate, refutation = construct()
         except (NonConvergence, RefinementInconsistency, NonRealSpectrum, np.linalg.LinAlgError) as exc:
             failure = exc  # the scans decide whether it stands
         else:
-            if certificate is not None:
-                return certificate, None
-    refutation = sds._witness(family, tol, structures)
+            if certificate is not None or refutation is not None:
+                return certificate, refutation
+    refutation = sds._witness(family, tol)
     if refutation is not None:
         return None, refutation
     if failure is not None:
         raise failure
-    return (None if routed else construct()), None
+    return (None, None) if routed else construct()
 
 
 def is_evolution_algebra(
@@ -216,7 +220,7 @@ def is_evolution_algebra(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    t = algebra._checked_tensor(spec)
+    t = algebra.m_structure_matrices(spec)
     n = spec.dim
     real_input = spec.field == REAL
     notes: list[str] = []
@@ -301,7 +305,7 @@ def check_certificate(spec: AlgebraSpec, p, tol: ToleranceContext = DEFAULT_TOL)
     produced; :func:`is_evolution_algebra` gates its certificates on the same
     test.
     """
-    return _check(algebra._checked_tensor(spec), p, tol)[0]
+    return _check(algebra.m_structure_matrices(spec), p, tol)[0]
 
 
 def _fmt_complex(z: complex) -> str:

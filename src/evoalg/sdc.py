@@ -26,7 +26,7 @@ import numpy as np
 
 from . import numkernel, pencil
 from .numkernel import ToleranceContext
-from .sds import CommonEigenspace, NonCommuting, NonDiagonalisable
+from .sds import NonCommuting, NonDiagonalisable
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,9 @@ def gram_factor(g: np.ndarray) -> np.ndarray:
     return vecs[:d] - 1j * vecs[d:]
 
 
-def _assemble(w: np.ndarray, spaces: Sequence[CommonEigenspace]) -> np.ndarray:
-    """The congruence transform: one block ``V X`` per common eigenspace of the family at ``W``."""
-    return np.hstack([space.basis @ gram_factor(space.basis.T @ w @ space.basis) for space in spaces])
+def _assemble(w: np.ndarray, bases: Sequence[np.ndarray]) -> np.ndarray:
+    """The congruence transform: one block ``V X`` per common eigenspace basis ``V`` of the family at ``W``."""
+    return np.hstack([v @ gram_factor(v.T @ w @ v) for v in bases])
 
 
 def _similarity_family(

@@ -250,8 +250,6 @@ OPERATIONS = [
     ("evoalg.algebra", "quotient_by_annihilator"),
     ("evoalg.pencil", "evaluate"),
     ("evoalg.pencil", "max_pencil_rank"),
-    ("evoalg.sds", "are_sds"),
-    ("evoalg.sds", "common_eigenbasis"),
     ("evoalg.decision", "is_evolution_algebra"),
     ("evoalg.decision", "check_certificate"),
     ("evoalg.decision", "explain"),

@@ -16,13 +16,13 @@ from evoalg import (
     change_basis,
     complexify,
     example_algebra,
+    is_evolution_algebra,
     m_structure_matrices,
     multiply,
     planted_evolution_algebra,
     quotient_by_annihilator,
     validate,
 )
-from evoalg.algebra import _checked_tensor
 from evoalg.corpus import ADVERSARIAL_KINDS, EXAMPLE_NAMES, adversarial_instance
 from evoalg.numkernel import DimensionMismatch, Singular
 
@@ -62,6 +62,21 @@ class TestValidate:
         with pytest.raises(MalformedSpec):
             validate(AlgebraSpec(2, "real", {}, labels=("x",)))
 
+    def test_rejects_bool_dim(self):
+        spec = AlgebraSpec(True, "real", {(1, 1, 1): 1.0})
+        for f in (validate, m_structure_matrices, is_evolution_algebra):
+            with pytest.raises(MalformedSpec, match="dimension must be a positive integer"):
+                f(spec)
+
+    @pytest.mark.parametrize("value", [None, "x", 10**400])
+    def test_rejects_value_that_is_not_a_number(self, value):
+        with pytest.raises(MalformedSpec, match=r"constant at \(1, 2, 2\) does not convert to a complex number"):
+            validate(AlgebraSpec(2, "real", {(1, 1, 1): 1.0, (1, 2, 2): value}))
+
+    def test_rejects_infinite_index(self):
+        with pytest.raises(MalformedSpec, match=r"constant key \(inf, 2, 2\) is not an \(i, j, k\) index triple"):
+            validate(AlgebraSpec(2, "real", {(1, 1, 1): 1.0, (float("inf"), 2, 2): 2.0}))
+
 
 class TestStructureMatrices:
     def test_simple2d(self):
@@ -87,8 +102,13 @@ class TestStructureMatrices:
 
 
 def loop_validate(spec):
-    """Reference: the per-entry loop that ``validate`` replaced, kept verbatim."""
-    if not isinstance(spec.dim, int) or spec.dim < 1:
+    """Reference: the per-entry loop that ``validate`` replaced, with the same fixes since.
+
+    A ``bool`` dimension, an index ``int()`` overflows on and a value
+    ``complex()`` cannot read or overflows on are rejected with a
+    ``MalformedSpec``.
+    """
+    if not isinstance(spec.dim, int) or isinstance(spec.dim, bool) or spec.dim < 1:
         raise MalformedSpec(f"dimension must be a positive integer, got {spec.dim!r}")
     if spec.field not in ("real", "complex"):
         raise MalformedSpec(f"field must be 'real' or 'complex', got {spec.field!r}")
@@ -98,11 +118,14 @@ def loop_validate(spec):
     for key, value in spec.constants.items():
         try:
             i, j, k = map(int, key)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise MalformedSpec(f"constant key {key!r} is not an (i, j, k) index triple") from None
         if not (1 <= i <= j <= n and 1 <= k <= n):
             raise MalformedSpec(f"index triple {key!r} out of range for dimension {n} (need 1 <= i <= j <= n, 1 <= k <= n)")
-        v = complex(value)
+        try:
+            v = complex(value)
+        except (TypeError, ValueError, OverflowError):
+            raise MalformedSpec(f"constant at {key!r} does not convert to a complex number: {value!r}") from None
         if not cmath.isfinite(v):
             raise MalformedSpec(f"constant at {key!r} is not finite: {value!r}")
         if real and v.imag:
@@ -117,11 +140,21 @@ def loop_validate(spec):
     return AlgebraSpec(n, spec.field, canonical, labels)
 
 
+def loop_tensor(spec):
+    """Reference: the structure tensor of ``loop_validate(spec)``, one entry at a time."""
+    spec = loop_validate(spec)
+    n = spec.dim
+    t = np.zeros((n, n, n), dtype=np.float64 if spec.field == "real" else np.complex128)
+    for (i, j, k), v in spec.constants.items():
+        t[k - 1, i - 1, j - 1] = t[k - 1, j - 1, i - 1] = v.real if spec.field == "real" else v
+    return t
+
+
 def _outcome(f, spec):
     """What ``f(spec)`` did: the exact spec or tensor it returned, or the error it raised."""
     try:
         out = f(spec)
-    except Exception as exc:  # the reference may raise TypeError, ValueError or OverflowError as well
+    except Exception as exc:  # a failure of the pass must show up as a difference, whatever its type
         return "raised", type(exc), str(exc)
     if isinstance(out, np.ndarray):
         return "returned", out.dtype, out.shape, out.tobytes()
@@ -130,12 +163,14 @@ def _outcome(f, spec):
 
 
 def assert_same_as_loop(spec):
-    assert _outcome(validate, spec) == _outcome(loop_validate, spec)
-    assert _outcome(_checked_tensor, spec) == _outcome(lambda s: m_structure_matrices(loop_validate(s)), spec)
+    validated = _outcome(validate, spec)
+    assert validated == _outcome(loop_validate, spec)
+    assert validated[0] == "returned" or validated[1] is MalformedSpec, validated
+    assert _outcome(m_structure_matrices, spec) == _outcome(loop_tensor, spec)
 
 
 class TestArrayPassMatchesLoop:
-    """``validate`` and the private tensor pass agree with the per-entry loop, error for error."""
+    """``validate`` and ``m_structure_matrices`` agree with the per-entry loop, error for error."""
 
     def test_corpus_and_fixtures(self):
         specs = [example_algebra(name) for name in EXAMPLE_NAMES]

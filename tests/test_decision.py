@@ -11,7 +11,6 @@ from evoalg import (
     adapt_basis_to_annihilator,
     adversarial_instance,
     annihilator_basis,
-    are_sds,
     change_basis,
     check_certificate,
     complexify,
@@ -294,7 +293,7 @@ class TestConstructionFirst:
         def scan(*args, **kwargs):
             raise AssertionError("a similarity scan ran on the positive path")
 
-        monkeypatch.setattr(sds, "_defective_eigenvalue", scan)
+        monkeypatch.setattr(sds, "_witness", scan)
         monkeypatch.setattr(numkernel, "commutator_norm", scan)
         for branch, spec in positives:
             if complex_mode:
@@ -306,24 +305,29 @@ class TestConstructionFirst:
     def test_refutations_equal_the_scan_witness(self):
         # the unscrambled instances (seed None) have no invertible structure
         # matrix, so most witnesses there come from the random trials: the
-        # reported lambda0 must be the point the family was solved at
-        checked = 0
+        # reported lambda0 must be the point the family was solved at; the
+        # complexified instances are decided in the complex pass
+        checked = {"real": 0, "complex": 0}
         for kind in ("defective", "noncommuting"):
             for n in range(3, 13):
                 for seed in [None, *range(5)]:
-                    spec = adversarial_instance(kind, n, seed)
-                    v = is_evolution_algebra(spec)
-                    if v.outcome != NOT_EVOLUTION or not isinstance(v.refutation, (NonDiagonalisable, NonCommuting)):
-                        continue
-                    d = v.diagnostics
-                    assert np.all(d.lambda0.imag == 0) and not d.notes, (kind, n, seed)
-                    stack = adapt_basis_to_annihilator(spec).blocks if d.branch == "b.2" else m_structure_matrices(spec)
-                    stack = list(stack)
-                    w_inv = inverse(evaluate(stack, d.lambda0.real))
-                    res = are_sds([w_inv @ m for m in stack], field="real")
-                    assert res.refutation == v.refutation, (kind, n, seed)
-                    checked += 1
-        assert checked >= 110
+                    real_spec = adversarial_instance(kind, n, seed)
+                    for field, spec in (("real", real_spec), ("complex", complexify(real_spec))):
+                        v = is_evolution_algebra(spec)
+                        if v.outcome != NOT_EVOLUTION or not isinstance(v.refutation, (NonDiagonalisable, NonCommuting)):
+                            continue
+                        d = v.diagnostics
+                        assert not d.notes, (kind, n, seed, field)
+                        lam = d.lambda0
+                        if field == "real":
+                            assert np.all(lam.imag == 0), (kind, n, seed)
+                            lam = lam.real
+                        stack = adapt_basis_to_annihilator(spec).blocks if d.branch == "b.2" else m_structure_matrices(spec)
+                        stack = list(stack)
+                        w_inv = inverse(evaluate(stack, lam))
+                        assert sds._witness([w_inv @ m for m in stack], DEFAULT_TOL) == v.refutation, (kind, n, seed, field)
+                        checked[field] += 1
+        assert checked["real"] >= 110 and checked["complex"] >= 110, checked
 
     @pytest.mark.parametrize(
         "n, kappa, seed",

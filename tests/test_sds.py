@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from evoalg import are_sds, common_eigenbasis, example_algebra, m_structure_matrices
+from evoalg import example_algebra, m_structure_matrices
 from evoalg.corpus import well_conditioned_matrix
-from evoalg.numkernel import DimensionMismatch, eigen_structure, inverse
-from evoalg.sds import NonCommuting, NonDiagonalisable, NonRealSpectrum
+from evoalg.numkernel import DEFAULT_TOL, DimensionMismatch, eigen_structure, inverse
+from evoalg.sds import NonCommuting, NonDiagonalisable, NonRealSpectrum, _common_eigenbasis, _witness
 
 MENDEL_N = np.array([[1.0, 2.0], [-2.0, -3.0]])
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -18,45 +18,73 @@ def planted_commuting_stack(n, m, seed):
     return mats
 
 
+def witness(mats):
+    return _witness(mats, DEFAULT_TOL)
+
+
+def common_bases(mats, field="complex"):
+    return _common_eigenbasis(mats, DEFAULT_TOL, field)
+
+
+def eigenvalue_tuples(bases, mats, atol=1e-8):
+    """One eigenvalue per matrix for each basis ``V``, after checking that ``V`` is invariant.
+
+    ``N V = V R`` with ``R = V^H N V`` for every ``N``, and ``R`` is a multiple
+    of the identity: its Rayleigh quotients are one eigenvalue.
+    """
+    tuples = []
+    for v in bases:
+        values = []
+        for mat in mats:
+            r = v.conj().T @ mat @ v
+            scale = max(1.0, np.linalg.norm(mat))
+            np.testing.assert_allclose(mat @ v, v @ r, atol=atol * scale)
+            lam = np.trace(r) / v.shape[1]
+            np.testing.assert_allclose(r, lam * np.eye(v.shape[1]), atol=atol * scale)
+            values.append(complex(lam))
+        tuples.append(tuple(values))
+    return tuples
+
+
 class TestAreSds:
     def test_single_defective(self):
-        res = are_sds([MENDEL_N])
-        assert not res.ok
-        assert isinstance(res.refutation, NonDiagonalisable)
-        assert res.refutation.index == 1
-        assert abs(res.refutation.eigenvalue - (-1.0)) < 1e-8
+        res = witness([MENDEL_N])
+        assert isinstance(res, NonDiagonalisable)
+        assert res.index == 1
+        assert abs(res.eigenvalue - (-1.0)) < 1e-8
+        assert common_bases([MENDEL_N], field="real") == res  # the construction returns the same witness
 
     def test_commuting_but_defective(self, tetraploid0_mats):
         m1, m2, m3 = tetraploid0_mats
         inv1 = inverse(m1)
-        res = are_sds([inv1 @ m2, inv1 @ m3])
-        assert not res.ok
-        assert isinstance(res.refutation, NonDiagonalisable)
-        assert res.refutation.index == 1
-        assert abs(res.refutation.eigenvalue - (-2.0)) < 1e-8
+        res = witness([inv1 @ m2, inv1 @ m3])
+        assert isinstance(res, NonDiagonalisable)
+        assert res.index == 1
+        assert abs(res.eigenvalue - (-2.0)) < 1e-8
+        assert common_bases([inv1 @ m2, inv1 @ m3], field="real") == res
 
     def test_identity_and_x(self):
-        res = are_sds([np.eye(2), X])
-        assert res.ok
-        tuples = sorted(tuple(np.round(np.real(ev), 9) for ev in s.eigenvalues) for s in res.eigenspaces)
+        assert witness([np.eye(2), X]) is None
+        bases = common_bases([np.eye(2), X])
+        tuples = sorted(tuple(np.round(np.real(ev), 9) for ev in evs) for evs in eigenvalue_tuples(bases, [np.eye(2), X]))
         assert tuples == [(1.0, -1.0), (1.0, 1.0)]
 
     def test_noncommuting_pair(self):
         z = np.diag([1.0, -1.0])
-        res = are_sds([np.eye(2), X, z])
-        assert not res.ok
-        assert isinstance(res.refutation, NonCommuting)
-        assert res.refutation.pair == (2, 3)
-        assert res.refutation.commutator_norm == pytest.approx(2 * np.sqrt(2))
+        res = witness([np.eye(2), X, z])
+        assert isinstance(res, NonCommuting)
+        assert res.pair == (2, 3)
+        assert res.commutator_norm == pytest.approx(2 * np.sqrt(2))
 
     def test_planted_commuting_diagonalisable(self):
         for seed in range(18):
             n = 2 + seed % 5
             m = 1 + seed % 6
-            res = are_sds(planted_commuting_stack(n, m, seed))
-            assert res.ok
-            for mat in planted_commuting_stack(n, m, seed):
-                d = np.linalg.solve(res.q, mat @ res.q)
+            mats = planted_commuting_stack(n, m, seed)
+            assert witness(mats) is None
+            q = np.hstack(common_bases(mats))
+            for mat in mats:
+                d = np.linalg.solve(q, mat @ q)
                 off = d - np.diag(np.diag(d))
                 assert np.linalg.norm(off) <= 1e-7 * max(1.0, np.linalg.norm(mat))
 
@@ -67,38 +95,39 @@ class TestAreSds:
             planted_commuting_stack(4, 3, 5),
         ]
         for mats in stacks:
-            base = are_sds(mats).ok
-            assert are_sds(mats[::-1]).ok == base
+            base = witness(mats) is None
+            assert (witness(mats[::-1]) is None) == base
 
     def test_array_stack(self):
         stack = planted_commuting_stack(4, 3, 5)
-        listed, stacked = are_sds(stack), are_sds(np.array(stack))
-        assert listed.ok and stacked.ok
-        np.testing.assert_array_equal(listed.q, stacked.q)
-        assert not are_sds(np.array([np.eye(2), X, np.diag([1.0, -1.0])])).ok
+        assert witness(stack) is None and witness(np.array(stack)) is None
+        np.testing.assert_array_equal(np.hstack(common_bases(stack)), np.hstack(common_bases(np.array(stack))))
+        assert witness(np.array([np.eye(2), X, np.diag([1.0, -1.0])])) is not None
 
     @pytest.mark.parametrize("empty", [[], np.zeros((0, 2, 2))])
     def test_empty_stack(self, empty):
         with pytest.raises(DimensionMismatch):
-            are_sds(empty)
+            common_bases(empty)
 
     def test_single_matrix_reduces_to_diagonalisability(self):
         for m in [MENDEL_N, np.diag([1.0, 2.0]), np.array([[1.0, 2.0], [0.0, -1.0]])]:
-            assert are_sds([m]).ok == (eigen_structure(m).defective_cluster() is None)
+            assert (witness([m]) is None) == (eigen_structure(m).defective_cluster() is None)
 
 
 class TestCommonEigenbasis:
     def test_single_diagonal(self):
-        q, spaces = common_eigenbasis([np.diag([1.0, 2.0, 2.0])])
-        dims = sorted(s.basis.shape[1] for s in spaces)
-        assert dims == [1, 2]
+        mat = np.diag([1.0, 2.0, 2.0])
+        bases = common_bases([mat])
+        assert sorted(v.shape[1] for v in bases) == [1, 2]
+        assert sorted(evs[0].real for evs in eigenvalue_tuples(bases, [mat])) == pytest.approx([1.0, 2.0])
 
     def test_mendel_half(self):
         eps = 0.5
         mats = m_structure_matrices(example_algebra("mendel", eps))
         n = inverse(mats[0]) @ mats[1]
-        q, spaces = common_eigenbasis([n])
-        values = sorted(s.eigenvalues[0].real for s in spaces)
+        bases = common_bases([n])
+        q = np.hstack(bases)
+        values = sorted(evs[0].real for evs in eigenvalue_tuples(bases, [n]))
         assert values == pytest.approx([-1.0, 4 * eps - 1.0])
         from conftest import columns_match_up_to_scale
 
@@ -109,28 +138,27 @@ class TestCommonEigenbasis:
         s_eps = np.sqrt(3 * eps * (3 * eps + 4))
         mats = m_structure_matrices(example_algebra("tetraploid", eps))
         inv1 = inverse(mats[0])
-        q, spaces = common_eigenbasis([inv1 @ mats[1], inv1 @ mats[2]])
-        assert len(spaces) == 3 and all(s.basis.shape[1] == 1 for s in spaces)
-        got = sorted(s.eigenvalues[0].real for s in spaces)
+        family = [inv1 @ mats[1], inv1 @ mats[2]]
+        bases = common_bases(family)
+        assert len(bases) == 3 and all(v.shape[1] == 1 for v in bases)
+        got = sorted(evs[0].real for evs in eigenvalue_tuples(bases, family))
         want = sorted([-2.0, -2 - 9 * eps - 3 * s_eps, -2 - 9 * eps + 3 * s_eps])
         np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_eigenvalue_tuples_reproduce_spectra(self):
         mats = planted_commuting_stack(5, 3, 11)
-        _, spaces = common_eigenbasis(mats)
+        bases = common_bases(mats)
+        tuples = eigenvalue_tuples(bases, mats, atol=1e-7)
         for k, mat in enumerate(mats):
-            got = sorted(
-                np.concatenate([[s.eigenvalues[k].real] * s.basis.shape[1] for s in spaces])
-            )
+            got = sorted(np.concatenate([[evs[k].real] * v.shape[1] for v, evs in zip(bases, tuples)]))
             want = sorted(np.linalg.eigvals(mat).real)
             np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_real_mode_real_output(self):
         mats = planted_commuting_stack(4, 2, 3)
-        q, _ = common_eigenbasis(mats, field="real")
-        assert q.dtype == np.float64
+        assert np.hstack(common_bases(mats, field="real")).dtype == np.float64
 
     def test_real_mode_rejects_rotation(self):
         rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(NonRealSpectrum):
-            common_eigenbasis([rot], field="real")
+            common_bases([rot], field="real")

@@ -19,7 +19,12 @@ The corpus is decided at the default tolerances and at
 * planted n ∈ {4, 6, 8} re-expressed in a basis of condition number
   κ ∈ {1e3, 1e4, 1e5, 1e6}, seeds 0–19;
 * the named examples at the ε of the README and the acceptance tests, real
-  and complexified.
+  and complexified;
+* a real algebra that is an evolution algebra only over C (the complex
+  numbers as a real algebra, padded with idempotents to n = 2…8), as given
+  and re-expressed by ``corpus.well_conditioned_matrix`` at seeds 0–4, so
+  that the real pass meets a non-real spectrum and the complex pass
+  decides.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import hashlib
 import numpy as np
 
 from evoalg import (
+    AlgebraSpec,
     ToleranceContext,
     adversarial_instance,
     change_basis,
@@ -38,6 +44,7 @@ from evoalg import (
     is_evolution_algebra,
     planted_evolution_algebra,
 )
+from evoalg.corpus import well_conditioned_matrix
 
 TOLERANCES = {"default": ToleranceContext(), "eig_cluster_atol=1e-5": ToleranceContext(eig_cluster_atol=1e-5)}
 
@@ -59,6 +66,13 @@ def scrambled_planted(n, kappa, seed):
     return change_basis(spec, u @ np.diag(np.logspace(0, -np.log10(kappa), n)) @ v.T)
 
 
+def complex_only(n, seed):
+    """``C`` as a real algebra (``e1`` the unit, ``e2^2 = -e1``) plus idempotents up to n, scrambled unless seed is None."""
+    constants = {(1, 1, 1): 1.0, (2, 2, 1): -1.0, (1, 2, 2): 1.0, **{(i, i, i): 1.0 for i in range(3, n + 1)}}
+    spec = AlgebraSpec(n, "real", constants)
+    return spec if seed is None else change_basis(spec, well_conditioned_matrix(n, np.random.default_rng(seed)))
+
+
 def corpus():
     """``(label, spec)`` for every instance, real and complexified where listed."""
     for n in range(2, 13):
@@ -78,6 +92,9 @@ def corpus():
         spec = example_algebra(name, eps)
         yield f"example {name} eps={eps} real", spec
         yield f"example {name} eps={eps} complex", complexify(spec)
+    for n in range(2, 9):
+        for seed in (None, *range(5)):
+            yield f"complex-only n={n} seed={seed}", complex_only(n, seed)
 
 
 def sha1(*arrays) -> str:
