@@ -46,6 +46,16 @@ def eigenvalue_tuples(bases, mats, atol=1e-8):
     return tuples
 
 
+def sds_ok(mats):
+    """True when the scans find no witness and the construction returns checked bases."""
+    if witness(mats) is not None:
+        return False
+    bases = common_bases(mats)
+    assert isinstance(bases, list)
+    eigenvalue_tuples(bases, mats, atol=1e-7)
+    return True
+
+
 class TestAreSds:
     def test_single_defective(self):
         res = witness([MENDEL_N])
@@ -95,8 +105,7 @@ class TestAreSds:
             planted_commuting_stack(4, 3, 5),
         ]
         for mats in stacks:
-            base = witness(mats) is None
-            assert (witness(mats[::-1]) is None) == base
+            assert sds_ok(mats[::-1]) == sds_ok(mats)
 
     def test_array_stack(self):
         stack = planted_commuting_stack(4, 3, 5)
@@ -111,7 +120,7 @@ class TestAreSds:
 
     def test_single_matrix_reduces_to_diagonalisability(self):
         for m in [MENDEL_N, np.diag([1.0, 2.0]), np.array([[1.0, 2.0], [0.0, -1.0]])]:
-            assert (witness([m]) is None) == (eigen_structure(m).defective_cluster() is None)
+            assert sds_ok([m]) == (eigen_structure(m).defective_cluster() is None)
 
 
 class TestCommonEigenbasis:
