@@ -13,19 +13,19 @@ The procedure mirrors the structure of the underlying theory:
   annihilator last, search a pencil point of the leading blocks, decide
   them, and embed the transform back.
 
-A real algebra has a real pencil point and is decided in real arithmetic; a
-positive verdict is reported only with a real change of basis.  When the
-similarity spectrum is not real, the family is decided again over C, and the
-honest outcome is "complex only, undetermined over R" with the complex
-certificate attached.
+Every algebra is decided in one pass, in the arithmetic of its structure
+tensor: the similarity family is built once, then constructed into a common
+eigenbasis and a congruence transform, and a transform that passes the
+certificate check is the positive verdict.  A defective matrix of the whole
+space met by the construction is the refutation.  Only when the
+construction fails otherwise do the per-matrix defect and pairwise
+commutator scans run, to name the witness of a refutation (or to confirm
+that the construction failed numerically).
 
-Each arithmetic is one pass: the similarity family is built once, then
-constructed into a common eigenbasis and a congruence transform, and a
-transform that passes the certificate check is the positive verdict.  A
-defective matrix of the whole space met by the construction is the
-refutation.  Only when the construction fails otherwise do the per-matrix
-defect and pairwise commutator scans run, to name the witness of a
-refutation (or to confirm that the construction failed numerically).
+A real algebra has a real similarity family, and its transform is complex
+only in the eigenspaces of non-real eigenvalues.  A positive verdict needs a
+real change of basis; a complex one that passes the check gives "complex
+only, undetermined over R", with the complex certificate attached.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ from typing import Optional
 import numpy as np
 
 from . import algebra, numkernel, pencil, sdc, sds
-from .algebra import COMPLEX, REAL, AlgebraSpec
+from .algebra import REAL, AlgebraSpec
 from .numkernel import DEFAULT_TOL, NonConvergence, ToleranceContext
 from .pencil import DEFAULT_TRIALS
 from .sdc import Refutation
-from .sds import NonRealSpectrum, RefinementInconsistency
+from .sds import RefinementInconsistency
 
 EVOLUTION = "evolution"
 NOT_EVOLUTION = "not_evolution"
@@ -159,11 +159,10 @@ def _solve(
     t: np.ndarray,
     stack: np.ndarray,
     lam: np.ndarray,
-    field: str,
     embed: Optional[tuple[np.ndarray, int]],
     tol: ToleranceContext,
 ) -> tuple[Optional[Certificate], Optional[Refutation]]:
-    """Decide the stack at the pencil point ``lam`` in the arithmetic of ``field``.
+    """Decide the stack at the pencil point ``lam`` in one pass, in the arithmetic of the stack.
 
     Builds the family ``N_k = W^{-1} M_k`` once.  When every ``N_k`` commutes
     with their sum, the transform is constructed and checked; a transform the
@@ -174,10 +173,10 @@ def _solve(
     ``(None, None)``, and a construction the routing test skipped is made and
     checked once.
     """
-    w, family = sdc._similarity_family(stack, lam, tol, field)
+    w, family = sdc._similarity_family(stack, lam, tol)
 
     def construct() -> tuple[Optional[Certificate], Optional[Refutation]]:
-        bases = sds._common_eigenbasis(family, tol, field)
+        bases = sds._common_eigenbasis(family, tol)
         if isinstance(bases, sds.NonDiagonalisable):
             return None, bases
         p = _embed(sdc._assemble(w, bases), embed)
@@ -189,7 +188,7 @@ def _solve(
     if routed:
         try:
             certificate, refutation = construct()
-        except (NonConvergence, RefinementInconsistency, NonRealSpectrum, np.linalg.LinAlgError) as exc:
+        except (NonConvergence, RefinementInconsistency, np.linalg.LinAlgError) as exc:
             failure = exc  # the scans decide whether it stands
         else:
             if certificate is not None or refutation is not None:
@@ -222,7 +221,6 @@ def is_evolution_algebra(
         raise ValueError(f"seed must be >= 0, got {seed}")
     t = algebra.m_structure_matrices(spec)
     n = spec.dim
-    real_input = spec.field == REAL
     notes: list[str] = []
 
     def diag(branch, r0, lambda0, ann_dim, trials_used):
@@ -271,21 +269,17 @@ def is_evolution_algebra(
                         diag(branch, witness.r0, witness.lambda0, ann_dim, witness.trials_used),
                     )
 
-        # a real algebra is decided in real arithmetic, over C only when its similarity spectrum is not real
-        field = REAL if real_input else COMPLEX
-        try:
-            certificate, refutation = _solve(t, stack, witness.lambda0, field, embed, tol)
-        except NonRealSpectrum:
-            notes.append("similarity spectrum is not real; no real natural basis was certified")
-            field = COMPLEX
-            certificate, refutation = _solve(t, stack, witness.lambda0, field, embed, tol)
+        certificate, refutation = _solve(t, stack, witness.lambda0, embed, tol)
         if refutation is not None:
             outcome = NOT_EVOLUTION
         elif certificate is None:
             notes.append("constructed transform failed independent congruence verification")
             outcome = UNDETERMINED
+        elif spec.field == REAL and np.iscomplexobj(certificate.p):
+            notes.append("similarity spectrum is not real; no real natural basis was certified")
+            outcome = COMPLEX_ONLY_UNDETERMINED
         else:
-            outcome = COMPLEX_ONLY_UNDETERMINED if real_input and field == COMPLEX else EVOLUTION
+            outcome = EVOLUTION
         diagnostics = diag(branch, witness.r0, witness.lambda0, ann_dim, witness.trials_used)
         return Verdict(outcome, certificate, refutation, diagnostics)
     except (NonConvergence, RefinementInconsistency, np.linalg.LinAlgError) as exc:

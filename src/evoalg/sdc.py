@@ -71,18 +71,15 @@ def _assemble(w: np.ndarray, bases: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _similarity_family(
-    mats: Sequence[np.ndarray], lam: np.ndarray, tol: ToleranceContext, field: str
+    mats: Sequence[np.ndarray], lam: np.ndarray, tol: ToleranceContext
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``W = M(lam)`` and the family ``W^{-1} M_k``, in the arithmetic of ``field``.
+    """``W = M(lam)`` and the family ``W^{-1} M_k``, in the arithmetic of the stack.
 
-    Raises :class:`numkernel.Singular` when ``W`` is rank-deficient.
+    A real stack is evaluated at ``Re lam``, so its family is real; a complex
+    stack is evaluated at ``lam``.  Raises :class:`numkernel.Singular` when
+    ``W`` is rank-deficient.
     """
-    if field == "real":
-        lam = np.asarray(lam).real
-        work = [np.asarray(m).real.astype(np.float64) for m in mats]
-    else:
-        lam = np.asarray(lam).astype(np.complex128)
-        work = [np.asarray(m).astype(np.complex128) for m in mats]
-    w = pencil.evaluate(work, lam)
+    lam = np.asarray(lam)
+    w = pencil.evaluate(mats, lam if np.iscomplexobj(mats[0]) else lam.real)
     winv = numkernel.inverse(w, tol)
-    return w, [winv @ m for m in work]
+    return w, [winv @ m for m in mats]

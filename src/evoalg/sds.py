@@ -9,6 +9,10 @@ invariant for the commuting family, the compression ``B* N B`` with an
 orthonormal subspace basis ``B`` represents the restriction exactly up to
 round-off.
 
+The refinement is one pass in the arithmetic of the family: a real family
+goes on over C only inside the eigenspaces of non-real eigenvalues, so its
+bases are real exactly when its spectrum is.
+
 The scans of :func:`_witness` (a defect check per matrix, then a commutator
 per pair) name the witness when the family is not SDS.  The decision builds
 first and runs the scans only when that fails.  A defective matrix of the
@@ -29,10 +33,6 @@ from .numkernel import ToleranceContext
 
 class RefinementInconsistency(Exception):
     """A restriction failed diagonalisability inside a subspace (tolerance boundary)."""
-
-
-class NonRealSpectrum(Exception):
-    """Real-arithmetic refinement hit a non-real eigenvalue cluster."""
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,7 @@ def _commute_with_sum(mats: Sequence[np.ndarray], tol: ToleranceContext) -> bool
     return bool(np.all(commutators <= bound))
 
 
-def _common_eigenbasis(
-    mats: Sequence[np.ndarray], tol: ToleranceContext, field: str
-) -> Union[list[np.ndarray], NonDiagonalisable]:
+def _common_eigenbasis(mats: Sequence[np.ndarray], tol: ToleranceContext) -> Union[list[np.ndarray], NonDiagonalisable]:
     """Orthonormal bases of the common eigenspaces of a diagonalisable commuting family.
 
     Refines subspaces matrix by matrix, in index order, until every subspace
@@ -76,24 +74,20 @@ def _common_eigenbasis(
     that fills its subspace with a full eigenspace keeps the subspace's basis.
 
     Each subspace is split by the eigenspaces ``eigen_structure`` returns,
-    used as they are.  A defective matrix of the whole space is returned as
-    the :class:`NonDiagonalisable` witness: every earlier matrix was one
+    used as they are: a real cluster of a real matrix has a real basis, and
+    a subspace inside a non-real eigenspace is restricted over C.  A
+    defective matrix of the whole space is returned as the
+    :class:`NonDiagonalisable` witness: every earlier matrix was one
     non-defective cluster, so it is the first defect of :func:`_witness`.
-    With ``field="real"`` the refinement runs in real arithmetic and raises
-    :class:`NonRealSpectrum` as soon as one of those eigenspaces is complex,
-    which for a real matrix happens exactly at a cluster that is not closed
-    under conjugation.  Raises :class:`RefinementInconsistency` when a
-    restriction turns out defective inside a subspace.
+    Raises :class:`RefinementInconsistency` when a restriction turns out
+    defective inside a subspace.
     """
     n = numkernel._check_stack(mats)
-    real_mode = field == "real"
-    dtype = np.float64 if real_mode else np.complex128
-    whole = np.eye(n, dtype=dtype)
+    whole = np.eye(n, dtype=mats[0].dtype)
     bases = [whole]
-    for idx, m in enumerate(mats):
+    for idx, mat in enumerate(mats):
         if len(bases) == n:
             break  # every subspace is 1-dimensional: nothing splits any more
-        mat = np.asarray(m).real.astype(dtype) if real_mode else np.asarray(m).astype(dtype)
         refined: list[np.ndarray] = []
         for basis in bases:
             d = basis.shape[1]
@@ -108,8 +102,6 @@ def _common_eigenbasis(
             else:
                 structure = numkernel.eigen_structure(basis.conj().T @ mat @ basis, tol)
             for cluster in structure.clusters:
-                if real_mode and np.iscomplexobj(cluster.basis):
-                    raise NonRealSpectrum(f"matrix {idx + 1} has non-real eigenvalue {cluster.eigenvalue}")
                 if cluster.multiplicity == d and cluster.eigenspace_dim == d:
                     refined.append(basis)  # the cluster fills the subspace
                 elif cluster.eigenspace_dim != cluster.multiplicity:

@@ -23,6 +23,7 @@ from evoalg import (
     pencil,
     planted_evolution_algebra,
     quotient_by_annihilator,
+    sdc,
     sds,
     validate,
 )
@@ -306,7 +307,7 @@ class TestConstructionFirst:
         # the unscrambled instances (seed None) have no invertible structure
         # matrix, so most witnesses there come from the random trials: the
         # reported lambda0 must be the point the family was solved at; the
-        # complexified instances are decided in the complex pass
+        # complexified instances are decided in complex arithmetic
         checked = {"real": 0, "complex": 0}
         for kind in ("defective", "noncommuting"):
             for n in range(3, 13):
@@ -343,7 +344,7 @@ class TestConstructionFirst:
 
 
 class TestOnePath:
-    """One pencil search and one pass per arithmetic."""
+    """One pencil search and one pass per decision, real and complex arithmetic alike."""
 
     def test_b1_decision_factors_each_structure_matrix_once(self, monkeypatch):
         spec = adversarial_instance("ann_mismatch", 6, 0)
@@ -441,3 +442,25 @@ class TestOnePath:
         assert v.outcome == UNDETERMINED
         assert v.diagnostics.notes == ("constructed transform failed independent congruence verification",)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_complex_only_is_decided_in_one_pass(self, monkeypatch, seed):
+        # C as a real algebra plus four idempotents, re-expressed in a scrambled basis:
+        # only the +-i eigenspace of the similarity family needs complex arithmetic
+        constants = {(1, 1, 1): 1.0, (2, 2, 1): -1.0, (1, 2, 2): 1.0, **{(i, i, i): 1.0 for i in range(3, 7)}}
+        spec = change_basis(AlgebraSpec(6, "real", constants), well_conditioned_matrix(6, np.random.default_rng(seed)))
+        families = []
+        similarity_family = sdc._similarity_family
+
+        def counting_family(*args):
+            families.append(1)
+            return similarity_family(*args)
+
+        monkeypatch.setattr(sdc, "_similarity_family", counting_family)
+        v = is_evolution_algebra(spec)
+        assert len(families) == 1
+        assert v.outcome == COMPLEX_ONLY_UNDETERMINED
+        assert v.diagnostics.notes == ("similarity spectrum is not real; no real natural basis was certified",)
+        p = v.certificate.p
+        assert check_certificate(complexify(spec), p).ok
+        assert np.count_nonzero(np.any(p.imag != 0, axis=0)) == 2

@@ -4,7 +4,7 @@ import pytest
 from evoalg import example_algebra, m_structure_matrices
 from evoalg.corpus import well_conditioned_matrix
 from evoalg.numkernel import DEFAULT_TOL, DimensionMismatch, eigen_structure, inverse
-from evoalg.sds import NonCommuting, NonDiagonalisable, NonRealSpectrum, _common_eigenbasis, _witness
+from evoalg.sds import NonCommuting, NonDiagonalisable, _common_eigenbasis, _witness
 
 MENDEL_N = np.array([[1.0, 2.0], [-2.0, -3.0]])
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -22,8 +22,8 @@ def witness(mats):
     return _witness(mats, DEFAULT_TOL)
 
 
-def common_bases(mats, field="complex"):
-    return _common_eigenbasis(mats, DEFAULT_TOL, field)
+def common_bases(mats):
+    return _common_eigenbasis(mats, DEFAULT_TOL)
 
 
 def eigenvalue_tuples(bases, mats, atol=1e-8):
@@ -62,7 +62,7 @@ class TestAreSds:
         assert isinstance(res, NonDiagonalisable)
         assert res.index == 1
         assert abs(res.eigenvalue - (-1.0)) < 1e-8
-        assert common_bases([MENDEL_N], field="real") == res  # the construction returns the same witness
+        assert common_bases([MENDEL_N]) == res  # the construction returns the same witness
 
     def test_commuting_but_defective(self, tetraploid0_mats):
         m1, m2, m3 = tetraploid0_mats
@@ -71,7 +71,7 @@ class TestAreSds:
         assert isinstance(res, NonDiagonalisable)
         assert res.index == 1
         assert abs(res.eigenvalue - (-2.0)) < 1e-8
-        assert common_bases([inv1 @ m2, inv1 @ m3], field="real") == res
+        assert common_bases([inv1 @ m2, inv1 @ m3]) == res
 
     def test_identity_and_x(self):
         assert witness([np.eye(2), X]) is None
@@ -165,9 +165,11 @@ class TestCommonEigenbasis:
 
     def test_real_mode_real_output(self):
         mats = planted_commuting_stack(4, 2, 3)
-        assert np.hstack(common_bases(mats, field="real")).dtype == np.float64
+        assert np.hstack(common_bases(mats)).dtype == np.float64
 
-    def test_real_mode_rejects_rotation(self):
+    def test_real_rotation_has_complex_bases(self):
         rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        with pytest.raises(NonRealSpectrum):
-            common_bases([rot], field="real")
+        bases = common_bases([rot])
+        assert all(np.iscomplexobj(v) for v in bases)
+        values = sorted((evs[0] for evs in eigenvalue_tuples(bases, [rot])), key=lambda z: z.imag)
+        np.testing.assert_allclose(values, [-1j, 1j], atol=1e-12)

@@ -22,9 +22,15 @@ The corpus is decided at the default tolerances and at
   and complexified;
 * a real algebra that is an evolution algebra only over C (the complex
   numbers as a real algebra, padded with idempotents to n = 2…8), as given
-  and re-expressed by ``corpus.well_conditioned_matrix`` at seeds 0–4, so
-  that the real pass meets a non-real spectrum and the complex pass
-  decides.
+  and re-expressed by ``corpus.well_conditioned_matrix`` at seeds 0–4;
+* the real direct sums of C with ``mendel(0)``, ``nota2``,
+  ``tetraploid(0)`` and ``mendel(0.25)``, in both orders, as given and
+  re-expressed at seeds 0–3.
+
+The last two groups have a similarity spectrum that is not real, so the
+decision's one pass goes over C inside the eigenspaces of non-real
+eigenvalues: the complex-only instances and the sums with ``mendel(0.25)``
+end ``complex_only_undetermined``, and the other sums are refuted.
 """
 
 from __future__ import annotations
@@ -66,11 +72,28 @@ def scrambled_planted(n, kappa, seed):
     return change_basis(spec, u @ np.diag(np.logspace(0, -np.log10(kappa), n)) @ v.T)
 
 
+# C as a real algebra: e1 the unit, e2^2 = -e1
+COMPLEX_NUMBERS = {(1, 1, 1): 1.0, (2, 2, 1): -1.0, (1, 2, 2): 1.0}
+
+SUMMANDS = [("mendel", 0.0), ("nota2", None), ("tetraploid", 0.0), ("mendel", 0.25)]
+
+
+def scrambled(spec, seed):
+    """``spec`` re-expressed by ``corpus.well_conditioned_matrix`` on the stream ``seed``, as given when seed is None."""
+    return spec if seed is None else change_basis(spec, well_conditioned_matrix(spec.dim, np.random.default_rng(seed)))
+
+
 def complex_only(n, seed):
-    """``C`` as a real algebra (``e1`` the unit, ``e2^2 = -e1``) plus idempotents up to n, scrambled unless seed is None."""
-    constants = {(1, 1, 1): 1.0, (2, 2, 1): -1.0, (1, 2, 2): 1.0, **{(i, i, i): 1.0 for i in range(3, n + 1)}}
-    spec = AlgebraSpec(n, "real", constants)
-    return spec if seed is None else change_basis(spec, well_conditioned_matrix(n, np.random.default_rng(seed)))
+    """``C`` as a real algebra plus idempotents up to n, scrambled unless seed is None."""
+    constants = {**COMPLEX_NUMBERS, **{(i, i, i): 1.0 for i in range(3, n + 1)}}
+    return scrambled(AlgebraSpec(n, "real", constants), seed)
+
+
+def direct_sum(first: AlgebraSpec, second: AlgebraSpec) -> AlgebraSpec:
+    """The real direct sum: ``second``'s basis follows ``first``'s, and products across the two vanish."""
+    shift = first.dim
+    constants = {**first.constants, **{(i + shift, j + shift, k + shift): c for (i, j, k), c in second.constants.items()}}
+    return AlgebraSpec(first.dim + second.dim, "real", constants)
 
 
 def corpus():
@@ -95,6 +118,12 @@ def corpus():
     for n in range(2, 9):
         for seed in (None, *range(5)):
             yield f"complex-only n={n} seed={seed}", complex_only(n, seed)
+    c = AlgebraSpec(2, "real", COMPLEX_NUMBERS)
+    for name, eps in SUMMANDS:
+        other = example_algebra(name, eps)
+        for label, spec in ((f"C+{name}({eps})", direct_sum(c, other)), (f"{name}({eps})+C", direct_sum(other, c))):
+            for seed in (None, *range(4)):
+                yield f"complex-sum {label} seed={seed}", scrambled(spec, seed)
 
 
 def sha1(*arrays) -> str:

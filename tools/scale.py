@@ -1,14 +1,18 @@
-"""Print how the positive decision and its certificate check scale with n.
+"""Print how the positive decision, its certificate check and the complex-only decision scale with n.
 
     PYTHONPATH=src python tools/scale.py          (or: make scale)
 
 For ``planted_evolution_algebra(n, seed=1)`` at n = 16, 32, 48 and 64 it
 prints the best of three wall times of ``is_evolution_algebra`` and of
 ``check_certificate`` on the returned certificate, unscaled, in
-milliseconds.  BLAS runs with one thread when the variables below are not
-already set, as in the benchmark.  Outside the benchmark: the figures
-depend on the machine and its load, so compare two checkouts by running
-both on one machine, alternately.
+milliseconds.  It then prints the best of three wall times of
+``is_evolution_algebra`` on ``complex_only(n, 0)`` from ``tools/probe.py``
+(C as a real algebra plus idempotents, scrambled) at n = 16 and 32, a
+decision that ends complex only and that no benchmark workload reaches.
+BLAS runs with one thread when the variables below are not already set, as
+in the benchmark.  Outside the benchmark: the figures depend on the machine
+and its load, so compare two checkouts by running both on one machine,
+alternately.
 """
 
 from __future__ import annotations
@@ -20,9 +24,17 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
 # numpy reads the thread settings when it is first imported
-from evoalg import EVOLUTION, check_certificate, is_evolution_algebra, planted_evolution_algebra  # noqa: E402
+from evoalg import (  # noqa: E402
+    COMPLEX_ONLY_UNDETERMINED,
+    EVOLUTION,
+    check_certificate,
+    is_evolution_algebra,
+    planted_evolution_algebra,
+)
+from probe import complex_only  # noqa: E402  (tools/ is on the path of a script run from it)
 
 SIZES = (16, 32, 48, 64)
+COMPLEX_ONLY_SIZES = (16, 32)
 REPEATS = 3
 
 
@@ -46,6 +58,13 @@ def main() -> None:
         if not check.ok:
             raise SystemExit(f"n={n}: the certificate was rejected")
         print(f"{n:>3}  {decide_ms:>24.1f}  {check_ms:>21.1f}")
+    print(f"\n{'n':>3}  {'complex-only decision ms':>24}")
+    for n in COMPLEX_ONLY_SIZES:
+        spec = complex_only(n, 0)
+        decide_ms, verdict = best_ms(lambda: is_evolution_algebra(spec))
+        if verdict.outcome != COMPLEX_ONLY_UNDETERMINED:
+            raise SystemExit(f"complex-only n={n}: expected {COMPLEX_ONLY_UNDETERMINED}, got {verdict.outcome}")
+        print(f"{n:>3}  {decide_ms:>24.1f}")
 
 
 if __name__ == "__main__":
