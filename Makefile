@@ -33,6 +33,7 @@ probe:
 	@PYTHONPATH=src python tools/probe.py
 
 # best-of-3 wall time of the decision and the certificate check on planted n = 16, 32, 48, 64,
-# and of the complex-only decision at n = 16, 32; not part of the benchmark (see tools/scale.py)
+# of the complex-only decision at n = 16, 32, and of the noncommuting and defective refutations
+# at n = 24, 48; not part of the benchmark (see tools/scale.py)
 scale:
 	@PYTHONPATH=src python tools/scale.py

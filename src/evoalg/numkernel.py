@@ -8,17 +8,20 @@ commutator norms.
 Every rank decision is one singular-value split (``_split``): the rank
 counts the singular values above ``max(rank_rtol * sigma_max * max(shape),
 atol)``.  :func:`rank`, the guard of :func:`inverse`, :func:`kernel_basis`
-and both scans of the pencil search call it.  Eigenspaces are numerical
-kernels of ``M - cI``, each computed once, in the arithmetic of ``M`` (see
+and both scans of the pencil search call it.  Eigenspaces come from one
+``np.linalg.eig`` per matrix, with a numerical kernel of ``M - cI`` only
+where a separation bound is not met, in the arithmetic of ``M`` (see
 :func:`eigen_structure`).
 
 The tunable thresholds live in one :class:`ToleranceContext`.  A few fixed
 constants do not: :func:`eigen_structure` escalates its clustering radius
-no further than ``1e-2 * scale(M)`` and rejects a clustering whose
+no further than ``1e-2 * scale(M)``, rejects a clustering whose
 eigenspaces have a joint smallest singular value of at most
-``100 * rho * sqrt(n)``; :func:`complete_to_basis` stops at a residual of
-``1e-12``; ``_phase_canonical`` treats moduli within a relative ``1e-9`` of
-the largest as ties.
+``100 * rho * sqrt(n)``, and widens its separation bound by the factors
+``2`` and ``sqrt(2)`` and the term ``n * eps * ||M||_F``;
+:func:`complete_to_basis` stops at a residual of ``1e-12``;
+``_phase_canonical`` treats moduli within a relative ``1e-9`` of the
+largest as ties.
 
 Real matrices are accepted everywhere and keep their dtype, but nothing
 here assumes realness; callers that need a real result pass real data in.
@@ -154,20 +157,18 @@ def _phase_canonical(columns: np.ndarray) -> np.ndarray:
     positive.  Keeps reports and serialized certificates stable.
     """
     out = columns.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        mags = np.abs(col)
-        top = float(np.max(mags)) if mags.size else 0.0
-        if top == 0.0:
-            continue
-        # first entry within a whisker of the maximum, so last-bit ties
-        # do not flip the choice
-        i = int(np.argmax(mags >= top * (1.0 - 1e-9)))
-        pivot = col[i]
-        if np.iscomplexobj(out):
-            out[:, j] = col * (np.conj(pivot) / mags[i])
-        elif pivot < 0:
-            out[:, j] = -col
+    if not out.size:
+        return out
+    mags = np.abs(columns)
+    top = mags.max(axis=0)
+    # first entry within a whisker of the maximum, so last-bit ties do not flip the choice
+    rows = np.argmax(mags >= top * (1.0 - 1e-9), axis=0)
+    pivots = columns[rows, np.arange(columns.shape[1])]
+    if not np.iscomplexobj(out):
+        return np.negative(out, out=out, where=pivots < 0)
+    cols = np.flatnonzero(top != 0.0)  # a zero column is left as it is
+    # transposed: each column is one run times a fixed factor, the bytes of a per-column multiply
+    out[:, cols] = (columns[:, cols].T * (np.conj(pivots[cols]) / mags[rows[cols], cols])[:, None]).T
     return out
 
 
@@ -238,42 +239,54 @@ class EigenStructure:
         return None
 
 
-def _single_linkage(values: np.ndarray, radius: float) -> list[tuple[complex, int]]:
-    n = values.size
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    clusters = [(complex(np.mean(values[members])), len(members)) for members in groups.values()]
+def _single_linkage(values: np.ndarray, dist: np.ndarray, radius: float) -> list[tuple[complex, np.ndarray]]:
+    """``(centroid, ascending member indices)`` of the components of ``dist <= radius``, by centroid."""
+    linked = dist <= radius
+    labels = np.arange(values.size)
+    while True:  # every index takes the smallest label among its neighbours until none changes
+        spread = np.min(np.where(linked, labels, values.size), axis=1, initial=values.size)
+        if np.array_equal(spread, labels):
+            break
+        labels = spread
+    roots = np.flatnonzero(labels == np.arange(values.size))  # the smallest index of each component
+    single = (np.bincount(labels, minlength=values.size)[roots] == 1).tolist()
+    clusters = [(complex(values[r]), roots[k:k + 1]) if single[k] else
+                (complex(np.mean(values[labels == r])), np.flatnonzero(labels == r)) for k, r in enumerate(roots)]
     clusters.sort(key=lambda c: (c[0].real, c[0].imag))
     return clusters
+
+
+def _eigenvector_rcond(values: np.ndarray, vectors: np.ndarray, real: bool) -> float:
+    """A lower bound on ``1 / kappa(V)`` for the eigenvectors ``V`` of ``np.linalg.eig``.
+
+    A real matrix with conjugate pairs measures the real form ``R = [Re v, Im v]`` in a
+    real SVD: ``V = R D`` with ``D`` block diagonal of condition at most ``sqrt(2)``.
+    """
+    pairs = real and np.iscomplexobj(vectors)
+    if pairs:
+        vectors = np.hstack([vectors[:, values.imag >= 0].real, vectors[:, values.imag > 0].imag])
+    s = np.linalg.svd(vectors, compute_uv=False)
+    return float(s[-1] / s[0] / (np.sqrt(2.0) if pairs else 1.0))
 
 
 def eigen_structure(m, tol: ToleranceContext = DEFAULT_TOL) -> EigenStructure:
     """Clustered eigenvalues plus an orthonormal basis of each eigenspace.
 
-    Eigenvalues are merged by single linkage starting at the radius
-    ``eig_cluster_atol * scale(M)``; the eigenspace of a cluster is the
-    numerical kernel of ``M - cI`` at the centroid ``c``, with the kernel
-    cutoff widened to the merge radius so every member contributes.  Each
-    eigenspace is computed once, in the arithmetic of ``M``: for a real
-    ``M`` a cluster with ``|Im c| <= radius/2`` is closed under conjugation
-    (the spectrum is, and single linkage keeps conjugate members together),
-    so it is shifted by ``Re c`` in real arithmetic and gets a real basis;
-    every other cluster keeps its complex shift and a complex basis.
+    Eigenvalues and unit eigenvectors come from one ``np.linalg.eig``, and
+    single linkage merges the eigenvalues from the radius
+    ``eig_cluster_atol * scale(M)`` on.  The eigenspace of a cluster is the
+    numerical kernel of ``M - cI`` at its centroid ``c``, the cutoff widened
+    to the merge radius so every member contributes.  A single eigenvalue
+    ``l`` takes its eigenvector instead when ``gap / kappa(V)`` exceeds
+    ``2 * max(radius, rank_rtol * ||M||_F * n) + n * eps * ||M||_F``: with
+    ``M = V diag(l_j) V^-1`` and ``gap`` the distance to the nearest other
+    eigenvalue, that bounds the second smallest singular value of ``M - lI``
+    (Bauer-Fike), so the kernel is at most 1-dimensional.  Each eigenspace is
+    computed once, in the arithmetic of ``M``: for a real ``M`` a cluster
+    with ``|Im c| <= radius/2`` is closed under conjugation (the spectrum
+    is, and single linkage keeps conjugate members together), so it is one
+    real eigenvalue or is shifted by ``Re c`` in real arithmetic, and gets a
+    real basis; every other cluster gets a complex basis.
 
     A defective cluster scatters its computed eigenvalues as far as
     ``eps**(1/multiplicity)``, well beyond any fixed radius, so a clustering
@@ -288,24 +301,34 @@ def eigen_structure(m, tol: ToleranceContext = DEFAULT_TOL) -> EigenStructure:
         raise DimensionMismatch(f"eigen-structure needs a square matrix, got {a.shape}")
     n = a.shape[0]
     try:
-        values = np.linalg.eigvals(a)
+        values, vectors = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigenvalue computation failed: {exc}") from exc
-    sc = scale(a)
+    norm = float(np.linalg.norm(a))
     eye = np.eye(n)
     real = not np.iscomplexobj(a)
+    dist = np.abs(values[:, None] - values[None, :])
+    gaps = np.min(np.where(eye > 0, np.inf, dist), axis=1, initial=np.inf)
+    rcond = units = None
     rho = tol.eig_cluster_atol
     while rho <= 1e-2:
-        radius = rho * sc
+        radius = rho * max(1.0, norm)
+        floor = 2.0 * max(radius, tol.rank_rtol * norm * n) + n * np.finfo(float).eps * norm
+        if rcond is None and np.any(gaps > radius):  # some cluster is a single eigenvalue
+            rcond, units = _eigenvector_rcond(values, vectors, real), _phase_canonical(vectors)
+        certified = (gaps * rcond > floor).tolist() if rcond is not None else ()
         clusters = []
         consistent = True
-        for centroid, mult in _single_linkage(values, radius):
-            shift = centroid.real if real and abs(centroid.imag) <= radius / 2 else centroid
-            basis = kernel_basis(a - shift * eye, tol, atol=radius)
-            if basis.shape[1] > mult:
+        for centroid, members in _single_linkage(values, dist, radius):
+            real_cluster = real and abs(centroid.imag) <= radius / 2
+            if members.size == 1 and certified[members[0]]:
+                basis = np.ascontiguousarray(units[:, members].real) if real_cluster else units[:, members]
+            else:
+                basis = kernel_basis(a - (centroid.real if real_cluster else centroid) * eye, tol, atol=radius)
+            if basis.shape[1] > members.size:
                 consistent = False
                 break
-            clusters.append(EigenCluster(centroid, mult, basis))
+            clusters.append(EigenCluster(centroid, members.size, basis))
         if consistent and len(clusters) > 1:
             union = np.hstack([c.basis for c in clusters if c.basis.size])
             if union.shape[1] > 1:

@@ -212,6 +212,7 @@ class TestRefutationEdges:
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
 
+        monkeypatch.setattr(np.linalg, "eig", boom)
         monkeypatch.setattr(np.linalg, "eigvals", boom)
         v = is_evolution_algebra(example_algebra("simple2d"))
         assert v.outcome == UNDETERMINED

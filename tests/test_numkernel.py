@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evoalg import numkernel
+from evoalg import adversarial_instance, is_evolution_algebra, numkernel
 from evoalg.numkernel import (
     DEFAULT_TOL,
     DimensionMismatch,
@@ -175,6 +175,219 @@ class TestEigenStructure:
             for c in eigen_structure(m).clusters:
                 res = np.linalg.norm(m @ c.basis - c.eigenvalue * c.basis)
                 assert res <= 10 * numkernel.scale(m) * DEFAULT_TOL.eig_cluster_atol + 1e-10
+
+
+def reference_single_linkage(values, radius):
+    """Union-find over every pair of eigenvalues: ``(centroid, multiplicity)`` sorted by centroid."""
+    parent = list(range(values.size))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(values.size):
+        for j in range(i + 1, values.size):
+            if abs(values[i] - values[j]) <= radius:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(values.size):
+        groups.setdefault(find(i), []).append(i)
+    clusters = [(complex(np.mean(values[members])), len(members)) for members in groups.values()]
+    return sorted(clusters, key=lambda c: (c[0].real, c[0].imag))
+
+
+def reference_eigen_structure(m, tol=DEFAULT_TOL):
+    """The clustering of ``eigen_structure`` with a kernel SVD of ``M - cI`` for every cluster."""
+    n = m.shape[0]
+    values = np.linalg.eigvals(m)
+    real = not np.iscomplexobj(m)
+    rho = tol.eig_cluster_atol
+    while rho <= 1e-2:
+        radius = rho * numkernel.scale(m)
+        clusters = []
+        consistent = True
+        for centroid, mult in reference_single_linkage(values, radius):
+            shift = centroid.real if real and abs(centroid.imag) <= radius / 2 else centroid
+            basis = kernel_basis(m - shift * np.eye(n), tol, atol=radius)
+            if basis.shape[1] > mult:
+                consistent = False
+                break
+            clusters.append(numkernel.EigenCluster(centroid, mult, basis))
+        if consistent and len(clusters) > 1:
+            union = np.hstack([c.basis for c in clusters if c.basis.size])
+            if union.shape[1] > 1 and np.linalg.svd(union, compute_uv=False)[-1] <= 100.0 * rho * np.sqrt(n):
+                consistent = False
+        if consistent:
+            return numkernel.EigenStructure(tuple(clusters), radius)
+        rho *= 10.0
+    raise numkernel.NonConvergence("eigenvalue clustering did not stabilise at any resolution")
+
+
+def assert_matches_reference(m, tol=DEFAULT_TOL):
+    """Same eigenvalues, multiplicities, eigenspace dimensions and radius as the reference, and bases
+    of the same dtype spanning the same subspaces; or both raise ``NonConvergence``."""
+    try:
+        want = reference_eigen_structure(m, tol)
+    except numkernel.NonConvergence:
+        with pytest.raises(numkernel.NonConvergence):
+            eigen_structure(m, tol)
+        return
+    got = eigen_structure(m, tol)
+    assert got.cluster_radius == want.cluster_radius
+    assert [(c.eigenvalue, c.multiplicity, c.eigenspace_dim) for c in got.clusters] == [
+        (c.eigenvalue, c.multiplicity, c.eigenspace_dim) for c in want.clusters
+    ]
+    for g, w in zip(got.clusters, want.clusters):
+        assert g.basis.dtype == w.basis.dtype
+        np.testing.assert_allclose(g.basis.conj().T @ g.basis, np.eye(g.eigenspace_dim), atol=1e-12)
+        # the orthogonal projectors onto the two spans agree
+        assert np.linalg.norm(g.basis @ g.basis.conj().T - w.basis @ w.basis.conj().T) <= 1e-9
+
+
+def adversarial_eigen_inputs(tol):
+    """Every matrix the decision hands to ``eigen_structure`` on the adversarial corpus at n = 3..12
+    (``ann_mismatch`` is refuted before the similarity stage and hands it none)."""
+    seen = []
+    record = numkernel.eigen_structure
+
+    def recording(m, tol):
+        seen.append(m)
+        return record(m, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numkernel, "eigen_structure", recording)
+        for kind in ("defective", "noncommuting"):
+            for n in range(3, 13):
+                for seed in (None, *range(10)):
+                    is_evolution_algebra(adversarial_instance(kind, n, seed=seed), tol)
+    return seen
+
+
+class TestOneEig:
+    """``eigen_structure`` against the kernel-per-cluster algorithm it replaces."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_random_matrices(self, field):
+        rng = np.random.default_rng(17)
+        for n in range(2, 13):
+            for _ in range(5):
+                m = rng.standard_normal((n, n))
+                assert_matches_reference(m + 1j * rng.standard_normal((n, n)) if field == "complex" else m)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10, 1e-12])
+    def test_perturbed_jordan_blocks(self, eps):
+        rng = np.random.default_rng(int(-np.log10(eps)))
+        for size in (2, 3, 4):
+            for lam in (0.0, 1.0, -3.5):
+                j = lam * np.eye(size) + np.diag(np.ones(size - 1), 1)
+                j[-1, 0] = eps
+                assert_matches_reference(j)
+                # next to two simple eigenvalues, in an orthogonally scrambled basis
+                padded = np.diag([0.0] * size + [5.0, -2.0])
+                padded[:size, :size] = j
+                q = np.linalg.qr(rng.standard_normal((size + 2, size + 2)))[0]
+                assert_matches_reference(q @ padded @ q.T)
+
+    @pytest.mark.parametrize("m", [MENDEL_N, TETRA_N], ids=["mendel", "tetraploid"])
+    def test_named_defective(self, m):
+        assert_matches_reference(m)
+        assert_matches_reference(m.astype(complex))
+
+    @pytest.mark.parametrize("tol", [ToleranceContext(), ToleranceContext(eig_cluster_atol=1e-5)], ids=["default", "atol1e-5"])
+    def test_adversarial_similarity_families(self, tol):
+        inputs = adversarial_eigen_inputs(tol)
+        assert len(inputs) > 1000
+        for m in inputs:
+            assert_matches_reference(m, tol)
+
+    def test_separated_spectrum_makes_at_most_two_svds(self, monkeypatch):
+        # one SVD for kappa(V) and one for the union test; a kernel per cluster would make 25
+        q = np.linalg.qr(np.random.default_rng(5).standard_normal((24, 24)))[0]
+        m = q @ np.diag(np.arange(1.0, 25.0)) @ q.T
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        es = eigen_structure(m)
+        assert len(calls) <= 2
+        assert len(es.clusters) == 24 and all(c.basis.dtype == np.float64 for c in es.clusters)
+        monkeypatch.undo()
+        assert_matches_reference(m)
+
+    def test_close_simple_eigenvalues_take_the_kernel(self, monkeypatch):
+        # eigenvalues 1 and 1 + 1e-4 are simple at radius 1e-5, but kappa(V) = 2e3 leaves
+        # their separation bound 5e-8, below the floor of 2e-5: both take a kernel SVD
+        b = np.diag([1.0, 1.0 + 1e-4, 2.0, 3.0])
+        b[2, 3] = 1e3
+        q = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))[0]
+        m = q @ b @ q.T
+        shifts = []
+        kernel = numkernel.kernel_basis
+
+        def recording_kernel(a, *args, **kwargs):
+            shifts.append(a)
+            return kernel(a, *args, **kwargs)
+
+        monkeypatch.setattr(numkernel, "kernel_basis", recording_kernel)
+        es = eigen_structure(m)
+        assert len(shifts) == 2
+        assert [c.multiplicity for c in es.clusters] == [1, 1, 1, 1]
+        monkeypatch.undo()
+        assert_matches_reference(m)
+
+
+def reference_phase_canonical(columns):
+    """``_phase_canonical`` one column at a time."""
+    out = columns.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        mags = np.abs(col)
+        top = float(np.max(mags)) if mags.size else 0.0
+        if top == 0.0:
+            continue
+        i = int(np.argmax(mags >= top * (1.0 - 1e-9)))
+        pivot = col[i]
+        if np.iscomplexobj(out):
+            out[:, j] = col * (np.conj(pivot) / mags[i])
+        elif pivot < 0:
+            out[:, j] = -col
+    return out
+
+
+class TestPhaseCanonical:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bytes_equal_the_per_column_loop(self, field, order):
+        rng = np.random.default_rng(23)
+        for rows, cols in [(0, 3), (3, 0), (1, 1), (5, 1), (4, 4), (7, 3), (24, 24)]:
+            for exponent in (-300, 0, 300):
+                a = rng.standard_normal((rows, cols)) * 10.0**exponent
+                if field == "complex":
+                    a = a + 1j * rng.standard_normal((rows, cols)) * 10.0**exponent
+                if cols > 1:
+                    a[:, 0] = 0.0  # a zero column is left as it is
+                a = np.asarray(a, order=order)
+                got, want = numkernel._phase_canonical(a), reference_phase_canonical(a)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_last_bit_ties_take_the_first_entry(self, field):
+        one_ulp_less = np.nextafter(1.0, 0.0)
+        a = np.array([[one_ulp_less, -1.0, -(1.0 - 1e-7), 0.5], [-1.0, one_ulp_less, -1.0, -1.0], [0.25, 0.0, 0.0, 0.0]])
+        if field == "complex":
+            a = a * np.exp(1j * np.array([0.3, -1.2, 2.0, 3.0]))
+        got, want = numkernel._phase_canonical(a), reference_phase_canonical(a)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # a first entry one ulp below the largest modulus is the pivot; one 1e-7 below is not
+        pivots = got[[0, 0, 1, 1], [0, 1, 2, 3]]
+        assert np.all(pivots.real > 0) and np.all(np.abs(pivots.imag) <= 1e-15)
+        assert got[1, 0].real < 0
 
 
 class TestDiagonalisable:

@@ -1,4 +1,4 @@
-"""Print how the positive decision, its certificate check and the complex-only decision scale with n.
+"""Print how the positive decision, its certificate check, the complex-only decision and two refutations scale with n.
 
     PYTHONPATH=src python tools/scale.py          (or: make scale)
 
@@ -9,6 +9,11 @@ milliseconds.  It then prints the best of three wall times of
 ``is_evolution_algebra`` on ``complex_only(n, 0)`` from ``tools/probe.py``
 (C as a real algebra plus idempotents, scrambled) at n = 16 and 32, a
 decision that ends complex only and that no benchmark workload reaches.
+Last it prints the best of three wall times of ``is_evolution_algebra`` on
+``adversarial_instance(kind, n, seed=1)`` for the kinds ``noncommuting``
+and ``defective`` at n = 24 and 48: refutations whose similarity stage
+computes the eigen-structure of every matrix of the family (the defect scan)
+or of a defective one.
 BLAS runs with one thread when the variables below are not already set, as
 in the benchmark.  Outside the benchmark: the figures depend on the machine
 and its load, so compare two checkouts by running both on one machine,
@@ -27,6 +32,8 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 from evoalg import (  # noqa: E402
     COMPLEX_ONLY_UNDETERMINED,
     EVOLUTION,
+    NOT_EVOLUTION,
+    adversarial_instance,
     check_certificate,
     is_evolution_algebra,
     planted_evolution_algebra,
@@ -35,6 +42,8 @@ from probe import complex_only  # noqa: E402  (tools/ is on the path of a script
 
 SIZES = (16, 32, 48, 64)
 COMPLEX_ONLY_SIZES = (16, 32)
+REFUTATION_KINDS = ("noncommuting", "defective")
+REFUTATION_SIZES = (24, 48)
 REPEATS = 3
 
 
@@ -65,6 +74,16 @@ def main() -> None:
         if verdict.outcome != COMPLEX_ONLY_UNDETERMINED:
             raise SystemExit(f"complex-only n={n}: expected {COMPLEX_ONLY_UNDETERMINED}, got {verdict.outcome}")
         print(f"{n:>3}  {decide_ms:>24.1f}")
+    print(f"\n{'n':>3}  " + "  ".join(f"{kind + ' refutation ms':>27}" for kind in REFUTATION_KINDS))
+    for n in REFUTATION_SIZES:
+        times = []
+        for kind in REFUTATION_KINDS:
+            spec = adversarial_instance(kind, n, seed=1)
+            decide_ms, verdict = best_ms(lambda: is_evolution_algebra(spec))
+            if verdict.outcome != NOT_EVOLUTION:
+                raise SystemExit(f"{kind} n={n}: expected {NOT_EVOLUTION}, got {verdict.outcome}")
+            times.append(decide_ms)
+        print(f"{n:>3}  " + "  ".join(f"{t:>27.1f}" for t in times))
 
 
 if __name__ == "__main__":
