@@ -1,4 +1,4 @@
-.PHONY: test acceptance bench reports probe scale
+.PHONY: test acceptance bench reports probe same scale
 
 # the sources under src/ are tested directly, without an installed copy
 PYTEST = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest
@@ -22,15 +22,25 @@ C10 = "example://simple2d" "example://mendel --epsilon 0" "example://mendel --ep
       "example://tetraploid --epsilon 0.1" "example://nota2" "example://mendel3d_ann --epsilon 0.2"
 DROP_RUNTIME = import json, sys; b = json.load(sys.stdin); b["diagnostics"].pop("runtime_ms"); print(json.dumps(b, sort_keys=True))
 
+# the sources that reports and probe run (set on the command line: make probe SRC=<checkout>/src)
+SRC = src
+
 reports:
 	@for args in $(C10); do \
-		PYTHONPATH=src python -m evoalg.cli check $$args --json --seed 42 | python -c '$(DROP_RUNTIME)'; \
+		PYTHONPATH=$(SRC) python -m evoalg.cli check $$args --json --seed 42 | python -c '$(DROP_RUNTIME)'; \
 	done
 
 # one sorted line per decision over a fixed corpus at two tolerance sets (under a minute);
-# to compare with another checkout, diff against PYTHONPATH=<checkout>/src python tools/probe.py
+# to compare with another checkout, run make same BASE=<checkout>
 probe:
-	@PYTHONPATH=src python tools/probe.py
+	@PYTHONPATH=$(SRC) python tools/probe.py
+
+# reports and probe run on src and on $(BASE)/src, then diffed; exits non-zero on any difference
+same:
+	@test -n "$(BASE)" || { echo "usage: make same BASE=<checkout>" >&2; exit 2; }
+	@out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
+	$(MAKE) -s reports probe > "$$out/here" && $(MAKE) -s reports probe SRC="$(BASE)/src" > "$$out/base" && \
+	diff "$$out/base" "$$out/here" && echo "reports and probe: no difference from $(BASE)"
 
 # best-of-3 wall time of the decision and the certificate check on planted n = 16, 32, 48, 64,
 # of the complex-only decision at n = 16, 32, and of the noncommuting and defective refutations

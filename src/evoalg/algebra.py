@@ -8,20 +8,21 @@ repackaged as the n symmetric "structure matrices" ``M_k`` with
 then bilinear in coordinates: the k-th coordinate of ``a b`` is
 ``a^T M_k b``.
 
-A spec is checked in one pass over arrays (``_entries``): keys and values
-are read into arrays once, every check runs on them, and the first
-offending entry in iteration order is reported.  Public functions take
-their checked structure tensor from that pass once on entry
-(``m_structure_matrices``) and work on the array from there on;
-``validate`` is the same pass plus the canonical dict.
+That array is the algebra.  A checked spec holds it, checked once, and its
+``constants`` is a read-only view of it (``_TensorConstants``).  Any other
+mapping of constants is checked in one pass over arrays (``_scatter``) that
+reports the first offending entry in iteration order.  Public functions take
+the tensor once on entry (``m_structure_matrices``) and work on the array.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -54,13 +55,56 @@ class AlgebraSpec:
 
     ``constants`` maps ``(i, j, k)`` with 1-based indices and ``i <= j`` to the
     coefficient of ``e_k`` in ``e_i e_j``; missing entries are zero.  The entry
-    for ``(j, i, k)`` is read as ``(i, j, k)``.
+    for ``(j, i, k)`` is read as ``(i, j, k)``.  A checked spec (one returned by
+    :func:`validate` or any other function of the package that returns a spec)
+    is checked once: its ``constants`` is a read-only mapping over its structure
+    tensor, with ``complex`` values, in sorted ``(i, j, k)`` order.
     """
 
     dim: int
     field: str
     constants: Mapping[tuple[int, int, int], complex]
     labels: Optional[tuple[str, ...]] = None
+
+
+class _TensorConstants(Mapping):
+    """The ``constants`` of a checked spec: a read-only mapping over its structure tensor.
+
+    ``tensor`` is a read-only, C-ordered copy of the symmetric ``t`` given, in the
+    field's dtype, with exact zeros stored as ``+0`` as a dict of the non-zero
+    triples gives them back; that dict, in sorted ``(i, j, k)`` order, is built on first read.
+    """
+
+    def __init__(self, t: np.ndarray, field: str):
+        t = np.array(t, dtype=np.float64 if field == REAL else np.complex128, order="C")
+        if not np.all(np.isfinite(t)):
+            raise MalformedSpec("computed structure constants are not finite")
+        t[t == 0] = 0
+        t.flags.writeable = False
+        self.tensor, self.field = t, field
+
+    @cached_property
+    def _dict(self) -> dict:
+        rows, cols = np.triu_indices(len(self.tensor))
+        upper = self.tensor[:, rows, cols].T  # one row per pair (i, j), in (i, j) order
+        pair, k = np.nonzero(upper)
+        keys = zip((rows[pair] + 1).tolist(), (cols[pair] + 1).tolist(), (k + 1).tolist())
+        return dict(zip(keys, upper[pair, k].astype(np.complex128).tolist()))
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self) -> int:
+        return len(self._dict)
+
+    def __repr__(self) -> str:
+        return repr(self._dict)
+
+    def __reduce__(self):  # a copy is made through the constructor, so its tensor is read-only too
+        return _TensorConstants, (self.tensor, self.field)
 
 
 def _reject(key, value, n: int, real: bool) -> None:
@@ -81,22 +125,13 @@ def _reject(key, value, n: int, real: bool) -> None:
         raise MalformedSpec(f"constant at {key!r} has non-zero imaginary part under field: real")
 
 
-def _entries(spec: AlgebraSpec):
-    """The one check of a spec, in one pass over arrays.
+def _scatter(constants: Mapping, n: int, real: bool) -> np.ndarray:
+    """The structure tensor of a mapping of triples, checked in one pass over arrays.
 
-    Returns ``(keys, values, labels)``: the ``(m, 3)`` index triples (1-based,
-    as ``np.intp``) and ``complex128`` values of the non-zero constants in
-    iteration order, and the labels as strings.  Keys are read as by
-    ``int()`` and values as by ``complex()``.  The first offending entry in
-    iteration order is reported by :func:`_reject`.
+    Keys are read into an array as by ``int()`` and values as by ``complex()``;
+    the first offending entry in iteration order is reported by :func:`_reject`.
+    Exact zeros are dropped and the rest is scattered into ``t[k] = M_k``.
     """
-    if not isinstance(spec.dim, int) or isinstance(spec.dim, bool) or spec.dim < 1:
-        raise MalformedSpec(f"dimension must be a positive integer, got {spec.dim!r}")
-    if spec.field not in (REAL, COMPLEX):
-        raise MalformedSpec(f"field must be 'real' or 'complex', got {spec.field!r}")
-    n = spec.dim
-    real = spec.field == REAL
-    constants = spec.constants
     m = len(constants)
     try:
         if not {3}.issuperset(map(len, constants)):
@@ -115,57 +150,48 @@ def _entries(spec: AlgebraSpec):
         bad |= values.imag != 0
     if bad.any():
         _reject(*next(itertools.islice(constants.items(), int(bad.argmax()), None)), n, real)
+    nonzero = values != 0
+    values = values[nonzero].real if real else values[nonzero]
+    t = np.zeros((n, n, n), dtype=values.dtype)
+    i, j, k = (keys[nonzero] - 1).T
+    # a triple given twice (say as (1, 2, 2) and (1.0, 2, 2)) keeps its last value, as in a dict
+    t[k, i, j] = t[k, j, i] = values
+    return t
+
+
+def validate(spec: AlgebraSpec) -> AlgebraSpec:
+    """Check a spec once and return it as a checked spec.
+
+    Rejects non-finite constants, out-of-range or disordered indices and
+    non-positive dimension; drops exact zeros and coerces values to complex.
+    Raises :class:`MalformedSpec` with the first offending entry in the
+    message.  The result's ``constants`` is a read-only mapping in sorted
+    ``(i, j, k)`` order; a checked spec keeps the tensor it holds.
+    """
+    n = spec.dim
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise MalformedSpec(f"dimension must be a positive integer, got {n!r}")
+    if spec.field not in (REAL, COMPLEX):
+        raise MalformedSpec(f"field must be 'real' or 'complex', got {spec.field!r}")
+    constants = spec.constants
+    if not (isinstance(constants, _TensorConstants) and constants.field == spec.field and len(constants.tensor) == n):
+        constants = _TensorConstants(_scatter(constants, n, spec.field == REAL), spec.field)
     labels = spec.labels
     if labels is not None:
         labels = tuple(str(x) for x in labels)
         if len(labels) != n:
             raise MalformedSpec(f"{len(labels)} labels for dimension {n}")
-    nonzero = values != 0
-    return keys[nonzero], values[nonzero], labels
-
-
-def validate(spec: AlgebraSpec) -> AlgebraSpec:
-    """Check and canonicalise a spec.
-
-    Rejects non-finite constants, out-of-range or disordered indices and
-    non-positive dimension; drops exact zeros and coerces values to complex.
-    Raises :class:`MalformedSpec` with the first offending entry in the
-    message.
-    """
-    keys, values, labels = _entries(spec)
-    return AlgebraSpec(spec.dim, spec.field, dict(zip(zip(*keys.T.tolist()), values.tolist())), labels)
+    return AlgebraSpec(n, spec.field, constants, labels)
 
 
 def m_structure_matrices(spec: AlgebraSpec) -> np.ndarray:
-    """The structure tensor: an ``(n, n, n)`` array ``t`` with ``t[k] = M_k``.
+    """The structure tensor: a read-only ``(n, n, n)`` array ``t`` with ``t[k] = M_k``.
 
-    ``(M_k)_{ij} = m_ijk``, checked as by :func:`validate` (raising its
-    :class:`MalformedSpec`) and built in one scatter, without the canonical
-    dict.  Symmetry is exact by construction.  Real algebras yield float64,
-    complex ones complex128.
+    ``(M_k)_{ij} = m_ijk``, checked by :func:`validate`; a checked spec gives
+    the tensor it holds, so it is checked once.  Symmetry is exact by
+    construction.  Real algebras yield float64, complex ones complex128.
     """
-    keys, values, _ = _entries(spec)
-    n = spec.dim
-    if spec.field == REAL:
-        values = values.real
-    t = np.zeros((n, n, n), dtype=values.dtype)
-    i, j, k = (keys - 1).T
-    # a triple given twice (say as (1, 2, 2) and (1.0, 2, 2)) keeps its last value, as in a dict
-    t[k, i, j] = values
-    t[k, j, i] = values
-    return t
-
-
-def _spec_from_tensor(t: np.ndarray, field: str) -> AlgebraSpec:
-    """The canonical spec whose structure matrices are the slices of a symmetric ``t``."""
-    if not np.all(np.isfinite(t)):
-        raise MalformedSpec("computed structure constants are not finite")
-    n = t.shape[0]
-    rows, cols = np.triu_indices(n)
-    upper = t[:, rows, cols]
-    k, pair = np.nonzero(upper)
-    keys = zip((rows[pair] + 1).tolist(), (cols[pair] + 1).tolist(), (k + 1).tolist())
-    return AlgebraSpec(n, field, dict(zip(keys, upper[k, pair].astype(np.complex128).tolist())))
+    return validate(spec).constants.tensor
 
 
 def _recoordinatise(t: np.ndarray, pm: np.ndarray) -> np.ndarray:
@@ -207,16 +233,14 @@ def change_basis(spec: AlgebraSpec, p, tol: ToleranceContext = DEFAULT_TOL) -> A
         raise DimensionMismatch(f"change of basis must be {n}x{n}, got {pm.shape}")
     if numkernel.rank(pm, tol) < n:
         raise Singular("change of basis matrix is singular under the rank tolerance")
-    p_is_real = not np.iscomplexobj(pm) or bool(np.all(pm.imag == 0))
-    field = REAL if (spec.field == REAL and p_is_real) else COMPLEX
+    field = REAL if spec.field == REAL and not np.any(np.imag(pm)) else COMPLEX
     if field == REAL:
         pm = pm.real.astype(np.float64)
-    return _spec_from_tensor(_recoordinatise(t, pm), field)
+    return AlgebraSpec(n, field, _TensorConstants(_recoordinatise(t, pm), field))
 
 
 def _annihilator(t: np.ndarray, tol: ToleranceContext) -> np.ndarray:
-    n = t.shape[0]
-    return numkernel.kernel_basis(t.reshape(n * n, n), tol)
+    return numkernel.kernel_basis(t.reshape(-1, len(t)), tol)
 
 
 def annihilator_basis(spec: AlgebraSpec, tol: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
@@ -272,12 +296,12 @@ def complexify(spec: AlgebraSpec) -> AlgebraSpec:
     """The same structure constants regarded over the complex field.
 
     Any basis of the real algebra is a basis of its complexification, so the
-    structure matrices are unchanged.
+    structure tensor is unchanged, now held as complex.
     """
     spec = validate(spec)
     if spec.field == COMPLEX:
         raise AlreadyComplex("algebra is already complex")
-    return AlgebraSpec(spec.dim, COMPLEX, dict(spec.constants), spec.labels)
+    return AlgebraSpec(spec.dim, COMPLEX, _TensorConstants(spec.constants.tensor, COMPLEX), spec.labels)
 
 
 def quotient_by_annihilator(spec: AlgebraSpec, tol: ToleranceContext = DEFAULT_TOL) -> AlgebraSpec:
@@ -286,9 +310,8 @@ def quotient_by_annihilator(spec: AlgebraSpec, tol: ToleranceContext = DEFAULT_T
     Its structure matrices are exactly the first ``r`` leading blocks of the
     adapted basis, where ``r = n - ann_dim``.
     """
-    t = m_structure_matrices(spec)
-    adapted = _adapt(t, _annihilator(t, tol))
+    adapted = adapt_basis_to_annihilator(spec, tol)
     r = spec.dim - adapted.ann_dim
     if r == 0:
         raise EmptyQuotient("annihilator is the whole algebra; quotient is 0-dimensional")
-    return _spec_from_tensor(adapted.blocks[:r], spec.field)
+    return AlgebraSpec(r, spec.field, _TensorConstants(adapted.blocks[:r], spec.field))

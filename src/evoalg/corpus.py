@@ -80,17 +80,10 @@ def example_algebra(name: str, epsilon: Optional[float] = None, allow_out_of_ran
         return algebra.validate(AlgebraSpec(2, REAL, constants))
 
     if name == "mendel3d_ann":
-        # the Mendelian deformation padded with an annihilator direction e3
-        constants = {
-            (1, 1, 1): 1.0 - eps,
-            (1, 1, 2): eps,
-            (1, 1, 3): -eps,
-            (2, 2, 2): 1.0,
-            (2, 2, 3): -1.0,
-            (1, 2, 1): 0.5,
-            (1, 2, 2): 0.5,
-            (1, 2, 3): -0.5,
-        }
+        # the Mendelian deformation padded with an annihilator direction e3;
+        # the e3 coordinate of every product is minus its e2 coordinate
+        mendel = example_algebra("mendel", eps, allow_out_of_range).constants
+        constants = {**mendel, **{(i, j, 3): -v for (i, j, k), v in mendel.items() if k == 2}}
         return algebra.validate(AlgebraSpec(3, REAL, constants))
 
     # tetraploid:
@@ -142,20 +135,14 @@ def planted_evolution_algebra(n: int, density: float = 0.7, seed: int = 0) -> tu
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density!r}")
     rng = np.random.default_rng([seed, n])
-    tuples = np.zeros((n, n))
+    t = np.zeros((n, n, n))
     for i in range(n):
         if density > 0 and rng.random() < 0.2:
             continue  # nilpotent natural generator
         mask = rng.random(n) < density
         values = rng.uniform(0.5, 2.0, size=n) * rng.choice([-1.0, 1.0], size=n)
-        tuples[i] = np.where(mask, values, 0.0)
-    constants = {
-        (i + 1, i + 1, k + 1): tuples[i, k]
-        for i in range(n)
-        for k in range(n)
-        if tuples[i, k] != 0.0
-    }
-    natural = algebra.validate(AlgebraSpec(n, REAL, constants))
+        t[:, i, i] = np.where(mask, values, 0.0)  # e_i^2 = sum_k t[k, i, i] e_k
+    natural = AlgebraSpec(n, REAL, algebra._TensorConstants(t, REAL))
     p = well_conditioned_matrix(n, rng)
     return algebra.change_basis(natural, p), p
 
@@ -180,32 +167,22 @@ def adversarial_instance(kind: str, n: int, seed: Optional[int] = None) -> Algeb
     if n < 2:
         raise ValueError(f"adversarial instances need n >= 2, got {n}")
 
-    constants: dict[tuple[int, int, int], float]
-    if kind == "defective":
-        constants = {(1, 1, 1): 1.0, (1, 2, 1): 0.5, (1, 2, 2): 0.5, (2, 2, 2): 1.0}
-        for i in range(3, n + 1):
-            constants[(i, i, i)] = 1.0
-    elif kind == "noncommuting":
-        if n < 3:
-            raise ValueError("noncommuting instances need n >= 3")
-        constants = {
-            (1, 1, 1): 1.0,
-            (1, 1, 3): 1.0,
-            (2, 2, 1): 1.0,
-            (2, 2, 3): -1.0,
-            (1, 2, 2): 1.0,
-        }
-        for i in range(4, n + 1):
-            constants[(i, i, i)] = 1.0
-    else:
-        if n < 3:
-            raise ValueError("ann_mismatch instances need n >= 3: with a zero common kernel "
-                             "a 2-dimensional pencil always reaches full rank")
-        constants = {(1, 1, 1): 1.0}
-        for k in range(2, n + 1):
-            constants[(1, k, k)] = 1.0
+    if kind == "noncommuting" and n < 3:
+        raise ValueError("noncommuting instances need n >= 3")
+    if kind == "ann_mismatch" and n < 3:
+        raise ValueError("ann_mismatch instances need n >= 3: with a zero common kernel "
+                         "a 2-dimensional pencil always reaches full rank")
 
-    spec = algebra.validate(AlgebraSpec(n, REAL, constants))
+    t = np.zeros((n, n, n))
+    if kind == "ann_mismatch":
+        t[:, 0, :] = t[:, :, 0] = np.eye(n)  # e_1 e_k = e_k for every k
+    else:
+        base = algebra.m_structure_matrices(example_algebra("mendel" if kind == "defective" else "nota2"))
+        b = len(base)
+        t[:b, :b, :b] = base
+        pad = np.arange(b, n)
+        t[pad, pad, pad] = 1.0  # idempotents e_i^2 = e_i after the base algebra
+    spec = AlgebraSpec(n, REAL, algebra._TensorConstants(t, REAL))
     if seed is None:
         return spec
     rng = np.random.default_rng([seed, n, ADVERSARIAL_KINDS.index(kind)])

@@ -155,8 +155,7 @@ def serialise(spec: AlgebraSpec) -> str:
     lines = [f"field: {spec.field}", f"dim: {spec.dim}"]
     if spec.labels is not None:
         lines.append("labels: " + ", ".join(spec.labels))
-    for (i, j, k) in sorted(spec.constants):
-        lines.append(f"m {i} {j} {k} {format_scalar(spec.constants[(i, j, k)])}")
+    lines += (f"m {i} {j} {k} {format_scalar(v)}" for (i, j, k), v in spec.constants.items())  # in (i, j, k) order
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,6 @@
 import cmath
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from evoalg import (
     adapt_basis_to_annihilator,
     annihilator_basis,
     change_basis,
+    check_certificate,
     complexify,
     example_algebra,
     is_evolution_algebra,
@@ -23,6 +26,7 @@ from evoalg import (
     quotient_by_annihilator,
     validate,
 )
+from evoalg import algebra
 from evoalg.corpus import ADVERSARIAL_KINDS, EXAMPLE_NAMES, adversarial_instance
 from evoalg.numkernel import DimensionMismatch, Singular
 
@@ -131,7 +135,8 @@ def loop_validate(spec):
         if real and v.imag:
             raise MalformedSpec(f"constant at {key!r} has non-zero imaginary part under field: real")
         if v:
-            canonical[(i, j, k)] = v
+            # a real algebra's constants are read back from its float64 tensor
+            canonical[(i, j, k)] = complex(v.real) if real else v
     labels = spec.labels
     if labels is not None:
         labels = tuple(str(x) for x in labels)
@@ -158,14 +163,18 @@ def _outcome(f, spec):
         return "raised", type(exc), str(exc)
     if isinstance(out, np.ndarray):
         return "returned", out.dtype, out.shape, out.tobytes()
-    # repr keeps the types and the order of keys and values
-    return "returned", out.dim, out.field, repr(list(out.constants.items())), out.labels
+    # repr keeps the types of keys and values; a checked spec lists its triples
+    # in sorted (i, j, k) order, whatever the order they were given in
+    return "returned", out.dim, out.field, repr(sorted(out.constants.items())), out.labels
 
 
 def assert_same_as_loop(spec):
     validated = _outcome(validate, spec)
     assert validated == _outcome(loop_validate, spec)
     assert validated[0] == "returned" or validated[1] is MalformedSpec, validated
+    if validated[0] == "returned":
+        keys = list(validate(spec).constants)
+        assert keys == sorted(keys)
     assert _outcome(m_structure_matrices, spec) == _outcome(loop_tensor, spec)
 
 
@@ -198,7 +207,8 @@ class TestArrayPassMatchesLoop:
     @pytest.mark.parametrize(
         "value",
         [float("nan"), float("inf"), -float("inf"), complex(1, float("nan")), 1 + 1j, 1 - 0j, complex(0, -0.0), 0, 0.0,
-         -0.0, 0j, 3, 2**60 + 1, 10**400, np.float32(0.1), np.int64(-4), True, "1+2j", "2", "x", b"1", None, [1.0]],
+         -0.0, 0j, 3, 2**60 + 1, 10**400, np.float32(0.1), np.int64(-4), True, "1+2j", "2", "x", b"1", None, [1.0],
+         complex(1, -0.0)],
     )
     def test_values(self, field, value):
         assert_same_as_loop(AlgebraSpec(2, field, {(1, 1, 1): 1.0, (1, 2, 2): value}))
@@ -209,7 +219,8 @@ class TestArrayPassMatchesLoop:
         assert_same_as_loop(spec)
 
     def test_duplicates_after_conversion(self):
-        # the position of the first occurrence, the last non-zero value
+        # equal keys collapse in the dict itself, and a triple given twice keeps
+        # its last non-zero value; the checked spec lists it in sorted order
         for constants in (
             {(1, 2, 2): 5.0, (1.0, 2, 2): 3.0, (1, 1, 1): 1.0},
             {(1, 2, 2): 5.0, (1.0, 2, 2): 0.0},
@@ -241,6 +252,17 @@ class TestArrayPassMatchesLoop:
     def test_header(self, dim, field, labels):
         assert_same_as_loop(AlgebraSpec(dim, field, {(1, 1, 1): 1.0}, labels))
 
+    def test_checked_constants_reused_under_another_header(self):
+        # a checked spec's constants under another field, dim or labels go through the dict pass
+        real = example_algebra("tetraploid", 0.1)
+        rotated = change_basis(example_algebra("simple2d"), np.array([[1.0, 1j], [1.0, -1j]]))
+        assert any(v.imag for v in rotated.constants.values())
+        for constants in (real.constants, complexify(real).constants, rotated.constants):
+            for dim, field, labels in [(d, f, None) for d in (1, 2, 3, 4, True) for f in ("real", "complex")] + [
+                (3, "real", ("x",)), (3, "complex", ("x", 2, None)), (3, "quaternion", None)
+            ]:
+                assert_same_as_loop(AlgebraSpec(dim, field, constants, labels))
+
     @given(
         st.integers(1, 4),
         st.sampled_from(["real", "complex"]),
@@ -264,6 +286,49 @@ class TestArrayPassMatchesLoop:
         # and the accepted part of it, so that most runs also compare a returned spec and tensor
         valid = {k: v for k, v in constants.items() if _outcome(loop_validate, AlgebraSpec(dim, field, {k: v}))[0] == "returned"}
         assert_same_as_loop(AlgebraSpec(dim, field, valid))
+
+
+def _fingerprint(verdict):
+    c = verdict.certificate
+    return verdict.outcome, c.p.tobytes(), c.natural_basis_products.tobytes()
+
+
+class TestCheckedSpec:
+    """A checked spec holds its structure tensor; its constants are a read-only view of it."""
+
+    def test_later_change_to_the_given_dict_does_not_reach_the_spec(self):
+        d = dict(planted_evolution_algebra(6, seed=3)[0].constants)
+        spec = validate(AlgebraSpec(6, "real", d))
+        before = dict(spec.constants), m_structure_matrices(spec).tobytes(), _fingerprint(is_evolution_algebra(spec))
+        first = next(iter(d))
+        d[first] = 7.0
+        d[(1, 1, 1)] = -3.0
+        d.pop(next(k for k in d if k != first and k != (1, 1, 1)))
+        assert dict(spec.constants) == before[0]
+        assert m_structure_matrices(spec).tobytes() == before[1]
+        assert _fingerprint(is_evolution_algebra(spec)) == before[2]
+
+    def test_constants_and_tensor_are_read_only(self):
+        spec = example_algebra("tetraploid", 0.1)
+        checked_specs = [spec, change_basis(spec, np.eye(3)), complexify(spec), validate(AlgebraSpec(2, "real", SIMPLE2D))]
+        for checked in checked_specs + [pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)]:
+            with pytest.raises(TypeError):
+                checked.constants[(1, 1, 1)] = 2.0
+            with pytest.raises(ValueError):
+                m_structure_matrices(checked)[0, 0, 0] = 2.0
+
+    def test_decision_and_check_read_the_dict_once_per_call(self, monkeypatch):
+        # the dict pass runs only on a spec whose constants are not a checked view
+        passes = []
+        scatter = algebra._scatter
+        monkeypatch.setattr(algebra, "_scatter", lambda *args: passes.append(args) or scatter(*args))
+        spec, _ = planted_evolution_algebra(8, seed=1)
+        for given, per_call in ((spec, 0), (AlgebraSpec(8, "real", dict(spec.constants)), 1)):
+            passes.clear()
+            verdict = is_evolution_algebra(given)
+            assert verdict.outcome == "evolution" and len(passes) == per_call
+            assert check_certificate(given, verdict.certificate.p).ok
+            assert len(passes) == 2 * per_call
 
 
 class TestMultiply:
