@@ -4,7 +4,7 @@ Subcommands:
 
 * ``check FILE...``  decide each algebra; exit 0 = evolution, 1 = not,
   2 = undetermined, 3 = usage or input error
-* ``basis FILE``     print the natural basis or the refutation
+* ``basis FILE``     print the transform P, a ``verify --p`` file, or the refutation
 * ``ann FILE``       print an annihilator basis
 * ``example NAME``   emit a built-in example as an algebra file
 * ``random``         emit a planted or adversarial random instance
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -164,6 +165,7 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--epsilon", type=float, default=None, help="deformation parameter for example:// sources")
 
 
+@functools.cache  # a parser is reusable: each parse starts from fresh defaults
 def _build_parser() -> _Parser:
     parser = _Parser(prog="evoalg", description="Decide whether a commutative algebra is an evolution algebra.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -225,8 +227,7 @@ def _cmd_basis(args) -> int:
     if args.json:
         print(json.dumps(report_json(verdict, ms), sort_keys=True))
     elif verdict.certificate is not None:
-        for i in range(verdict.certificate.p.shape[1]):
-            print(" ".join(fileformat.format_scalar(x) for x in verdict.certificate.p[:, i]))
+        sys.stdout.write(fileformat.format_matrix(verdict.certificate.p))  # the rows of P, as verify --p reads them
     else:
         print(decision.explain(verdict))
     return _OUTCOME_EXIT[verdict.outcome]

@@ -1,17 +1,21 @@
 """End-to-end decision: is a given commutative algebra an evolution algebra?
 
-The procedure mirrors the structure of the underlying theory:
+The procedure follows the reduction of the underlying theory: split off the
+annihilator, run the one pencil search on what remains, and solve at the
+point it returns.
 
-* branch "a": the canonical scan of the pencil search (the structure
-  matrices in index order) finds an invertible one; use it as the pencil
-  point and reduce to a similarity problem (invertible-matrix shortcut).
+* branch "a": the annihilator is zero and the search's canonical scan (the
+  structure matrices in index order) finds an invertible one; it is the
+  pencil point, and the problem reduces to a similarity problem
+  (invertible-matrix shortcut).
 * branch "b.1": the annihilator is zero and no structure matrix is
-  invertible; the pencil search goes on with its random trials.  If it tops
-  out below full rank, the kernel dimension (zero) contradicts the rank
-  defect and the algebra is not an evolution algebra.
-* branch "b.2": the annihilator is non-zero; re-express the algebra with the
-  annihilator last, search a pencil point of the leading blocks, decide
-  them, and embed the transform back.
+  invertible; the search goes on with its random trials.  If it tops out
+  below full rank, the kernel dimension (zero) contradicts the rank defect
+  and the algebra is not an evolution algebra.
+* branch "b.2": the annihilator is non-zero, so no structure matrix is
+  invertible; re-express the algebra with the annihilator last, search a
+  pencil point of the leading blocks, decide them, and embed the transform
+  back.  Leading blocks that top out below full rank are the refutation.
 
 Every algebra is decided in one pass, in the arithmetic of its structure
 tensor: the similarity family is built once, then constructed into a common
@@ -173,7 +177,7 @@ def _solve(
     ``(None, None)``, and a construction the routing test skipped is made and
     checked once.
     """
-    w, family = sdc._similarity_family(stack, lam, tol)
+    w, family = sdc._similarity_family(stack, lam)
 
     def construct() -> tuple[Optional[Certificate], Optional[Refutation]]:
         bases = sds._common_eigenbasis(family, tol)
@@ -232,44 +236,26 @@ def is_evolution_algebra(
             p = np.eye(n)
             return Verdict(EVOLUTION, _certificate(p, _check(t, p, tol)[1]), None, diag("b.2", 0, None, n, None))
 
-        stack = t
-        embed: Optional[tuple[np.ndarray, int]] = None
-        witness = pencil._canonical_scan(t, tol, seed)
-        if witness.r0 == n:
-            branch, ann_dim = "a", 0  # an invertible structure matrix forces a zero annihilator
+        ann = algebra._annihilator(t, tol)
+        ann_dim = ann.shape[1]
+        stack, embed, branch = t, None, "b.1"
+        if ann_dim:
+            adapted = algebra._adapt(t, ann)
+            stack, embed, branch = adapted.blocks, (adapted.transform, ann_dim), "b.2"
+        witness = pencil.max_pencil_rank(stack, tol, trials, seed)
+        if branch == "b.1" and witness.r0 == n and witness.canonical_index is not None:
+            branch = "a"  # an invertible structure matrix is the witness
+        if witness.r0 == n - ann_dim:
+            certificate, refutation = _solve(t, stack, witness.lambda0, embed, tol)
+        elif ann_dim:
+            notes.append("randomized search found no invertible pencil point for the reduced blocks")
+            certificate, refutation = None, sdc.NoFullRankPencil(witness.trials_used, seed)
         else:
-            ann = algebra._annihilator(t, tol)
-            ann_dim = ann.shape[1]
-            if ann_dim == 0:
-                branch = "b.1"
-                witness = pencil._random_search(t, witness, tol, trials, seed)
-                if witness.r0 < n:
-                    notes.append(
-                        "no full-rank pencil point found by randomized search; "
-                        "the rank defect contradicts the zero common kernel"
-                    )
-                    return Verdict(
-                        NOT_EVOLUTION,
-                        None,
-                        sdc.KernelDimensionMismatch(0, n - witness.r0),
-                        diag(branch, witness.r0, witness.lambda0, 0, witness.trials_used),
-                    )
-            else:
-                branch = "b.2"
-                adapted = algebra._adapt(t, ann)
-                stack = adapted.blocks
-                embed = (adapted.transform, ann_dim)
-                witness = pencil.max_pencil_rank(stack, tol, trials, seed)
-                if witness.r0 < n - ann_dim:
-                    notes.append("randomized search found no invertible pencil point for the reduced blocks")
-                    return Verdict(
-                        NOT_EVOLUTION,
-                        None,
-                        sdc.NoFullRankPencil(witness.trials_used, seed),
-                        diag(branch, witness.r0, witness.lambda0, ann_dim, witness.trials_used),
-                    )
-
-        certificate, refutation = _solve(t, stack, witness.lambda0, embed, tol)
+            notes.append(
+                "no full-rank pencil point found by randomized search; "
+                "the rank defect contradicts the zero common kernel"
+            )
+            certificate, refutation = None, sdc.KernelDimensionMismatch(0, n - witness.r0)
         if refutation is not None:
             outcome = NOT_EVOLUTION
         elif certificate is None:

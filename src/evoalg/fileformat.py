@@ -101,7 +101,7 @@ def parse(text: str) -> AlgebraSpec:
                 raise ParseError(lineno, col, "expected 'field: real' or 'field: complex'")
             field = toks[1][0]
         elif head == "dim:":
-            if len(toks) != 2 or not toks[1][0].isdigit() or int(toks[1][0]) < 1:
+            if len(toks) != 2 or not re.fullmatch(r"\d+", toks[1][0]) or int(toks[1][0]) < 1:
                 raise ParseError(lineno, col, "expected 'dim: n' with a positive integer n")
             dim = int(toks[1][0])
         elif head == "labels:":

@@ -8,10 +8,9 @@ commutator norms.
 Every rank decision is one singular-value split (``_split``): the rank
 counts the singular values above ``max(rank_rtol * sigma_max * max(shape),
 atol)``.  :func:`rank`, the guard of :func:`inverse`, :func:`kernel_basis`
-and both scans of the pencil search call it.  Eigenspaces come from one
-``np.linalg.eig`` per matrix, with a numerical kernel of ``M - cI`` only
-where a separation bound is not met, in the arithmetic of ``M`` (see
-:func:`eigen_structure`).
+and the pencil search call it.  Eigenspaces come from one ``np.linalg.eig``
+per matrix, with a numerical kernel of ``M - cI`` only where a separation
+bound is not met, in the arithmetic of ``M`` (see :func:`eigen_structure`).
 
 The tunable thresholds live in one :class:`ToleranceContext`.  A few fixed
 constants do not: :func:`eigen_structure` escalates its clustering radius
@@ -111,19 +110,23 @@ def _split(a: np.ndarray, tol: ToleranceContext, atol: float = 0.0, vectors: boo
     ``max(rank_rtol * sigma_max * max(shape), atol)``.  With ``vectors`` the
     right factor ``V^H`` is returned in full, so its trailing rows span the
     numerical kernel.  A tall matrix (more rows than columns, such as the
-    ``(n^2, n)`` annihilator stack) takes the thin SVD: its ``V^H`` is already
-    square, and the unused ``rows x rows`` left factor is never built.
-    Square and wide matrices take the full SVD: a wide matrix's thin ``V^H``
-    would lack the rows that span its kernel.
+    ``(n^2, n)`` annihilator stack) is first reduced to its square R factor
+    by one ``qr(mode="r")``: ``A = QR`` with orthonormal ``Q`` gives ``A`` and
+    ``R`` the same singular values and right factor, and no left factor of
+    ``A`` is ever built.  Square and wide matrices take the full SVD: a wide
+    matrix's thin ``V^H`` would lack the rows that span its kernel.
     An all-zero matrix has rank 0 and needs no SVD.
     """
     if not np.any(a):
         return 0, np.zeros(min(a.shape)), (np.eye(a.shape[1], dtype=a.dtype) if vectors else None)
+    size = max(a.shape)
+    if a.shape[0] > a.shape[1]:
+        a = np.linalg.qr(a, mode="r")
     if vectors:
-        _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] <= a.shape[1])
+        _, s, vh = np.linalg.svd(a)
     else:
         s, vh = np.linalg.svd(a, compute_uv=False), None
-    cutoff = max(tol.rank_rtol * float(s[0]) * max(a.shape), atol)
+    cutoff = max(tol.rank_rtol * float(s[0]) * size, atol)
     return int(np.count_nonzero(s > cutoff)), s, vh
 
 

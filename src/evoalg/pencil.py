@@ -8,8 +8,10 @@ deterministically whenever one exists.  For real matrices the rank defect is
 a real polynomial condition, so a real random vector does as well.
 
 The search is one canonical scan followed by the random trials.  The
-decision runs the scan on its own first (an invertible ``M_k`` is branch "a"
-and needs no annihilator), then continues the same search with the trials.
+decision runs it once, after splitting off the annihilator: on the full
+tensor when the annihilator is zero (an invertible ``M_k`` is branch "a"),
+and on the leading blocks otherwise, since a non-zero annihilator leaves
+every ``M_k`` singular.
 """
 
 from __future__ import annotations
@@ -62,47 +64,6 @@ def _unit_gaussian(m: int, seed: int, trial: int, real: bool) -> np.ndarray:
     return (z / np.linalg.norm(z)).astype(np.complex128)
 
 
-def _canonical_scan(mats: Sequence[np.ndarray], tol: ToleranceContext, seed: int) -> PencilRankWitness:
-    """The best unit direction ``e_k``, scanned in ascending index.
-
-    Returns the first full-rank one at once; otherwise the first of the
-    highest rank, with ``trials_used`` counting all ``m`` directions.
-    """
-    n = numkernel._check_stack(mats)
-    m = len(mats)
-    best: Optional[PencilRankWitness] = None
-    for k in range(m):
-        lam = np.zeros(m, dtype=np.complex128)
-        lam[k] = 1.0
-        r, s, _ = numkernel._split(np.asarray(mats[k]), tol)
-        smin = float(s[r - 1]) if r else 0.0
-        if r == n:
-            return PencilRankWitness(lam, r, k + 1, seed, canonical_index=k + 1, smallest_kept_sv=smin)
-        if best is None or r > best.r0:
-            best = PencilRankWitness(lam, r, m, seed, canonical_index=k + 1, smallest_kept_sv=smin)
-    return best
-
-
-def _random_search(
-    mats: Sequence[np.ndarray], best: PencilRankWitness, tol: ToleranceContext, trials: int, seed: int
-) -> PencilRankWitness:
-    """Continue from the canonical scan's witness ``best`` with the random trials."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if best.r0 == mats[0].shape[0]:
-        return best
-    real = not np.iscomplexobj(mats[0])
-    used = best.trials_used
-    for t in range(trials):
-        lam = _unit_gaussian(len(mats), seed, t, real)
-        used += 1
-        r, s, _ = numkernel._split(evaluate(mats, lam.real if real else lam), tol)
-        smin = float(s[r - 1]) if r else 0.0
-        if r > best.r0 or (r == best.r0 and best.canonical_index is None and smin > best.smallest_kept_sv):
-            best = PencilRankWitness(lam, r, used, seed, canonical_index=None, smallest_kept_sv=smin)
-    return replace(best, trials_used=used)
-
-
 def max_pencil_rank(
     mats: Sequence[np.ndarray],
     tol: ToleranceContext = DEFAULT_TOL,
@@ -112,12 +73,34 @@ def max_pencil_rank(
     """Best-rank pencil point found among canonical directions and random trials.
 
     Canonical directions are scanned first in ascending index and returned
-    immediately when one reaches full rank.  Random candidates have standard
-    Gaussian coordinates on per-trial streams derived from the seed, so the
-    result is reproducible bit for bit.  They are real when the matrices are
-    real (any real dtype) and complex otherwise; ``lambda0`` is complex128
-    either way.  Among random candidates of equal rank the one with the
-    largest smallest retained singular value wins.  A random candidate never
-    displaces an equal-rank canonical one.
+    immediately when one reaches full rank, with ``trials_used`` counting the
+    directions scanned.  Random candidates have standard Gaussian coordinates
+    on per-trial streams derived from the seed, so the result is reproducible
+    bit for bit.  They are real when the matrices are real (any real dtype)
+    and complex otherwise; ``lambda0`` is complex128 either way.  Among random
+    candidates of equal rank the one with the largest smallest retained
+    singular value wins.  A random candidate never displaces an equal-rank
+    canonical one.  Raises :class:`ValueError` when ``trials < 1``.
     """
-    return _random_search(mats, _canonical_scan(mats, tol, seed), tol, trials, seed)
+    n = numkernel._check_stack(mats)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    m = len(mats)
+    best: Optional[PencilRankWitness] = None
+    for k in range(m):
+        r, s, _ = numkernel._split(np.asarray(mats[k]), tol)
+        if best is None or r > best.r0:
+            lam = np.zeros(m, dtype=np.complex128)
+            lam[k] = 1.0
+            best = PencilRankWitness(lam, r, k + 1, seed, canonical_index=k + 1,
+                                     smallest_kept_sv=float(s[r - 1]) if r else 0.0)
+            if r == n:
+                return best
+    real = not np.iscomplexobj(mats[0])
+    for t in range(trials):
+        lam = _unit_gaussian(m, seed, t, real)
+        r, s, _ = numkernel._split(evaluate(mats, lam.real if real else lam), tol)
+        smin = float(s[r - 1]) if r else 0.0
+        if r > best.r0 or (r == best.r0 and best.canonical_index is None and smin > best.smallest_kept_sv):
+            best = PencilRankWitness(lam, r, m + t + 1, seed, smallest_kept_sv=smin)
+    return replace(best, trials_used=m + trials)

@@ -24,8 +24,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from . import numkernel, pencil
-from .numkernel import ToleranceContext
+from . import pencil
 from .sds import NonCommuting, NonDiagonalisable
 
 
@@ -70,16 +69,16 @@ def _assemble(w: np.ndarray, bases: Sequence[np.ndarray]) -> np.ndarray:
     return np.hstack([v @ gram_factor(v.T @ w @ v) for v in bases])
 
 
-def _similarity_family(
-    mats: Sequence[np.ndarray], lam: np.ndarray, tol: ToleranceContext
-) -> tuple[np.ndarray, list[np.ndarray]]:
+def _similarity_family(mats: Sequence[np.ndarray], lam: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """``W = M(lam)`` and the family ``W^{-1} M_k``, in the arithmetic of the stack.
 
     A real stack is evaluated at ``Re lam``, so its family is real; a complex
-    stack is evaluated at ``lam``.  Raises :class:`numkernel.Singular` when
-    ``W`` is rank-deficient.
+    stack is evaluated at ``lam``.  ``lam`` is the point the pencil search
+    has found to be of full rank, so ``W`` is inverted without a second rank
+    test; LAPACK's :class:`numpy.linalg.LinAlgError` still signals a ``W``
+    that is exactly singular in floating point.
     """
     lam = np.asarray(lam)
     w = pencil.evaluate(mats, lam if np.iscomplexobj(mats[0]) else lam.real)
-    winv = numkernel.inverse(w, tol)
+    winv = np.linalg.inv(w)
     return w, [winv @ m for m in mats]

@@ -64,6 +64,34 @@ class TestCheck:
         lines = [json.loads(line) for line in out.strip().splitlines()]
         assert [r["verdict"] for r in lines] == ["not_evolution", "evolution"]
 
+    @pytest.mark.parametrize(
+        "dim, branch, refutation, text",
+        [
+            (3, "b.1", {"kind": "kernel_dimension_mismatch", "kernel_dim": 0, "expected": 1},
+             "refutation: common kernel has dimension 0, but the pencil rank defect requires 1"),
+            (4, "b.2", {"kind": "no_full_rank_pencil", "trials": 4 + 16, "seed": 0},
+             "refutation: no invertible pencil point for the reduced blocks after 20 trials (seed 0)"),
+        ],
+    )
+    def test_no_full_rank_point_reports(self, tmp_path, capsys, dim, branch, refutation, text):
+        # the arrowhead M_1 = I, padded with an annihilator direction when dim is 4
+        f = tmp_path / "arrowhead.alg"
+        f.write_text(f"field: real\ndim: {dim}\nm 1 1 1 1\nm 1 2 2 1\nm 1 3 3 1\n")
+        note = {
+            "b.1": "no full-rank pencil point found by randomized search; the rank defect contradicts the zero common kernel",
+            "b.2": "randomized search found no invertible pencil point for the reduced blocks",
+        }[branch]
+        code, out, _ = run(capsys, "check", str(f), "--json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["verdict"] == "not_evolution" and report["branch"] == branch
+        assert report["refutation"] == refutation and report["certificate"] is None
+        assert report["diagnostics"]["notes"] == [note]
+        assert report["diagnostics"]["r0"] == 2 and report["diagnostics"]["ann_dim"] == dim - 3
+        code, out, _ = run(capsys, "check", str(f))
+        assert code == 1
+        assert text in out.splitlines() and f"note: {note}" in out.splitlines()
+
     def test_tolerance_overrides(self, capsys):
         code, _, _ = run(capsys, "check", "example://simple2d", "--tol", "verify_rtol=1e-6", "--tol", "rank_rtol=1e-12")
         assert code == 0
@@ -76,6 +104,25 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "basis", "example://simple2d")
         assert code == 0
         assert len(out.strip().splitlines()) == 2
+
+    @pytest.mark.parametrize(
+        "source",
+        [["example://tetraploid", "--epsilon", "0.1"], ["example://mendel3d_ann", "--epsilon", "0.2"], ["random"]],
+    )
+    def test_basis_output_is_a_verify_matrix_file(self, tmp_path, capsys, source):
+        # basis prints the rows of P, the layout verify --p reads
+        if source == ["random"]:
+            code, out, _ = run(capsys, "random", "--dim", "5", "--seed", "3")
+            assert code == 0
+            f = tmp_path / "r.alg"
+            f.write_text(out)
+            source = [str(f)]
+        code, out, _ = run(capsys, "basis", *source)
+        assert code == 0
+        p = tmp_path / "p.mat"
+        p.write_text(out)
+        code, out, _ = run(capsys, "verify", *source, "--p", str(p))
+        assert code == 0 and "accepted" in out
 
     def test_basis_refutation(self, capsys):
         code, out, _ = run(capsys, "basis", "example://nota2")
@@ -156,6 +203,12 @@ class TestErrors:
         assert code == 3
         assert "line 3" in err and "store i <= j" in err
 
+    def test_superscript_dim_is_a_parse_error(self, tmp_path, capsys):
+        f = tmp_path / "sup.alg"
+        f.write_text("field: real\ndim: \u00b2\n")
+        code, out, err = run(capsys, "check", str(f))
+        assert code == 3 and out == "" and err.startswith("error: line 2, column 1:")
+
     def test_epsilon_out_of_range(self, capsys):
         code, _, err = run(capsys, "check", "example://tetraploid", "--epsilon", "0.9")
         assert code == 3 and "epsilon" in err
@@ -204,3 +257,23 @@ class TestDeterminism:
             blob["diagnostics"].pop("runtime_ms")
             reports.append(json.dumps(blob, sort_keys=True))
         assert len(set(reports)) == 1
+
+
+class TestParser:
+    def test_two_runs_build_one_parser(self, monkeypatch, capsys):
+        built = []
+
+        class CountingParser(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["prog"])  # "evoalg" for the tree, "evoalg check" and so on for its subparsers
+                super().__init__(*args, **kwargs)
+
+        cli._build_parser.cache_clear()
+        monkeypatch.setattr(cli, "_Parser", CountingParser)
+        try:
+            assert run(capsys, "check", "example://simple2d", "--tol", "verify_rtol=1e-6")[0] == 0
+            assert run(capsys, "check", "example://simple2d", "--tol", "bogus=1")[0] == 3
+            assert run(capsys, "check", "example://simple2d")[0] == 0  # the --tol list of a parse is its own
+        finally:
+            cli._build_parser.cache_clear()
+        assert built.count("evoalg") == 1

@@ -364,9 +364,9 @@ class TestOnePath:
             assert sum(a.shape == m.shape and np.array_equal(a, m) for a in seen) == 1, k + 1
 
     def test_no_svd_builds_a_left_factor_larger_than_its_input(self, monkeypatch):
-        # the (n^2, n) annihilator stack is split by a thin SVD, without an n^2 x n^2 U
-        shapes = []
-        svd = np.linalg.svd
+        # the (n^2, n) annihilator stack is reduced to its R factor, without an n^2 x n^2 U
+        shapes, qrs = [], []
+        svd, qr = np.linalg.svd, np.linalg.qr
 
         def recording_svd(a, *args, **kwargs):
             out = svd(a, *args, **kwargs)
@@ -374,12 +374,55 @@ class TestOnePath:
             shapes.append((np.shape(a), u_size))
             return out
 
+        def recording_qr(a, mode="reduced"):
+            qrs.append((np.shape(a), mode))
+            return qr(a, mode=mode)
+
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
         v = is_evolution_algebra(planted_evolution_algebra(16, seed=1)[0])
         assert v.outcome == EVOLUTION and v.diagnostics.branch == "b.2"
-        assert any(shape == (256, 16) for shape, _ in shapes)
+        assert qrs == [((256, 16), "r")]
         for shape, u_size in shapes:
             assert u_size <= np.prod(shape), shape
+
+    def test_b2_decision_factors_no_structure_matrix_and_no_stack(self, monkeypatch):
+        # a non-zero annihilator leaves every M_k singular: the search starts on the leading blocks
+        spec, _ = planted_evolution_algebra(16, seed=1)
+        t = m_structure_matrices(spec)
+        seen = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            seen.append(np.array(a, copy=True))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        v = is_evolution_algebra(spec)
+        assert v.outcome == EVOLUTION and v.diagnostics.branch == "b.2"
+        assert seen and not any(a.shape == (256, 16) for a in seen)
+        for k, m in enumerate(t):
+            assert not any(a.shape == m.shape and np.array_equal(a, m) for a in seen), k + 1
+
+    @pytest.mark.parametrize(
+        "spec, outcome",
+        [(example_algebra("simple2d"), EVOLUTION), (adversarial_instance("defective", 6, 0), NOT_EVOLUTION)],
+    )
+    def test_branch_a_decision_factors_its_pencil_point_once(self, monkeypatch, spec, outcome):
+        # the search has found W = M_k of full rank, so inverting it takes no second rank test
+        seen = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            seen.append(np.array(a, copy=True))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        v = is_evolution_algebra(spec)
+        assert v.outcome == outcome and v.diagnostics.branch == "a"
+        k = int(np.flatnonzero(v.diagnostics.lambda0)[0])
+        w = m_structure_matrices(spec)[k]
+        assert sum(a.shape == w.shape and np.array_equal(a, w) for a in seen) == 1
 
     def test_b2_decision_draws_no_random_point_on_the_full_tensor(self, monkeypatch):
         evaluated = []

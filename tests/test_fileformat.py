@@ -32,6 +32,13 @@ class TestParse:
         with pytest.raises(DuplicateEntry):
             parse("field: real\ndim: 2\nm 1 1 1 1\nm 1 1 1 2")
 
+    @pytest.mark.parametrize("token", ["\u00b2", "0", "-2", "2.0"])
+    def test_dim_must_be_a_positive_decimal_integer(self, token):
+        # str.isdigit() also accepts superscripts, which int() rejects
+        with pytest.raises(ParseError, match="positive integer") as info:
+            parse(f"field: real\ndim: {token}\n")
+        assert (info.value.line, info.value.column) == (2, 1)
+
     def test_entry_before_dim(self):
         with pytest.raises(ParseError, match="dim"):
             parse("field: real\nm 1 1 1 1\ndim: 2")

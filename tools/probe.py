@@ -14,8 +14,10 @@ with ``PYTHONPATH`` pointing at each ``src``.
 The corpus is decided at the default tolerances and at
 ``eig_cluster_atol=1e-5``:
 
-* planted instances, n = 2…12, seeds 0–11, real and complexified;
-* the three adversarial kinds, n = 3…12, seeds None and 0–9;
+* planted instances, n = 2…12, seeds 0–11, and n ∈ {16, 24, 32}, seeds 0–3,
+  real and complexified;
+* the three adversarial kinds, n = 3…12, seeds None and 0–9, and
+  n ∈ {16, 24}, seeds 0–3;
 * planted n ∈ {4, 6, 8} re-expressed in a basis of condition number
   κ ∈ {1e3, 1e4, 1e5, 1e6}, seeds 0–19;
 * the named examples at the ε of the README and the acceptance tests, real
@@ -98,14 +100,14 @@ def direct_sum(first: AlgebraSpec, second: AlgebraSpec) -> AlgebraSpec:
 
 def corpus():
     """``(label, spec)`` for every instance, real and complexified where listed."""
-    for n in range(2, 13):
-        for seed in range(12):
+    for n in (*range(2, 13), 16, 24, 32):
+        for seed in range(12 if n <= 12 else 4):
             spec, _ = planted_evolution_algebra(n, seed=seed)
             yield f"planted n={n} seed={seed} real", spec
             yield f"planted n={n} seed={seed} complex", complexify(spec)
     for kind in ("defective", "noncommuting", "ann_mismatch"):
-        for n in range(3, 13):
-            for seed in (None, *range(10)):
+        for n in (*range(3, 13), 16, 24):
+            for seed in (None, *range(10)) if n <= 12 else range(4):
                 yield f"adversarial {kind} n={n} seed={seed}", adversarial_instance(kind, n, seed)
     for n in (4, 6, 8):
         for kappa in (1e3, 1e4, 1e5, 1e6):
