@@ -43,7 +43,9 @@ same:
 	diff "$$out/base" "$$out/here" && echo "reports and probe: no difference from $(BASE)"
 
 # best-of-3 wall time of the decision and the certificate check on planted n = 16, 32, 48, 64,
-# of the complex-only decision at n = 16, 32, and of the noncommuting and defective refutations
-# at n = 24, 48; not part of the benchmark (see tools/scale.py)
+# of the complex-only decision at n = 16, 32, of the noncommuting and defective refutations
+# at n = 24, 48, and of parsing planted files at n = 8, 16, 32; not part of the benchmark
+# (see tools/scale.py). A fixed mmap threshold keeps glibc from moving it after the decisions
+# free large blocks, so that the check_certificate column compares across checkouts.
 scale:
-	@PYTHONPATH=src python tools/scale.py
+	@MALLOC_MMAP_THRESHOLD_=33554432 PYTHONPATH=src python tools/scale.py

@@ -128,11 +128,19 @@ def report_json(verdict: decision.Verdict, runtime_ms: float) -> dict:
     }
 
 
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file; a file that does not decode is an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _load_spec(source: str, epsilon: Optional[float]) -> algebra.AlgebraSpec:
     if source.startswith("example://"):
         return corpus.example_algebra(source[len("example://"):], epsilon)
-    with open(source, "r", encoding="utf-8") as fh:
-        return fileformat.parse(fh.read())
+    return fileformat.parse(_read_text(source))
 
 
 def _tolerances(values: Optional[list[str]]) -> ToleranceContext:
@@ -270,8 +278,7 @@ def _cmd_random(args) -> int:
 def _cmd_verify(args) -> int:
     spec = _load_spec(args.file, args.epsilon)
     tol = _tolerances(args.tol)
-    with open(args.p_file, "r", encoding="utf-8") as fh:
-        p = fileformat.parse_matrix(fh.read())
+    p = fileformat.parse_matrix(_read_text(args.p_file))
     t0 = time.perf_counter()
     check = decision.check_certificate(spec, p, tol)
     ms = (time.perf_counter() - t0) * 1000.0

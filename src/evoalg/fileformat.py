@@ -9,15 +9,19 @@ An algebra file is UTF-8 text:
     m 1 1 1 1.0            (m  i j k  value, 1-based, i <= j)
     m 1 2 2 0.5+0.5i
 
-Unlisted entries are zero.  Values are decimals or ``a+bi`` / ``a-bi``.
-Serialisation is canonical: header in fixed order, entries sorted
-lexicographically by (i, j, k), shortest round-trip decimal rendering, so
+Tokens are split at any Unicode whitespace (``str.split()``); indices and
+``dim`` are decimal digits (``str.isdecimal()``); values are decimals such as
+``-1``, ``.5``, ``2.5E-3`` or ``a+bi`` / ``a-bi``, and one that overflows to
+infinity is rejected.  Every error is a :class:`ParseError` at a line and
+column.  Unlisted entries are zero.  Serialisation is canonical: header in
+fixed order, entries sorted by (i, j, k), shortest round-trip decimals, so
 ``parse(serialise(spec)) == spec`` exactly and serialising a canonical file
 reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
+import cmath
 import re
 from typing import Optional
 
@@ -53,14 +57,14 @@ _REAL_RE = re.compile(rf"^{_FLOAT}$")
 
 def parse_scalar(token: str) -> complex:
     """Parse a decimal or ``a+bi`` / ``a-bi`` token."""
+    if _REAL_RE.match(token):  # no token matches both patterns, so the common case costs one match
+        return complex(token)
     m = _COMPLEX_RE.match(token)
     if m:
         imag = float(m.group("im"))
         if m.group("sign") == "-":
             imag = -imag
         return complex(float(m.group("re")), imag)
-    if _REAL_RE.match(token):
-        return complex(float(token), 0.0)
     raise ValueError(f"not a scalar: {token!r}")
 
 
@@ -74,8 +78,9 @@ def format_scalar(z: complex) -> str:
     return f"{re_part}{sign}{repr(abs(float(z.imag)))}i"
 
 
-def _tokens(line: str) -> list[tuple[str, int]]:
-    return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
+def _column(line: str, index: int) -> int:
+    """The 1-based column of token ``index`` of ``line.split()``, worked out for a diagnostic only."""
+    return [m.start() + 1 for m in re.finditer(r"\S+", line)][index]  # \S fails exactly where str.isspace() holds
 
 
 def parse(text: str) -> AlgebraSpec:
@@ -91,53 +96,53 @@ def parse(text: str) -> AlgebraSpec:
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        if not line.strip():
+        toks = line.split()
+        if not toks:
             continue
-        toks = _tokens(line)
-        head, col = toks[0]
+        head = toks[0]
 
-        if head == "field:":
-            if len(toks) != 2 or toks[1][0] not in (REAL, COMPLEX):
-                raise ParseError(lineno, col, "expected 'field: real' or 'field: complex'")
-            field = toks[1][0]
-        elif head == "dim:":
-            if len(toks) != 2 or not re.fullmatch(r"\d+", toks[1][0]) or int(toks[1][0]) < 1:
-                raise ParseError(lineno, col, "expected 'dim: n' with a positive integer n")
-            dim = int(toks[1][0])
-        elif head == "labels:":
-            names = [x.strip() for x in line.split(":", 1)[1].split(",")]
-            if any(not x for x in names):
-                raise ParseError(lineno, col, "empty label")
-            labels = tuple(names)
-        elif head == "m":
+        if head == "m":  # nearly every line is an entry
             if dim is None:
-                raise ParseError(lineno, col, "'dim:' must appear before entries")
+                raise ParseError(lineno, _column(line, 0), "'dim:' must appear before entries")
             if field is None:
-                raise ParseError(lineno, col, "'field:' must appear before entries")
+                raise ParseError(lineno, _column(line, 0), "'field:' must appear before entries")
             if len(toks) != 5:
-                raise ParseError(lineno, col, "expected 'm i j k value'")
-            idx = []
-            for tok, tcol in toks[1:4]:
-                if not re.fullmatch(r"\d+", tok):
-                    raise ParseError(lineno, tcol, f"index {tok!r} is not a positive integer")
-                idx.append(int(tok))
-            i, j, k = idx
+                raise ParseError(lineno, _column(line, 0), "expected 'm i j k value'")
+            for t in (1, 2, 3):
+                if not toks[t].isdecimal():
+                    raise ParseError(lineno, _column(line, t), f"index {toks[t]!r} is not a positive integer")
+            i, j, k = int(toks[1]), int(toks[2]), int(toks[3])
             if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
-                raise ParseError(lineno, toks[1][1], f"index out of range for dim {dim}: ({i}, {j}, {k})")
+                raise ParseError(lineno, _column(line, 1), f"index out of range for dim {dim}: ({i}, {j}, {k})")
             if i > j:
-                raise ParseError(lineno, toks[1][1], f"i > j is not stored; store i <= j (write 'm {j} {i} {k} ...')")
-            vtok, vcol = toks[4]
+                raise ParseError(lineno, _column(line, 1), f"i > j is not stored; store i <= j (write 'm {j} {i} {k} ...')")
+            vtok = toks[4]
             try:
                 value = parse_scalar(vtok)
             except ValueError:
-                raise ParseError(lineno, vcol, f"bad scalar {vtok!r}; use a decimal or a+bi / a-bi") from None
+                raise ParseError(lineno, _column(line, 4), f"bad scalar {vtok!r}; use a decimal or a+bi / a-bi") from None
             if field == REAL and value.imag != 0.0:
-                raise FieldMismatch(lineno, vcol, f"complex value {vtok!r} under field: real")
+                raise FieldMismatch(lineno, _column(line, 4), f"complex value {vtok!r} under field: real")
             if (i, j, k) in constants:
-                raise DuplicateEntry(lineno, toks[1][1], f"entry ({i}, {j}, {k}) appears twice")
+                raise DuplicateEntry(lineno, _column(line, 1), f"entry ({i}, {j}, {k}) appears twice")
+            if not cmath.isfinite(value):
+                raise ParseError(lineno, _column(line, 4), f"value {vtok!r} overflows to infinity")
             constants[(i, j, k)] = value
+        elif head == "field:":
+            if len(toks) != 2 or toks[1] not in (REAL, COMPLEX):
+                raise ParseError(lineno, _column(line, 0), "expected 'field: real' or 'field: complex'")
+            field = toks[1]
+        elif head == "dim:":
+            if len(toks) != 2 or not toks[1].isdecimal() or int(toks[1]) < 1:
+                raise ParseError(lineno, _column(line, 0), "expected 'dim: n' with a positive integer n")
+            dim = int(toks[1])
+        elif head == "labels:":
+            names = [x.strip() for x in line.split(":", 1)[1].split(",")]
+            if any(not x for x in names):
+                raise ParseError(lineno, _column(line, 0), "empty label")
+            labels = tuple(names)
         else:
-            raise ParseError(lineno, col, f"unrecognised directive {head!r}")
+            raise ParseError(lineno, _column(line, 0), f"unrecognised directive {head!r}")
 
     if field is None:
         raise ParseError(1, 1, "missing 'field:' header")
@@ -147,6 +152,8 @@ def parse(text: str) -> AlgebraSpec:
         return algebra.validate(AlgebraSpec(dim, field, constants, labels))
     except algebra.MalformedSpec as exc:
         raise ParseError(1, 1, str(exc)) from exc
+    except MemoryError as exc:  # numpy refuses at once a tensor it cannot allocate, as for dim: 1000000
+        raise ParseError(1, 1, f"dim {dim} is too large: {exc}") from None
 
 
 def serialise(spec: AlgebraSpec) -> str:
@@ -167,23 +174,22 @@ def parse_matrix(text: str) -> np.ndarray:
     rows: list[list[complex]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        if not line.strip():
+        toks = line.split()
+        if not toks:
             continue
         row = []
-        for tok, col in _tokens(line):
+        for t, tok in enumerate(toks):
             try:
                 row.append(parse_scalar(tok))
             except ValueError:
-                raise ParseError(lineno, col, f"bad scalar {tok!r}") from None
+                raise ParseError(lineno, _column(line, t), f"bad scalar {tok!r}") from None
         if rows and len(row) != len(rows[0]):
             raise ParseError(lineno, 1, f"row has {len(row)} entries, expected {len(rows[0])}")
         rows.append(row)
     if not rows:
         raise ParseError(1, 1, "empty matrix")
     m = np.array(rows, dtype=np.complex128)
-    if np.all(m.imag == 0):
-        return m.real
-    return m
+    return m.real if np.all(m.imag == 0) else m
 
 
 def format_matrix(m: np.ndarray) -> str:

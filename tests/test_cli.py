@@ -209,6 +209,30 @@ class TestErrors:
         code, out, err = run(capsys, "check", str(f))
         assert code == 3 and out == "" and err.startswith("error: line 2, column 1:")
 
+    @pytest.mark.parametrize(
+        "command, algebra_text, matrix_text",
+        [
+            ("check", b"field: real\ndim: 1\nm 1 1 1 \xff\n", None),
+            ("check", b"field: real\ndim: 1000000\n", None),
+            ("verify", b"field: real\ndim: 1\nm 1 1 1 \xff\n", b"1\n"),
+            ("verify", b"field: real\ndim: 1000000\n", b"1\n"),
+            ("verify", b"field: real\ndim: 1\nm 1 1 1 1\n", b"1\xff\n"),
+        ],
+        ids=["check-not-utf8", "check-dim-too-large", "verify-not-utf8", "verify-dim-too-large", "verify-p-not-utf8"],
+    )
+    def test_undecodable_or_unallocatable_input_exits_three(self, tmp_path, capsys, command, algebra_text, matrix_text):
+        # dim: 1000000 asks numpy for 6.94 EiB, which it refuses at once
+        f = tmp_path / "input.alg"
+        f.write_bytes(algebra_text)
+        argv = [command, str(f)]
+        if matrix_text is not None:
+            p = tmp_path / "p.mat"
+            p.write_bytes(matrix_text)
+            argv += ["--p", str(p)]
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and err.startswith("error: ")
+        assert ("not UTF-8" in err) != ("dim 1000000 is too large" in err)
+
     def test_epsilon_out_of_range(self, capsys):
         code, _, err = run(capsys, "check", "example://tetraploid", "--epsilon", "0.9")
         assert code == 3 and "epsilon" in err

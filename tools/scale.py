@@ -1,6 +1,6 @@
-"""Print how the positive decision, its certificate check, the complex-only decision and two refutations scale with n.
+"""Print how the decisions, the certificate check and parsing scale with n.
 
-    PYTHONPATH=src python tools/scale.py          (or: make scale)
+    MALLOC_MMAP_THRESHOLD_=33554432 PYTHONPATH=src python tools/scale.py          (or: make scale)
 
 For ``planted_evolution_algebra(n, seed=1)`` at n = 16, 32, 48 and 64 it
 prints the best of three wall times of ``is_evolution_algebra`` and of
@@ -9,15 +9,21 @@ milliseconds.  It then prints the best of three wall times of
 ``is_evolution_algebra`` on ``complex_only(n, 0)`` from ``tools/probe.py``
 (C as a real algebra plus idempotents, scrambled) at n = 16 and 32, a
 decision that ends complex only and that no benchmark workload reaches.
-Last it prints the best of three wall times of ``is_evolution_algebra`` on
+Then it prints the best of three wall times of ``is_evolution_algebra`` on
 ``adversarial_instance(kind, n, seed=1)`` for the kinds ``noncommuting``
 and ``defective`` at n = 24 and 48: refutations whose similarity stage
 computes the eigen-structure of every matrix of the family (the defect scan)
 or of a defective one.
+Last it prints the best of three wall times of ``parse`` on the text of
+``serialise(planted_evolution_algebra(n, seed=1)[0])`` at n = 8, 16 and 32,
+with the line count of each file; the benchmark's files stop at n = 8.
 BLAS runs with one thread when the variables below are not already set, as
 in the benchmark.  Outside the benchmark: the figures depend on the machine
 and its load, so compare two checkouts by running both on one machine,
-alternately.
+alternately.  glibc moves its mmap threshold after large blocks are freed,
+so the time of ``check_certificate``, taken after the decisions, depends on
+what they allocated; ``MALLOC_MMAP_THRESHOLD_`` fixes the threshold and
+makes that column comparable across checkouts.
 """
 
 from __future__ import annotations
@@ -36,7 +42,9 @@ from evoalg import (  # noqa: E402
     adversarial_instance,
     check_certificate,
     is_evolution_algebra,
+    parse,
     planted_evolution_algebra,
+    serialise,
 )
 from probe import complex_only  # noqa: E402  (tools/ is on the path of a script run from it)
 
@@ -44,6 +52,7 @@ SIZES = (16, 32, 48, 64)
 COMPLEX_ONLY_SIZES = (16, 32)
 REFUTATION_KINDS = ("noncommuting", "defective")
 REFUTATION_SIZES = (24, 48)
+PARSE_SIZES = (8, 16, 32)
 REPEATS = 3
 
 
@@ -84,6 +93,11 @@ def main() -> None:
                 raise SystemExit(f"{kind} n={n}: expected {NOT_EVOLUTION}, got {verdict.outcome}")
             times.append(decide_ms)
         print(f"{n:>3}  " + "  ".join(f"{t:>27.1f}" for t in times))
+    print(f"\n{'n':>3}  {'lines':>6}  {'parse ms':>9}")
+    for n in PARSE_SIZES:
+        text = serialise(planted_evolution_algebra(n, seed=1)[0])
+        parse_ms, _ = best_ms(lambda: parse(text))
+        print(f"{n:>3}  {len(text.splitlines()):>6}  {parse_ms:>9.2f}")
 
 
 if __name__ == "__main__":
