@@ -35,12 +35,14 @@ reports:
 probe:
 	@PYTHONPATH=$(SRC) python tools/probe.py
 
-# reports and probe run on src and on $(BASE)/src, then diffed; exits non-zero on any difference
+# reports and probe run on src and on $(BASE)/src, then diffed; exits non-zero on any difference,
+# after counting the changed lines by corpus, tolerance set, kappa and outcome (tools/same_counts.py)
 same:
 	@test -n "$(BASE)" || { echo "usage: make same BASE=<checkout>" >&2; exit 2; }
 	@out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
 	$(MAKE) -s reports probe > "$$out/here" && $(MAKE) -s reports probe SRC="$(BASE)/src" > "$$out/base" && \
-	diff "$$out/base" "$$out/here" && echo "reports and probe: no difference from $(BASE)"
+	if diff "$$out/base" "$$out/here"; then echo "reports and probe: no difference from $(BASE)"; \
+	else status=$$?; python tools/same_counts.py "$$out/base" "$$out/here"; exit $$status; fi
 
 # best-of-3 wall time of the decision and the certificate check on planted n = 16, 32, 48, 64,
 # of the complex-only decision at n = 16, 32, of the noncommuting and defective refutations

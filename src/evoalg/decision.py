@@ -22,9 +22,9 @@ tensor: the similarity family is built once, then constructed into a common
 eigenbasis and a congruence transform, and a transform that passes the
 certificate check is the positive verdict.  A defective matrix of the whole
 space met by the construction is the refutation.  Only when the
-construction fails otherwise do the per-matrix defect and pairwise
-commutator scans run, to name the witness of a refutation (or to confirm
-that the construction failed numerically).
+construction fails otherwise do the scans run, to name the witness of a
+refutation (or to confirm that the construction failed numerically): the
+commutators, cheap and robust, before the ill-posed defect check.
 
 A real algebra has a real similarity family, and its transform is complex
 only in the eigenspaces of non-real eigenvalues.  A positive verdict needs a
@@ -172,7 +172,8 @@ def _solve(
     with their sum, the transform is constructed and checked; a transform the
     checker accepts is the certificate, and a defective matrix of the whole
     space met by the construction is the refutation (the scans' first
-    witness).  Otherwise the scans run to name a refutation witness.  Without
+    witness when the pairs of the family all commute).  Otherwise the scans
+    run to name a refutation witness, commutators before defects.  Without
     one, a construction that raised re-raises, a rejected transform gives
     ``(None, None)``, and a construction the routing test skipped is made and
     checked once.

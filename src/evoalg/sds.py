@@ -13,11 +13,12 @@ The refinement is one pass in the arithmetic of the family: a real family
 goes on over C only inside the eigenspaces of non-real eigenvalues, so its
 bases are real exactly when its spectrum is.
 
-The scans of :func:`_witness` (a defect check per matrix, then a commutator
-per pair) name the witness when the family is not SDS.  The decision builds
-first and runs the scans only when that fails.  A defective matrix of the
-whole space met by the construction is already the scans' first witness, so
-the construction returns it instead of a basis.
+The scans of :func:`_witness` (a commutator per pair, cheap and checked with
+a margin, then a defect check per matrix, ill-posed and an eigen-analysis
+each) name the witness when the family is not SDS.  The decision builds
+first and runs the scans only when that fails.  The construction returns a
+defective matrix of the whole space that it meets instead of a basis; for a
+family whose pairs all commute, that is the scans' first witness.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ def _common_eigenbasis(mats: Sequence[np.ndarray], tol: ToleranceContext) -> Uni
     a subspace inside a non-real eigenspace is restricted over C.  A
     defective matrix of the whole space is returned as the
     :class:`NonDiagonalisable` witness: every earlier matrix was one
-    non-defective cluster, so it is the first defect of :func:`_witness`.
+    non-defective cluster, so it is the first defect of :func:`_witness`,
+    whose witness it is when the pairs of the family all commute.
     Raises :class:`RefinementInconsistency` when a restriction turns out
     defective inside a subspace.
     """
@@ -116,18 +118,23 @@ def _common_eigenbasis(mats: Sequence[np.ndarray], tol: ToleranceContext) -> Uni
 
 
 def _witness(mats: Sequence[np.ndarray], tol: ToleranceContext) -> Optional[Union[NonDiagonalisable, NonCommuting]]:
-    """The scans: a defect check per matrix in ascending index, then a commutator per pair in index order.
+    """The scans: a commutator per pair in index order, then a defect check per matrix in ascending index.
 
-    Returns the first failure as the refutation witness, else ``None``.
+    Returns the first failure as the refutation witness, else ``None``.  A
+    commutator is cheap and is compared with its bound with a margin; a
+    defect is ill-posed and costs an eigen-analysis, so defects come last.
+    Each row of commutators ``N_i N_j - N_j N_i``, ``j > i``, is one product.
     """
+    stack = np.asarray(mats)
+    norms = [float(np.linalg.norm(m)) for m in stack]
+    for i in range(len(stack) - 1):
+        rest = stack[i + 1 :]
+        for j, commutator in enumerate(stack[i] @ rest - rest @ stack[i], start=i + 1):
+            norm = float(np.linalg.norm(commutator))
+            if norm > tol.commute_rtol * norms[i] * norms[j]:
+                return NonCommuting((i + 1, j + 1), norm)
     for idx, m in enumerate(mats):
         defect = numkernel.eigen_structure(m, tol).defective_cluster()
         if defect is not None:
             return NonDiagonalisable(idx + 1, defect.eigenvalue)
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            norm = numkernel.commutator_norm(mats[i], mats[j])
-            bound = tol.commute_rtol * float(np.linalg.norm(mats[i])) * float(np.linalg.norm(mats[j]))
-            if norm > bound:
-                return NonCommuting((i + 1, j + 1), norm)
     return None

@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
-from evoalg import AlgebraSpec, example_algebra, m_structure_matrices, validate
+from evoalg import (
+    DEFAULT_TOL,
+    AlgebraSpec,
+    adapt_basis_to_annihilator,
+    annihilator_basis,
+    change_basis,
+    example_algebra,
+    m_structure_matrices,
+    max_pencil_rank,
+    planted_evolution_algebra,
+    validate,
+)
+from evoalg.numkernel import inverse
+from evoalg.pencil import evaluate
 
 
 def assert_parallel(u, v, tol=1e-6):
@@ -39,6 +52,31 @@ def subnormal_tetraploid():
     """tetraploid at eps = 0.1 with every constant multiplied by 1e-310; finite, so validate accepts it."""
     spec = example_algebra("tetraploid", 0.1)
     return validate(AlgebraSpec(spec.dim, spec.field, {k: v * 1e-310 for k, v in spec.constants.items()}))
+
+
+def scrambled_planted(n, kappa, seed):
+    """A planted instance re-expressed in a basis of condition number ``kappa``."""
+    spec, _ = planted_evolution_algebra(n, seed=seed)
+    rng = np.random.default_rng([seed, n, int(np.log10(kappa))])
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return change_basis(spec, u @ np.diag(np.logspace(0, -np.log10(kappa), n)) @ v.T)
+
+
+def similarity_family(spec, tol=DEFAULT_TOL):
+    """``(lambda0, [W^{-1} M_k])`` of the stack the decision solves, or ``None`` when its pencil tops out below full rank.
+
+    The stack is the structure tensor, or its leading blocks when the
+    annihilator is non-zero; ``W = M(lambda0)`` at the point of the pencil
+    search, taken at ``Re lambda0`` for a real stack.
+    """
+    annihilated = annihilator_basis(spec, tol).shape[1] > 0
+    stack = list(adapt_basis_to_annihilator(spec, tol).blocks if annihilated else m_structure_matrices(spec))
+    point = max_pencil_rank(stack, tol)
+    if point.r0 < stack[0].shape[0]:
+        return None
+    w_inv = inverse(evaluate(stack, point.lambda0 if np.iscomplexobj(stack[0]) else point.lambda0.real), tol)
+    return point.lambda0, [w_inv @ m for m in stack]
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from evoalg.decision import Diagnostics, Verdict
 from evoalg.numkernel import DEFAULT_TOL, inverse
 from evoalg.pencil import evaluate
 from evoalg.sds import NonCommuting, NonDiagonalisable
-from conftest import columns_match_up_to_scale, subnormal_tetraploid
+from conftest import columns_match_up_to_scale, scrambled_planted, subnormal_tetraploid
 
 
 class TestFixtureVerdicts:
@@ -269,15 +269,6 @@ def cyclic_algebra(n):
     return validate(AlgebraSpec(n, "real", {(i, i, i % n + 1): 1.0 + i for i in range(1, n + 1)}))
 
 
-def scrambled_planted(n, kappa, seed):
-    """A planted instance re-expressed in a basis of condition number ``kappa``."""
-    spec, _ = planted_evolution_algebra(n, seed=seed)
-    rng = np.random.default_rng([seed, n, int(np.log10(kappa))])
-    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return change_basis(spec, u @ np.diag(np.logspace(0, -np.log10(kappa), n)) @ v.T)
-
-
 class TestConstructionFirst:
     """Positive verdicts come from construction plus the checker; the scans only name witnesses."""
 
@@ -330,6 +321,43 @@ class TestConstructionFirst:
                         assert sds._witness([w_inv @ m for m in stack], DEFAULT_TOL) == v.refutation, (kind, n, seed, field)
                         checked[field] += 1
         assert checked["real"] >= 110 and checked["complex"] >= 110, checked
+
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_noncommuting_families_skip_the_eigen_analysis(self, monkeypatch, complex_mode):
+        # the pair scan comes before the defect scan, so no matrix of the family is eigen-analysed
+        calls = []
+        eigen_structure = numkernel.eigen_structure
+
+        def counting(m, tol):
+            calls.append(m.shape)
+            return eigen_structure(m, tol)
+
+        monkeypatch.setattr(numkernel, "eigen_structure", counting)
+        for n in range(3, 25):
+            for seed in (None, 0, 1):
+                spec = adversarial_instance("noncommuting", n, seed)
+                v = is_evolution_algebra(complexify(spec) if complex_mode else spec)
+                assert isinstance(v.refutation, NonCommuting) and not calls, (n, seed, v.outcome, len(calls))
+
+    @pytest.mark.parametrize(
+        "n, seed, atol",
+        [
+            # refute-n24 instances that the defect scan refuted as NonDiagonalisable or
+            # left undetermined (NonConvergence) before it reached the pairs
+            *((24, seed, DEFAULT_TOL.eig_cluster_atol) for seed in (1937230881, 346748391, 529571772, 1090065605)),
+            # undetermined (NonConvergence) in the defect scan at the wider cluster radius
+            *((n, seed, 1e-5) for n, seed in ((8, 4), (10, 8), (11, 2), (12, 2), (16, 0), (24, 0), (24, 1), (24, 2), (24, 3))),
+        ],
+    )
+    def test_noncommuting_instances_are_named_by_their_pair(self, n, seed, atol):
+        v = is_evolution_algebra(adversarial_instance("noncommuting", n, seed), ToleranceContext(eig_cluster_atol=atol))
+        assert v.outcome == NOT_EVOLUTION and isinstance(v.refutation, NonCommuting)
+
+    def test_a_commuting_family_keeps_its_construction_defect(self):
+        # this family commutes to about 1e-10 relative, inside commute_rtol: it passes the
+        # routing test, and the construction meets a defective matrix of the whole space
+        v = is_evolution_algebra(adversarial_instance("noncommuting", 24, seed=1075121533))
+        assert v.outcome == NOT_EVOLUTION and isinstance(v.refutation, NonDiagonalisable)
 
     @pytest.mark.parametrize(
         "n, kappa, seed",

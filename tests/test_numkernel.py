@@ -16,6 +16,7 @@ from evoalg.numkernel import (
     kernel_basis,
     rank,
 )
+from conftest import similarity_family
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -247,22 +248,26 @@ def assert_matches_reference(m, tol=DEFAULT_TOL):
 
 
 def adversarial_eigen_inputs(tol):
-    """Every matrix the decision hands to ``eigen_structure`` on the adversarial corpus at n = 3..12
-    (``ann_mismatch`` is refuted before the similarity stage and hands it none)."""
-    seen = []
-    record = numkernel.eigen_structure
+    """The similarity families of the adversarial corpus at n = 3..12, at the point the decision solves them.
 
-    def recording(m, tol):
-        seen.append(m)
-        return record(m, tol)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(numkernel, "eigen_structure", recording)
-        for kind in ("defective", "noncommuting"):
-            for n in range(3, 13):
-                for seed in (None, *range(10)):
-                    is_evolution_algebra(adversarial_instance(kind, n, seed=seed), tol)
-    return seen
+    Every matrix of every family, not only those the decision visits.  A
+    verdict reports that point unless the decision ends in a numerical
+    failure.  ``ann_mismatch`` is refuted before the similarity stage and has
+    no family.
+    """
+    inputs = []
+    for kind in ("defective", "noncommuting"):
+        for n in range(3, 13):
+            for seed in (None, *range(10)):
+                spec = adversarial_instance(kind, n, seed=seed)
+                solved = similarity_family(spec, tol)
+                if solved is None:
+                    continue
+                lam0, family = solved
+                reported = is_evolution_algebra(spec, tol).diagnostics.lambda0
+                assert reported is None or np.array_equal(reported, lam0), (kind, n, seed)
+                inputs += family
+    return inputs
 
 
 class TestOneEig:

@@ -1,10 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from evoalg import example_algebra, m_structure_matrices
+from evoalg import adversarial_instance, complexify, example_algebra, m_structure_matrices, numkernel
 from evoalg.corpus import well_conditioned_matrix
-from evoalg.numkernel import DEFAULT_TOL, DimensionMismatch, eigen_structure, inverse
+from evoalg.numkernel import DEFAULT_TOL, DimensionMismatch, commutator_norm, eigen_structure, inverse
 from evoalg.sds import NonCommuting, NonDiagonalisable, _common_eigenbasis, _witness
+from conftest import scrambled_planted, similarity_family
 
 MENDEL_N = np.array([[1.0, 2.0], [-2.0, -3.0]])
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -79,6 +82,11 @@ class TestAreSds:
         tuples = sorted(tuple(np.round(np.real(ev), 9) for ev in evs) for evs in eigenvalue_tuples(bases, [np.eye(2), X]))
         assert tuples == [(1.0, -1.0), (1.0, 1.0)]
 
+    def test_commutators_come_before_defects(self):
+        # MENDEL_N is defective and does not commute with X: the pair is the witness
+        res = witness([MENDEL_N, X])
+        assert res == NonCommuting((1, 2), 8.0)
+
     def test_noncommuting_pair(self):
         z = np.diag([1.0, -1.0])
         res = witness([np.eye(2), X, z])
@@ -121,6 +129,36 @@ class TestAreSds:
     def test_single_matrix_reduces_to_diagonalisability(self):
         for m in [MENDEL_N, np.diag([1.0, 2.0]), np.array([[1.0, 2.0], [0.0, -1.0]])]:
             assert sds_ok([m]) == (eigen_structure(m).defective_cluster() is None)
+
+
+def reference_pair_scan(mats, tol=DEFAULT_TOL):
+    """The pair scan one commutator at a time, as it was before the rows were batched."""
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            norm = commutator_norm(mats[i], mats[j])
+            bound = tol.commute_rtol * float(np.linalg.norm(mats[i])) * float(np.linalg.norm(mats[j]))
+            if norm > bound:
+                return NonCommuting((i + 1, j + 1), norm)
+    return None
+
+
+class TestPairScan:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_batched_rows_equal_the_pair_loop(self, monkeypatch, field):
+        # the adversarial and kappa-scrambled families at n = 3..24: the same pair and the same norm, bit for bit;
+        # the defect scan that follows the pairs is stubbed out, so a family whose pairs commute gives None
+        monkeypatch.setattr(numkernel, "eigen_structure", lambda m, tol: SimpleNamespace(defective_cluster=lambda: None))
+        specs = [adversarial_instance(kind, n, seed) for kind in ("defective", "noncommuting") for n in range(3, 25) for seed in (0, 1)]
+        specs += [scrambled_planted(n, kappa, 0) for n in range(3, 25) for kappa in (1e3, 1e5)]
+        outcomes = {"pair": 0, "none": 0}
+        for spec in specs:
+            solved = similarity_family(complexify(spec) if field == "complex" else spec)
+            if solved is None:
+                continue  # the pencil tops out below full rank: no family
+            want = reference_pair_scan(solved[1])
+            assert witness(solved[1]) == want, spec.dim
+            outcomes["none" if want is None else "pair"] += 1
+        assert min(outcomes.values()) >= 20, outcomes
 
 
 class TestCommonEigenbasis:

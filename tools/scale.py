@@ -12,8 +12,8 @@ decision that ends complex only and that no benchmark workload reaches.
 Then it prints the best of three wall times of ``is_evolution_algebra`` on
 ``adversarial_instance(kind, n, seed=1)`` for the kinds ``noncommuting``
 and ``defective`` at n = 24 and 48: refutations whose similarity stage
-computes the eigen-structure of every matrix of the family (the defect scan)
-or of a defective one.
+names a pair from the commutators alone, or computes the eigen-structure of
+a defective matrix.
 Last it prints the best of three wall times of ``parse`` on the text of
 ``serialise(planted_evolution_algebra(n, seed=1)[0])`` at n = 8, 16 and 32,
 with the line count of each file; the benchmark's files stop at n = 8.
