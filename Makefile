@@ -45,8 +45,8 @@ same:
 	else status=$$?; python tools/same_counts.py "$$out/base" "$$out/here"; exit $$status; fi
 
 # best-of-3 wall time of the decision and the certificate check on planted n = 16, 32, 48, 64,
-# of the complex-only decision at n = 16, 32, of the noncommuting and defective refutations
-# at n = 24, 48, and of parsing planted files at n = 8, 16, 32; not part of the benchmark
+# of the complex-only decision at n = 16, 32, of the noncommuting, defective and ann_mismatch
+# refutations at n = 24, 48, and of parsing planted files at n = 8, 16, 32; not part of the benchmark
 # (see tools/scale.py). A fixed mmap threshold keeps glibc from moving it after the decisions
 # free large blocks, so that the check_certificate column compares across checkouts.
 scale:

@@ -7,10 +7,15 @@ commutator norms.
 
 Every rank decision is one singular-value split (``_split``): the rank
 counts the singular values above ``max(rank_rtol * sigma_max * max(shape),
-atol)``.  :func:`rank`, the guard of :func:`inverse`, :func:`kernel_basis`
-and the pencil search call it.  Eigenspaces come from one ``np.linalg.eig``
-per matrix, with a numerical kernel of ``M - cI`` only where a separation
-bound is not met, in the arithmetic of ``M`` (see :func:`eigen_structure`).
+atol)``, a cutoff that ``_rank_cutoff`` alone computes.  :func:`rank`, the
+guard of :func:`inverse`, :func:`kernel_basis` and the pencil search call
+it.  The pencil search factors ``M_1`` alone, then the rest of its
+canonical scan in one stacked SVD, then all its random trials in one
+(``_split_stack``); each matrix of a stack is still ranked by the same
+cutoff, with the bytes of its own ``_split``.  Eigenspaces come from one
+``np.linalg.eig`` per matrix, with a numerical kernel of ``M - cI`` only
+where a separation bound is not met, in the arithmetic of ``M`` (see
+:func:`eigen_structure`).
 
 The tunable thresholds live in one :class:`ToleranceContext`.  A few fixed
 constants do not: :func:`eigen_structure` escalates its clustering radius
@@ -106,8 +111,8 @@ def _check_stack(mats) -> int:
 def _split(a: np.ndarray, tol: ToleranceContext, atol: float = 0.0, vectors: bool = False):
     """The one rank decision: ``(rank, singular values, full right factor or None)``.
 
-    The rank counts the singular values above
-    ``max(rank_rtol * sigma_max * max(shape), atol)``.  With ``vectors`` the
+    The rank counts the singular values above the cutoff of
+    :func:`_rank_cutoff` with ``size = max(shape)``.  With ``vectors`` the
     right factor ``V^H`` is returned in full, so its trailing rows span the
     numerical kernel.  A tall matrix (more rows than columns, such as the
     ``(n^2, n)`` annihilator stack) is first reduced to its square R factor
@@ -126,8 +131,27 @@ def _split(a: np.ndarray, tol: ToleranceContext, atol: float = 0.0, vectors: boo
         _, s, vh = np.linalg.svd(a)
     else:
         s, vh = np.linalg.svd(a, compute_uv=False), None
-    cutoff = max(tol.rank_rtol * float(s[0]) * size, atol)
+    cutoff = _rank_cutoff(float(s[0]), size, tol, atol)
     return int(np.count_nonzero(s > cutoff)), s, vh
+
+
+def _split_stack(stack: np.ndarray, tol: ToleranceContext) -> tuple[np.ndarray, np.ndarray]:
+    """``_split`` of every matrix of a ``(k, n, n)`` stack by one SVD: ``(ranks, singular values)``.
+
+    LAPACK factors the stacked matrices one at a time, so each row of
+    singular values, and so each rank, has the bytes of the matrix's own
+    ``_split``.  An all-zero matrix, which ``_split`` does not factor, has
+    zero singular values and rank 0 here as well.
+    """
+    s = np.linalg.svd(stack, compute_uv=False)
+    # each cutoff compared in the dtype of s, as _split compares its Python float
+    cutoff = np.array([_rank_cutoff(top, stack.shape[-1], tol) for top in s[:, 0].tolist()], dtype=s.dtype)
+    return np.count_nonzero(s > cutoff[:, None], axis=1), s
+
+
+def _rank_cutoff(sigma_max: float, size: int, tol: ToleranceContext, atol: float = 0.0) -> float:
+    """The one rank cutoff: a singular value counts when above ``max(rank_rtol * sigma_max * size, atol)``."""
+    return max(tol.rank_rtol * sigma_max * size, atol)
 
 
 def rank(m, tol: ToleranceContext = DEFAULT_TOL) -> int:

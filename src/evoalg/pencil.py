@@ -7,11 +7,16 @@ directions are tried first so that an invertible ``M_k`` is found
 deterministically whenever one exists.  For real matrices the rank defect is
 a real polynomial condition, so a real random vector does as well.
 
-The search is one canonical scan followed by the random trials.  The
-decision runs it once, after splitting off the annihilator: on the full
-tensor when the annihilator is zero (an invertible ``M_k`` is branch "a"),
-and on the leading blocks otherwise, since a non-zero annihilator leaves
-every ``M_k`` singular.
+The search is one canonical scan followed by the random trials, in three
+SVD calls at most: ``M_1`` is factored alone, since that is where nearly
+every search stops; the rest of the scan in one stacked SVD; and all the
+trials, evaluated at once, in one more.  Each matrix is still ranked by
+the one cutoff of ``numkernel._split``, so the result has the bytes of a
+scan that factors one direction at a time.  The decision runs it once,
+after splitting off the annihilator: on the full tensor when the
+annihilator is zero (an invertible ``M_k`` is branch "a"), and on the
+leading blocks otherwise, since a non-zero annihilator leaves every
+``M_k`` singular.
 """
 
 from __future__ import annotations
@@ -46,13 +51,19 @@ class PencilRankWitness:
 
 
 def evaluate(mats: Sequence[np.ndarray], lam) -> np.ndarray:
-    """Evaluate ``sum_j lam_j M_j``; symmetric whenever the inputs are."""
+    """Evaluate ``sum_j lam_j M_j`` for each row of coefficients.
+
+    ``lam`` has shape ``(..., m)`` for ``m`` matrices of size ``n``, and the
+    result has shape ``(..., n, n)``: one coefficient row gives one matrix.
+    Each pencil is accumulated in index order, so a stack of rows gives the
+    bytes of one call per row.  Symmetric whenever the inputs are.
+    """
     n = numkernel._check_stack(mats)
     coeffs = np.asarray(lam)
-    if coeffs.shape != (len(mats),):
+    if coeffs.shape[-1:] != (len(mats),):
         raise DimensionMismatch(f"pencil over {len(mats)} matrices needs {len(mats)} coefficients, got {coeffs.shape}")
-    out = np.zeros((n, n), dtype=np.result_type(coeffs.dtype, *(m.dtype for m in mats)))
-    for c, m in zip(coeffs, mats):
+    out = np.zeros(coeffs.shape[:-1] + (n, n), dtype=np.result_type(coeffs.dtype, *(m.dtype for m in mats)))
+    for c, m in zip(np.moveaxis(coeffs, -1, 0)[..., None, None], mats):
         out += c * m
     return out
 
@@ -72,35 +83,42 @@ def max_pencil_rank(
 ) -> PencilRankWitness:
     """Best-rank pencil point found among canonical directions and random trials.
 
-    Canonical directions are scanned first in ascending index and returned
-    immediately when one reaches full rank, with ``trials_used`` counting the
-    directions scanned.  Random candidates have standard Gaussian coordinates
-    on per-trial streams derived from the seed, so the result is reproducible
-    bit for bit.  They are real when the matrices are real (any real dtype)
-    and complex otherwise; ``lambda0`` is complex128 either way.  Among random
-    candidates of equal rank the one with the largest smallest retained
-    singular value wins.  A random candidate never displaces an equal-rank
-    canonical one.  Raises :class:`ValueError` when ``trials < 1``.
+    Canonical directions are scanned first in ascending index: the first
+    of full rank is returned, with ``trials_used`` counting the directions
+    up to it.  ``M_1`` is factored alone, since most searches stop there;
+    the rest of the scan is factored in one stacked SVD.  Random candidates
+    have standard Gaussian coordinates on per-trial streams derived from the
+    seed, so the result is reproducible bit for bit; all of them are
+    evaluated at once and factored in one stacked SVD.  They are real when
+    the matrices are real (any real dtype) and complex otherwise;
+    ``lambda0`` is complex128 either way.  Among random candidates of equal
+    rank the one with the largest smallest retained singular value wins.  A
+    random candidate never displaces an equal-rank canonical one.  Every
+    matrix is ranked by the cutoff of ``numkernel._split``.  Raises
+    :class:`ValueError` when ``trials < 1``.
     """
     n = numkernel._check_stack(mats)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     m = len(mats)
-    best: Optional[PencilRankWitness] = None
-    for k in range(m):
-        r, s, _ = numkernel._split(np.asarray(mats[k]), tol)
-        if best is None or r > best.r0:
-            lam = np.zeros(m, dtype=np.complex128)
-            lam[k] = 1.0
-            best = PencilRankWitness(lam, r, k + 1, seed, canonical_index=k + 1,
-                                     smallest_kept_sv=float(s[r - 1]) if r else 0.0)
-            if r == n:
-                return best
+    k = 0
+    r, s, _ = numkernel._split(np.asarray(mats[0]), tol)
+    if r < n and m > 1:
+        ranks, rest = numkernel._split_stack(np.asarray(mats[1:]), tol)
+        j = int(np.argmax(ranks))  # the first direction of maximal rank, so the first of full rank if any
+        if ranks[j] > r:
+            k, r, s = j + 1, int(ranks[j]), rest[j]
+    lam = np.zeros(m, dtype=np.complex128)
+    lam[k] = 1.0
+    best = PencilRankWitness(lam, r, k + 1, seed, canonical_index=k + 1,
+                             smallest_kept_sv=float(s[r - 1]) if r else 0.0)
+    if r == n:
+        return best
     real = not np.iscomplexobj(mats[0])
-    for t in range(trials):
-        lam = _unit_gaussian(m, seed, t, real)
-        r, s, _ = numkernel._split(evaluate(mats, lam.real if real else lam), tol)
-        smin = float(s[r - 1]) if r else 0.0
+    lams = np.array([_unit_gaussian(m, seed, t, real) for t in range(trials)])
+    ranks, s = numkernel._split_stack(evaluate(mats, lams.real if real else lams), tol)
+    for t, r in enumerate(ranks.tolist()):
+        smin = float(s[t, r - 1]) if r else 0.0
         if r > best.r0 or (r == best.r0 and best.canonical_index is None and smin > best.smallest_kept_sv):
-            best = PencilRankWitness(lam, r, m + t + 1, seed, smallest_kept_sv=smin)
+            best = PencilRankWitness(lams[t], r, m + t + 1, seed, smallest_kept_sv=smin)
     return replace(best, trials_used=m + trials)

@@ -382,7 +382,8 @@ class TestOnePath:
         svd = np.linalg.svd
 
         def recording_svd(a, *args, **kwargs):
-            seen.append(np.array(a, copy=True))
+            a = np.asarray(a)
+            seen.extend(np.array(m, copy=True) for m in a.reshape((-1,) + a.shape[-2:]))  # each matrix of a stack
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)

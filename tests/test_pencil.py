@@ -1,11 +1,103 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from evoalg import AlgebraSpec, change_basis, example_algebra, m_structure_matrices, max_pencil_rank, validate
+from evoalg import (
+    AlgebraSpec,
+    adapt_basis_to_annihilator,
+    adversarial_instance,
+    annihilator_basis,
+    change_basis,
+    complexify,
+    example_algebra,
+    m_structure_matrices,
+    max_pencil_rank,
+    planted_evolution_algebra,
+    validate,
+)
 from evoalg.corpus import well_conditioned_matrix
-from evoalg.numkernel import DimensionMismatch
-from evoalg.pencil import evaluate
+from evoalg.numkernel import DEFAULT_TOL, DimensionMismatch
+from evoalg.pencil import DEFAULT_TRIALS, PencilRankWitness, _unit_gaussian, evaluate
 from evoalg import numkernel
+
+
+def reference_evaluate(mats, lam):
+    """One pencil ``sum_j lam_j M_j``, accumulated in index order."""
+    out = np.zeros(mats[0].shape, dtype=np.result_type(lam.dtype, *(m.dtype for m in mats)))
+    for c, m in zip(lam, mats):
+        out += c * m
+    return out
+
+
+def reference_max_pencil_rank(mats, tol=DEFAULT_TOL, trials=DEFAULT_TRIALS, seed=0):
+    """The pencil search as one loop: one ``_split`` per direction, one pencil evaluation per trial."""
+    n, m = mats[0].shape[0], len(mats)
+    best = None
+    for k in range(m):
+        r, s, _ = numkernel._split(np.asarray(mats[k]), tol)
+        if best is None or r > best.r0:
+            lam = np.zeros(m, dtype=np.complex128)
+            lam[k] = 1.0
+            best = PencilRankWitness(lam, r, k + 1, seed, canonical_index=k + 1,
+                                     smallest_kept_sv=float(s[r - 1]) if r else 0.0)
+            if r == n:
+                return best
+    real = not np.iscomplexobj(mats[0])
+    for t in range(trials):
+        lam = _unit_gaussian(m, seed, t, real)
+        r, s, _ = numkernel._split(reference_evaluate(mats, lam.real if real else lam), tol)
+        smin = float(s[r - 1]) if r else 0.0
+        if r > best.r0 or (r == best.r0 and best.canonical_index is None and smin > best.smallest_kept_sv):
+            best = PencilRankWitness(lam, r, m + t + 1, seed, smallest_kept_sv=smin)
+    return replace(best, trials_used=m + trials)
+
+
+def witness_bytes(w):
+    return w.lambda0.tobytes(), w.r0, w.trials_used, w.canonical_index, float(w.smallest_kept_sv).hex()
+
+
+def leading_blocks(spec):
+    return adapt_basis_to_annihilator(spec).blocks
+
+
+def reference_stacks():
+    """``(name, stack, trials, seed)`` covering every way the search can end."""
+    for n in range(3, 13):
+        for seed in range(12):
+            t = m_structure_matrices(adversarial_instance("ann_mismatch", n, seed))
+            yield f"ann_mismatch n={n} seed={seed}", t, DEFAULT_TRIALS, seed
+    for n in range(3, 13):
+        for seed in range(4):
+            spec, _ = planted_evolution_algebra(n, seed=seed)
+            if annihilator_basis(spec).shape[1]:
+                yield f"planted blocks n={n} seed={seed}", leading_blocks(spec), DEFAULT_TRIALS, seed
+    for n in (3, 5, 8):
+        for seed in (0, 1):
+            complex_t = m_structure_matrices(complexify(adversarial_instance("ann_mismatch", n, seed)))
+            yield f"complex ann_mismatch n={n} seed={seed}", complex_t, DEFAULT_TRIALS, seed
+    for kind, n in (("noncommuting", 4), ("noncommuting", 6)):
+        spec = complexify(adversarial_instance(kind, n, 0))
+        yield f"complex {kind} blocks n={n}", leading_blocks(spec), DEFAULT_TRIALS, 3
+    t = m_structure_matrices(adversarial_instance("ann_mismatch", 6, 2)).copy()
+    t[3] = 0.0
+    yield "zero M_4", t, DEFAULT_TRIALS, 2
+    yield "zero M_1", np.concatenate([np.zeros_like(t[:1]), t[1:]]), DEFAULT_TRIALS, 2
+    rng = np.random.default_rng(7)
+    full = [well_conditioned_matrix(5, rng) for _ in range(2)]
+    singular = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 5))
+    yield "first full rank at M_3", np.array([singular, np.zeros((5, 5)), full[0] + full[0].T, full[1]]), 4, 0
+    p = well_conditioned_matrix(6, rng)
+    units = np.array([p.T @ np.diag(np.eye(6)[k]) @ p for k in range(6)])  # rank 1 each, rank 6 together
+    yield "full rank at a random trial", units, DEFAULT_TRIALS, 1
+    yield "rank 3 at a random trial", units[:3], DEFAULT_TRIALS, 1
+    yield "m = 1, full rank", t[:1], 1, 0
+    yield "m = 1, singular", t[1:2], 1, 5
+    yield "trials = 1", t, 1, 9
+    yield "float32", t.astype(np.float32), DEFAULT_TRIALS, 4
+
+
+REFERENCE_STACKS = list(reference_stacks())
 
 
 class TestEvaluate:
@@ -24,6 +116,25 @@ class TestEvaluate:
     def test_dimension_mismatch(self, mendel0_mats):
         with pytest.raises(DimensionMismatch):
             evaluate(mendel0_mats, [1.0, 0.0, 0.0])
+        with pytest.raises(DimensionMismatch):
+            evaluate(mendel0_mats, np.ones((4, 3)))
+        with pytest.raises(DimensionMismatch):
+            evaluate(mendel0_mats, 1.0)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_rows_give_the_bytes_of_one_call_per_row(self, field):
+        mats = m_structure_matrices(adversarial_instance("ann_mismatch", 7, 3))
+        rng = np.random.default_rng(11)
+        rows = rng.standard_normal((2, 5, 7))
+        if field == "complex":
+            rows = rows + 1j * rng.standard_normal((2, 5, 7))
+            mats = mats * (1.0 + 0.5j)
+        out = evaluate(mats, rows)
+        assert out.shape == (2, 5, 7, 7)
+        for i in range(2):
+            for j in range(5):
+                one = evaluate(mats, rows[i, j]).tobytes()
+                assert out[i, j].tobytes() == one == reference_evaluate(mats, rows[i, j]).tobytes(), (i, j)
 
 
 class TestMaxPencilRank:
@@ -93,3 +204,21 @@ class TestMaxPencilRank:
     def test_trials_must_be_positive(self, mendel0_mats):
         with pytest.raises(ValueError):
             max_pencil_rank(mendel0_mats, trials=0)
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("name, stack, trials, seed", REFERENCE_STACKS, ids=[c[0] for c in REFERENCE_STACKS])
+    def test_equals_the_one_direction_at_a_time_loop(self, name, stack, trials, seed):
+        got = max_pencil_rank(stack, trials=trials, seed=seed)
+        assert witness_bytes(got) == witness_bytes(reference_max_pencil_rank(stack, trials=trials, seed=seed))
+
+    def test_the_corpus_reaches_every_ending(self):
+        ends = set()
+        for _, stack, trials, seed in REFERENCE_STACKS:
+            w = max_pencil_rank(stack, trials=trials, seed=seed)
+            ends.add((w.canonical_index, w.r0 == stack[0].shape[0]))
+        assert (1, True) in ends  # at M_1
+        assert any(k and k > 1 and full for k, full in ends)  # at a later structure matrix
+        assert (None, True) in ends  # at a random trial
+        assert (None, False) in ends  # topped out at a random trial
+        assert any(k and not full for k, full in ends)  # topped out at a structure matrix

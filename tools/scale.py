@@ -10,10 +10,11 @@ milliseconds.  It then prints the best of three wall times of
 (C as a real algebra plus idempotents, scrambled) at n = 16 and 32, a
 decision that ends complex only and that no benchmark workload reaches.
 Then it prints the best of three wall times of ``is_evolution_algebra`` on
-``adversarial_instance(kind, n, seed=1)`` for the kinds ``noncommuting``
-and ``defective`` at n = 24 and 48: refutations whose similarity stage
-names a pair from the commutators alone, or computes the eigen-structure of
-a defective matrix.
+``adversarial_instance(kind, n, seed=1)`` for the kinds ``noncommuting``,
+``defective`` and ``ann_mismatch`` at n = 24 and 48: refutations whose
+similarity stage names a pair from the commutators alone, or computes the
+eigen-structure of a defective matrix, or whose pencil search runs to its
+end (branch "b.1": every canonical direction, then every random trial).
 Last it prints the best of three wall times of ``parse`` on the text of
 ``serialise(planted_evolution_algebra(n, seed=1)[0])`` at n = 8, 16 and 32,
 with the line count of each file; the benchmark's files stop at n = 8.
@@ -50,7 +51,7 @@ from probe import complex_only  # noqa: E402  (tools/ is on the path of a script
 
 SIZES = (16, 32, 48, 64)
 COMPLEX_ONLY_SIZES = (16, 32)
-REFUTATION_KINDS = ("noncommuting", "defective")
+REFUTATION_KINDS = ("noncommuting", "defective", "ann_mismatch")
 REFUTATION_SIZES = (24, 48)
 PARSE_SIZES = (8, 16, 32)
 REPEATS = 3
