@@ -104,8 +104,8 @@ class CertificateCheck:
 
 
 def _certificate(p: np.ndarray, products: np.ndarray) -> Certificate:
-    diagonals = tuple(np.diag(a).copy() for a in products)
-    return Certificate(p, diagonals, np.column_stack(diagonals))  # row i = coordinates of the square of e*_i
+    diagonals = np.diagonal(products, axis1=1, axis2=2).copy()  # row k = diagonal of P^T M_k P
+    return Certificate(p, tuple(diagonals), diagonals.T.copy())  # row i = coordinates of the square of e*_i
 
 
 def _check(t: np.ndarray, p, tol: ToleranceContext) -> tuple[CertificateCheck, Optional[np.ndarray]]:

@@ -219,15 +219,16 @@ def complete_to_basis(columns: np.ndarray) -> list[int]:
     Returns the indices of the chosen standard basis vectors, in selection
     order: at each step the vector with the largest residual after projection
     onto the current span is taken, lowest index on ties.  Deterministic and
-    well-conditioned.
+    well-conditioned.  The span grows in one preallocated ``(n, n)`` array.
     """
     n, k = columns.shape
-    q = columns.astype(columns.dtype, copy=True)
+    q = np.zeros((n, n), dtype=columns.dtype)
+    q[:, :k] = columns
     chosen: list[int] = []
-    for _ in range(n - k):
+    for m in range(k, n):
+        span = q[:, :m]
         # residual of e_i: 1 - ||row i of q||^2
-        row_norms = np.sum(np.abs(q) ** 2, axis=1) if q.size else np.zeros(n)
-        residuals = 1.0 - row_norms
+        residuals = 1.0 - np.sum(np.abs(span) ** 2, axis=1)
         residuals[chosen] = -np.inf
         i = int(np.argmax(residuals))
         if residuals[i] <= 1e-12:
@@ -235,9 +236,8 @@ def complete_to_basis(columns: np.ndarray) -> list[int]:
         chosen.append(i)
         e = np.zeros(n, dtype=q.dtype)
         e[i] = 1.0
-        v = e - q @ (q.conj().T @ e) if q.size else e
-        v = v / np.linalg.norm(v)
-        q = np.column_stack([q, v]) if q.size else v.reshape(n, 1)
+        v = e - span @ span[i].conj()  # q^H e_i is the conjugate of row i
+        q[:, m] = v / np.linalg.norm(v)
     return chosen
 
 

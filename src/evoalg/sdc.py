@@ -65,8 +65,17 @@ def gram_factor(g: np.ndarray) -> np.ndarray:
 
 
 def _assemble(w: np.ndarray, bases: Sequence[np.ndarray]) -> np.ndarray:
-    """The congruence transform: one block ``V X`` per common eigenspace basis ``V`` of the family at ``W``."""
-    return np.hstack([v @ gram_factor(v.T @ w @ v) for v in bases])
+    """The congruence transform: one block ``V X`` per common eigenspace basis ``V`` of the family at ``W``.
+
+    A real one-dimensional ``V`` at a real ``W`` is its own block: ``eigh``
+    of a real ``1 x 1`` matrix gives ``X = [[1.0]]``, and ``V + 0.0`` has the
+    bytes of ``V @ X``, which turns -0 into +0.
+    """
+    real = not np.iscomplexobj(w)
+    return np.hstack([
+        v + 0.0 if real and v.shape[1] == 1 and not np.iscomplexobj(v) else v @ gram_factor(v.T @ w @ v)
+        for v in bases
+    ])
 
 
 def _similarity_family(mats: Sequence[np.ndarray], lam: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -26,7 +26,7 @@ from evoalg import (
     quotient_by_annihilator,
     validate,
 )
-from evoalg import algebra
+from evoalg import algebra, numkernel
 from evoalg.corpus import ADVERSARIAL_KINDS, EXAMPLE_NAMES, adversarial_instance
 from evoalg.numkernel import DimensionMismatch, Singular
 
@@ -494,6 +494,98 @@ class TestAdaptedBasis:
             for m in m_structure_matrices(moved):
                 np.testing.assert_allclose(m[r:, :], 0, atol=1e-9)
                 np.testing.assert_allclose(m[:, r:], 0, atol=1e-9)
+
+
+def reference_adapt(t, ann):
+    # the adapted basis as it was built before the exact gather: the full congruence
+    # P^T M_k P, re-coordinatised through every entry of P^{-1}, then sliced
+    n, a = t.shape[0], ann.shape[1]
+    indices = numkernel.complete_to_basis(ann)
+    r = n - a
+    eye = np.eye(n, dtype=ann.dtype)
+    transform = np.column_stack([eye[:, indices], ann]) if r else ann
+    pinv = np.linalg.inv(transform)
+    congruent = transform.T @ t @ transform
+    new = np.stack([np.add.reduce(row[:, None, None] * congruent, axis=0) for row in pinv])
+    return transform, ((new + new.transpose(0, 2, 1)) / 2.0)[:, :r, :r]
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_adapt_matches_reference(t, ann):
+    adapted = algebra._adapt(t, ann)
+    transform, blocks = reference_adapt(t, ann)
+    assert_same_bytes(adapted.transform, transform)
+    assert_same_bytes(adapted.blocks, blocks)
+    return blocks
+
+
+def sparse_annihilated(field, first, second):
+    """A 3-dimensional algebra whose annihilator is ``(0, 0.6, -0.8)``, with ``ann`` given exactly.
+
+    Column 3 of every ``M_k`` is 0.75 times column 2, and the adapted basis is ``e_1, e_2, ann``,
+    so ``P^{-1}`` has the exact rows ``(1, 0, 0)``, ``(0, 1, 0.75)`` and ``(0, 0, -1.25)``.
+    ``first`` and ``second`` are the ``(1, 1)`` entries of ``M_2`` and ``M_3``.
+    """
+    tensor = np.zeros((3, 3, 3), dtype=complex if field == "complex" else float)
+    for k, (a, b, c) in enumerate([(1.0, 0.5, 2.0), (first, 0.0, 4.0), (second, 0.0, 0.0)]):
+        tensor[k] = [[a, b, 0.75 * b], [b, c, 0.75 * c], [0.75 * b, 0.75 * c, 0.5625 * c]]
+    spec = validate(AlgebraSpec(3, field, {
+        (i + 1, j + 1, k + 1): tensor[k, i, j] for k in range(3) for i in range(3) for j in range(i, 3)
+    }))
+    return m_structure_matrices(spec), np.array([[0.0], [0.6], [-0.8]], dtype=tensor.dtype)
+
+
+class TestAdaptMatchesReference:
+    """The gathered, zero-skipping adapted basis has the bytes of the full congruence it replaces."""
+
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_planted(self, n):
+        for seed in range(4 if n <= 16 else 2):
+            spec, _ = planted_evolution_algebra(n, seed=seed)
+            for s in (spec, complexify(spec)):
+                t = m_structure_matrices(s)
+                ann = algebra._annihilator(t, algebra.DEFAULT_TOL)
+                if ann.shape[1]:
+                    assert_adapt_matches_reference(t, ann)
+
+    @pytest.mark.parametrize("name, eps", [("nota2", None), ("mendel3d_ann", 0.0), ("mendel3d_ann", 0.2)])
+    def test_named_examples(self, name, eps):
+        for s in (example_algebra(name, eps), complexify(example_algebra(name, eps))):
+            t = m_structure_matrices(s)
+            assert_adapt_matches_reference(t, algebra._annihilator(t, algebra.DEFAULT_TOL))
+
+    def test_sums_that_cancel_or_hold_only_negative_zeros(self):
+        # row 2, entry (1, 1): 1.5 + 0.75 * (-2.0) cancels to +0; row 3, entries (1, 2) and (2, 2):
+        # the one term with a non-zero coefficient is -1.25 * 0 = -0, the skipped ones are +-0
+        t, ann = sparse_annihilated("real", 1.5, -2.0)
+        blocks = assert_adapt_matches_reference(t, ann)
+        assert blocks[1, 0, 0] == 0 and blocks[2, 0, 1] == 0 and blocks[2, 1, 1] == 0
+        assert not np.signbit(blocks[blocks == 0]).any()
+
+    def test_complex_sum_with_one_zero_part(self):
+        # row 2, entry (1, 1): (1.5 + 3j) + 0.75 * (-2 + 1j) = 0 + 3.75j
+        t, ann = sparse_annihilated("complex", 1.5 + 3j, -2.0 + 1j)
+        blocks = assert_adapt_matches_reference(t, ann)
+        assert blocks[1, 0, 0] == 3.75j and not np.signbit(blocks[1, 0, 0].real)
+
+    def test_zero_algebra(self):
+        t = m_structure_matrices(validate(AlgebraSpec(3, "real", {})))
+        blocks = assert_adapt_matches_reference(t, algebra._annihilator(t, algebra.DEFAULT_TOL))
+        assert blocks.shape == (3, 0, 0)
+
+    def test_decision_does_not_recoordinatise(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the decision re-coordinatised the whole tensor")
+
+        specs = [example_algebra("nota2"), planted_evolution_algebra(12, seed=1)[0]]  # the corpus changes basis
+        monkeypatch.setattr(algebra, "_recoordinatise", refuse)
+        for spec in (*specs, complexify(specs[1])):
+            verdict = is_evolution_algebra(spec)
+            assert verdict.diagnostics.branch == "b.2" and verdict.outcome in ("evolution", "not_evolution")
 
 
 class TestComplexify:

@@ -113,6 +113,22 @@ class TestCheckCertificate:
             assert check_certificate(spec, np.linalg.inv(planted)).ok
 
 
+class TestCertificateDiagonals:
+    def test_match_per_matrix_diagonals(self):
+        # reference: one np.diag copy per structure matrix, then column_stack
+        rng = np.random.default_rng(4)
+        for products in (rng.standard_normal((3, 3, 3)), rng.standard_normal((5, 5, 5)) * (1 - 2j)):
+            p = np.eye(len(products))
+            got = decision._certificate(p, products)
+            want = tuple(np.diag(a).copy() for a in products)
+            assert type(got.diagonals) is tuple and len(got.diagonals) == len(want)
+            for g, w in zip(got.diagonals, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            stacked = np.column_stack(want)
+            assert got.natural_basis_products.tobytes() == stacked.tobytes()
+            assert got.natural_basis_products.flags.c_contiguous
+
+
 class TestExplain:
     def test_mentions_branch_and_defect(self):
         text = explain(is_evolution_algebra(example_algebra("mendel", 0.0)))

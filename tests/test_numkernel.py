@@ -469,3 +469,43 @@ class TestCompleteToBasis:
             idx = complete_to_basis(q)
             t = np.column_stack([np.eye(n)[:, idx], q])
             assert rank(t) == n
+
+    def test_matches_the_column_stack_loop(self):
+        # reference: the loop as it was, growing q by one column_stack per step
+        def reference(columns):
+            n, k = columns.shape
+            q = columns.astype(columns.dtype, copy=True)
+            chosen = []
+            for _ in range(n - k):
+                row_norms = np.sum(np.abs(q) ** 2, axis=1) if q.size else np.zeros(n)
+                residuals = 1.0 - row_norms
+                residuals[chosen] = -np.inf
+                i = int(np.argmax(residuals))
+                if residuals[i] <= 1e-12:
+                    raise np.linalg.LinAlgError("cannot complete to a basis; span already full")
+                chosen.append(i)
+                e = np.zeros(n, dtype=q.dtype)
+                e[i] = 1.0
+                v = e - q @ (q.conj().T @ e) if q.size else e
+                v = v / np.linalg.norm(v)
+                q = np.column_stack([q, v]) if q.size else v.reshape(n, 1)
+            return chosen
+
+        rng = np.random.default_rng(29)
+        cases = []
+        for n in range(1, 13):
+            cases.append(np.zeros((n, 0)))
+            cases.append(np.zeros((n, 0), dtype=complex))
+            for k in range(1, n):
+                for _ in range(3):
+                    cases.append(np.linalg.qr(rng.standard_normal((n, k)))[0])
+                    cases.append(np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0])
+                cases.append(np.eye(n)[:, rng.permutation(n)[:k]])  # standard vectors
+                tied = np.zeros((n, k))
+                for j in range(k):  # columns (e_a + e_b) / sqrt(2): rows tie in pairs
+                    tied[[j, (j + k) % n], j] = 1 / np.sqrt(2)
+                if np.linalg.matrix_rank(tied) == k:
+                    cases.append(np.linalg.qr(tied)[0] if k > 1 else tied)
+        for columns in cases:
+            assert complete_to_basis(columns) == reference(columns)
+        assert len(cases) > 400

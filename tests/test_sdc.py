@@ -14,6 +14,7 @@ from evoalg import (
     planted_evolution_algebra,
     validate,
 )
+from evoalg import sdc
 from evoalg.corpus import well_conditioned_matrix
 from evoalg.sdc import KernelDimensionMismatch, gram_factor
 from evoalg.sds import NonCommuting, NonDiagonalisable
@@ -75,6 +76,39 @@ class TestGramFactor:
     def test_real_isotropic(self):
         g = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert_unitary_congruence(g, gram_factor(g))
+
+
+class TestAssemble:
+    """The transform has the bytes of one ``V @ gram_factor(V^T W V)`` per eigenspace basis."""
+
+    @staticmethod
+    def reference(w, bases):
+        return np.hstack([v @ gram_factor(v.T @ w @ v) for v in bases])
+
+    def test_real_one_dimensional_bases_skip_the_gram_factor(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal((4, 4))
+        w = w + w.T
+        bases = [np.array([[0.5], [-0.0], [0.0], [-1.5]]), rng.standard_normal((4, 1))]
+        want = self.reference(w, bases)
+        assert np.signbit(bases[0][1, 0]) and not np.signbit(want[1, 0])  # V @ [[1.0]] turns -0 into +0
+        monkeypatch.setattr(sdc, "gram_factor", lambda g: pytest.fail("a real 1-D basis reached gram_factor"))
+        got = sdc._assemble(w, bases)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("complex_w, complex_v, d", [(False, False, 2), (True, False, 1), (True, True, 1), (True, True, 3)])
+    def test_other_bases_are_unchanged(self, complex_w, complex_v, d):
+        rng = np.random.default_rng([d, complex_w, complex_v])
+
+        def draw(shape, complex_):
+            return rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_ else 0)
+
+        w = draw((5, 5), complex_w)
+        w = w + w.T
+        bases = [draw((5, d), complex_v), rng.standard_normal((5, 1))]
+        want = self.reference(w, bases)
+        got = sdc._assemble(w, bases)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestFullRank:
