@@ -326,6 +326,21 @@ def _adapt(t: np.ndarray, ann: np.ndarray) -> AdaptedBasis:
     return AdaptedBasis(transform, a, _combine(np.linalg.inv(transform), leading))
 
 
+def _embed(adapted: AdaptedBasis, p_blocks: np.ndarray) -> np.ndarray:
+    """The transform of the whole algebra from the transform ``p_blocks`` of the leading blocks.
+
+    In the adapted basis, the leading blocks take ``p_blocks`` and the
+    annihilator directions join the natural basis as they are; the result
+    is that block-diagonal transform expressed in the input basis.
+    """
+    n, a = adapted.transform.shape[0], adapted.ann_dim
+    r = n - a
+    p_full = np.zeros((n, n), dtype=np.result_type(p_blocks.dtype, adapted.transform.dtype))
+    p_full[:r, :r] = p_blocks
+    p_full[r:, r:] = np.eye(a)
+    return adapted.transform @ p_full
+
+
 def adapt_basis_to_annihilator(spec: AlgebraSpec, tol: ToleranceContext = DEFAULT_TOL) -> AdaptedBasis:
     """Build a basis with the annihilator last and extract the leading blocks.
 

@@ -68,25 +68,16 @@ def _int_at_least(low: int):
     return parse
 
 
-def _pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def _matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
-    a = np.asarray(m)
-    return [[_pair(a[i, j]) for j in range(a.shape[1])] for i in range(a.shape[0])]
-
-
-def _vector_pairs(v: np.ndarray) -> list[list[float]]:
-    return [_pair(x) for x in np.asarray(v)]
+def _pairs(a) -> list:
+    """A number, vector or matrix as nested lists with ``[real, imag]`` in place of each entry."""
+    return np.stack([np.real(a), np.imag(a)], axis=-1).tolist()
 
 
 def _refutation_json(r) -> Optional[dict]:
     if r is None:
         return None
     if isinstance(r, sds.NonDiagonalisable):
-        return {"kind": "non_diagonalisable", "matrix_index": r.index, "eigenvalue": _pair(r.eigenvalue)}
+        return {"kind": "non_diagonalisable", "matrix_index": r.index, "eigenvalue": _pairs(r.eigenvalue)}
     if isinstance(r, sds.NonCommuting):
         return {"kind": "non_commuting", "pair": list(r.pair), "commutator_norm": r.commutator_norm}
     if isinstance(r, sdc.KernelDimensionMismatch):
@@ -102,15 +93,15 @@ def report_json(verdict: decision.Verdict, runtime_ms: float) -> dict:
     if verdict.certificate is not None:
         c = verdict.certificate
         cert = {
-            "p": _matrix_pairs(c.p),
-            "diagonals": [_vector_pairs(d) for d in c.diagonals],
-            "natural_basis": [_vector_pairs(c.p[:, i]) for i in range(c.p.shape[1])],
-            "natural_basis_products": _matrix_pairs(c.natural_basis_products),
+            "p": _pairs(c.p),
+            "diagonals": _pairs(c.diagonals),
+            "natural_basis": _pairs(c.p.T),
+            "natural_basis_products": _pairs(c.natural_basis_products),
         }
     d = verdict.diagnostics
     diagnostics = {
         "r0": d.r0,
-        "lambda0": None if d.lambda0 is None else _vector_pairs(d.lambda0),
+        "lambda0": None if d.lambda0 is None else _pairs(d.lambda0),
         "ann_dim": d.ann_dim,
         "trials": d.trials,
         "trials_used": d.trials_used,
@@ -208,21 +199,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _decide(source: str, args) -> tuple[decision.Verdict, float]:
+def _decide(source: str, args) -> decision.Verdict:
+    """Decide one source; with ``--json``, its report is printed here."""
     spec = _load_spec(source, args.epsilon)
     tol = _tolerances(args.tol)
     t0 = time.perf_counter()
     verdict = decision.is_evolution_algebra(spec, tol, args.trials, args.seed)
-    return verdict, (time.perf_counter() - t0) * 1000.0
+    if args.json:
+        print(json.dumps(report_json(verdict, (time.perf_counter() - t0) * 1000.0), sort_keys=True))
+    return verdict
 
 
 def _cmd_check(args) -> int:
     code = EXIT_EVOLUTION
     for source in args.files:
-        verdict, ms = _decide(source, args)
-        if args.json:
-            print(json.dumps(report_json(verdict, ms), sort_keys=True))
-        else:
+        verdict = _decide(source, args)
+        if not args.json:
             if len(args.files) > 1:
                 print(f"== {source}")
             print(decision.explain(verdict))
@@ -231,13 +223,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    verdict, ms = _decide(args.file, args)
-    if args.json:
-        print(json.dumps(report_json(verdict, ms), sort_keys=True))
-    elif verdict.certificate is not None:
-        sys.stdout.write(fileformat.format_matrix(verdict.certificate.p))  # the rows of P, as verify --p reads them
-    else:
-        print(decision.explain(verdict))
+    verdict = _decide(args.file, args)
+    if not args.json:
+        if verdict.certificate is not None:
+            sys.stdout.write(fileformat.format_matrix(verdict.certificate.p))  # the rows of P, as verify --p reads them
+        else:
+            print(decision.explain(verdict))
     return _OUTCOME_EXIT[verdict.outcome]
 
 
@@ -246,9 +237,7 @@ def _cmd_ann(args) -> int:
     tol = _tolerances(args.tol)
     basis = algebra.annihilator_basis(spec, tol)
     if args.json:
-        print(json.dumps({"ann_dim": basis.shape[1],
-                          "basis": [_vector_pairs(basis[:, i]) for i in range(basis.shape[1])]},
-                         sort_keys=True))
+        print(json.dumps({"ann_dim": basis.shape[1], "basis": _pairs(basis.T)}, sort_keys=True))
     else:
         if basis.shape[1] == 0:
             print("annihilator is zero")

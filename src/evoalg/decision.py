@@ -15,16 +15,21 @@ point it returns.
 * branch "b.2": the annihilator is non-zero, so no structure matrix is
   invertible; re-express the algebra with the annihilator last, search a
   pencil point of the leading blocks, decide them, and embed the transform
-  back.  Leading blocks that top out below full rank are the refutation.
+  back through the adapted basis (``algebra._embed``).  Leading blocks that
+  top out below full rank are the refutation.
 
-Every algebra is decided in one pass, in the arithmetic of its structure
-tensor: the similarity family is built once, then constructed into a common
-eigenbasis and a congruence transform, and a transform that passes the
-certificate check is the positive verdict.  A defective matrix of the whole
-space met by the construction is the refutation.  Only when the
-construction fails otherwise do the scans run, to name the witness of a
-refutation (or to confirm that the construction failed numerically): the
-commutators, cheap and robust, before the ill-posed defect check.
+Every algebra is decided in one pass (``_solve``), in the arithmetic of its
+structure tensor, on a similarity family built once as one array.  The pass
+goes in a fixed order: the routing test (every member commutes with the sum
+of the family); for a family that fails it, the scans; then the
+construction of a common eigenbasis and a congruence transform, and the
+certificate check on it; and, for a routed family whose transform was
+rejected or whose construction failed numerically, the scans.  A transform
+that passes the check is the positive verdict, and a defective matrix of
+the whole space met by the construction is the refutation.  The scans name
+the witness of a refutation, the commutators, cheap and robust, before the
+ill-posed defect check; without one, a numerical failure stands and a
+rejected transform leaves the verdict undetermined.
 
 A real algebra has a real similarity family, and its transform is complex
 only in the eigenspaces of non-real eigenvalues.  A positive verdict needs a
@@ -40,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from . import algebra, numkernel, pencil, sdc, sds
-from .algebra import REAL, AlgebraSpec
+from .algebra import REAL, AdaptedBasis, AlgebraSpec
 from .numkernel import DEFAULT_TOL, NonConvergence, ToleranceContext
 from .pencil import DEFAULT_TRIALS
 from .sdc import Refutation
@@ -50,6 +55,9 @@ EVOLUTION = "evolution"
 NOT_EVOLUTION = "not_evolution"
 COMPLEX_ONLY_UNDETERMINED = "complex_only_undetermined"
 UNDETERMINED = "undetermined"
+
+# the failures that give an undetermined verdict, or that the scans may overrule with a witness
+_NUMERICAL_FAILURES = (NonConvergence, RefinementInconsistency, np.linalg.LinAlgError)
 
 _RULES = {
     "a": "invertible structure matrix shortcut",
@@ -142,68 +150,52 @@ def _check(t: np.ndarray, p, tol: ToleranceContext) -> tuple[CertificateCheck, O
     return CertificateCheck(ok=False, offending_pair=pair, residual=float(residual[worst])), products
 
 
-def _embed(p_work: np.ndarray, embed: Optional[tuple[np.ndarray, int]]) -> np.ndarray:
-    """The transform of the whole algebra from that of the stack.
-
-    ``embed`` is ``(transform, ann_dim)`` of the adapted basis in branch b.2,
-    where annihilator directions join the natural basis, else ``None``.
-    """
-    if embed is None:
-        return p_work
-    transform, a = embed
-    n = transform.shape[0]
-    r = n - a
-    p_full = np.zeros((n, n), dtype=np.result_type(p_work.dtype, transform.dtype))
-    p_full[:r, :r] = p_work
-    p_full[r:, r:] = np.eye(a)
-    return transform @ p_full
-
-
 def _solve(
     t: np.ndarray,
     stack: np.ndarray,
     lam: np.ndarray,
-    embed: Optional[tuple[np.ndarray, int]],
+    adapted: Optional[AdaptedBasis],
     tol: ToleranceContext,
 ) -> tuple[Optional[Certificate], Optional[Refutation]]:
     """Decide the stack at the pencil point ``lam`` in one pass, in the arithmetic of the stack.
 
-    Builds the family ``N_k = W^{-1} M_k`` once.  When every ``N_k`` commutes
-    with their sum, the transform is constructed and checked; a transform the
-    checker accepts is the certificate, and a defective matrix of the whole
-    space met by the construction is the refutation (the scans' first
-    witness when the pairs of the family all commute).  Otherwise the scans
-    run to name a refutation witness, commutators before defects.  Without
-    one, a construction that raised re-raises, a rejected transform gives
-    ``(None, None)``, and a construction the routing test skipped is made and
-    checked once.
+    Builds the family ``N_k = W^{-1} M_k`` once, as one array, then goes
+    through it in a fixed order.  First the routing test: whether every
+    ``N_k`` commutes with their sum.  A family that fails it runs the scans
+    first, and their witness, commutators before defects, is the
+    refutation.  Then the construction: the common eigenbasis, the
+    transform (embedded through the adapted basis of branch b.2), and the
+    checker on it.  A transform the checker accepts is the certificate, and
+    a defective matrix of the whole space met by the construction is the
+    refutation (the scans' first witness when the pairs of the family all
+    commute).  A routed family whose transform is rejected, or whose
+    construction raised, runs the scans after it.  Without a witness, a
+    construction that raised re-raises, and a rejected transform gives
+    ``(None, None)``.
     """
     w, family = sdc._similarity_family(stack, lam)
-
-    def construct() -> tuple[Optional[Certificate], Optional[Refutation]]:
+    routed = sds._commute_with_sum(family, tol)
+    if not routed:
+        refutation = sds._witness(family, tol)
+        if refutation is not None:
+            return None, refutation
+    failure = None
+    try:
         bases = sds._common_eigenbasis(family, tol)
         if isinstance(bases, sds.NonDiagonalisable):
             return None, bases
-        p = _embed(sdc._assemble(w, bases), embed)
+        p = sdc._assemble(w, bases)
+        if adapted is not None:
+            p = algebra._embed(adapted, p)
         check, products = _check(t, p, tol)
-        return (_certificate(p, products) if check.ok else None), None
-
-    routed = sds._commute_with_sum(family, tol)
-    failure = None
-    if routed:
-        try:
-            certificate, refutation = construct()
-        except (NonConvergence, RefinementInconsistency, np.linalg.LinAlgError) as exc:
-            failure = exc  # the scans decide whether it stands
-        else:
-            if certificate is not None or refutation is not None:
-                return certificate, refutation
-    refutation = sds._witness(family, tol)
-    if refutation is not None:
-        return None, refutation
-    if failure is not None:
+        if check.ok:
+            return _certificate(p, products), None
+    except _NUMERICAL_FAILURES as exc:
+        failure = exc  # for a routed family, the scans decide whether it stands
+    refutation = sds._witness(family, tol) if routed else None
+    if refutation is None and failure is not None:
         raise failure
-    return (None, None) if routed else construct()
+    return None, refutation
 
 
 def is_evolution_algebra(
@@ -239,15 +231,13 @@ def is_evolution_algebra(
 
         ann = algebra._annihilator(t, tol)
         ann_dim = ann.shape[1]
-        stack, embed, branch = t, None, "b.1"
-        if ann_dim:
-            adapted = algebra._adapt(t, ann)
-            stack, embed, branch = adapted.blocks, (adapted.transform, ann_dim), "b.2"
+        adapted = algebra._adapt(t, ann) if ann_dim else None
+        stack, branch = (t, "b.1") if adapted is None else (adapted.blocks, "b.2")
         witness = pencil.max_pencil_rank(stack, tol, trials, seed)
         if branch == "b.1" and witness.r0 == n and witness.canonical_index is not None:
             branch = "a"  # an invertible structure matrix is the witness
         if witness.r0 == n - ann_dim:
-            certificate, refutation = _solve(t, stack, witness.lambda0, embed, tol)
+            certificate, refutation = _solve(t, stack, witness.lambda0, adapted, tol)
         elif ann_dim:
             notes.append("randomized search found no invertible pencil point for the reduced blocks")
             certificate, refutation = None, sdc.NoFullRankPencil(witness.trials_used, seed)
@@ -269,7 +259,7 @@ def is_evolution_algebra(
             outcome = EVOLUTION
         diagnostics = diag(branch, witness.r0, witness.lambda0, ann_dim, witness.trials_used)
         return Verdict(outcome, certificate, refutation, diagnostics)
-    except (NonConvergence, RefinementInconsistency, np.linalg.LinAlgError) as exc:
+    except _NUMERICAL_FAILURES as exc:
         notes.append(f"numerical failure: {exc}")
         return Verdict(UNDETERMINED, None, None, diag(None, None, None, None, None))
 

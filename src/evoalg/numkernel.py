@@ -19,7 +19,7 @@ where a separation bound is not met, in the arithmetic of ``M`` (see
 
 The tunable thresholds live in one :class:`ToleranceContext`.  A few fixed
 constants do not: :func:`eigen_structure` escalates its clustering radius
-no further than ``1e-2 * scale(M)``, rejects a clustering whose
+no further than ``1e-2 * max(1, ||M||_F)``, rejects a clustering whose
 eigenspaces have a joint smallest singular value of at most
 ``100 * rho * sqrt(n)``, and widens its separation bound by the factors
 ``2`` and ``sqrt(2)`` and the term ``n * eps * ||M||_F``;
@@ -60,7 +60,7 @@ class ToleranceContext:
         number of singular values above ``rank_rtol * sigma_max * max(shape)``.
     eig_cluster_atol
         Absolute eigenvalue clustering radius after normalising by
-        ``scale(M) = max(1, ||M||_F)``.
+        ``max(1, ||M||_F)``.
     commute_rtol
         Relative commutator-norm threshold: ``A`` and ``B`` commute when
         ``||AB - BA||_F <= commute_rtol * ||A||_F * ||B||_F``.
@@ -83,11 +83,6 @@ class ToleranceContext:
 
 
 DEFAULT_TOL = ToleranceContext()
-
-
-def scale(m: np.ndarray) -> float:
-    """Scale used to normalise absolute thresholds: ``max(1, ||M||_F)``."""
-    return max(1.0, float(np.linalg.norm(m)))
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -301,9 +296,9 @@ def eigen_structure(m, tol: ToleranceContext = DEFAULT_TOL) -> EigenStructure:
 
     Eigenvalues and unit eigenvectors come from one ``np.linalg.eig``, and
     single linkage merges the eigenvalues from the radius
-    ``eig_cluster_atol * scale(M)`` on.  The eigenspace of a cluster is the
-    numerical kernel of ``M - cI`` at its centroid ``c``, the cutoff widened
-    to the merge radius so every member contributes.  A single eigenvalue
+    ``eig_cluster_atol * max(1, ||M||_F)`` on.  The eigenspace of a cluster
+    is the numerical kernel of ``M - cI`` at its centroid ``c``, the cutoff
+    widened to the merge radius so every member contributes.  A single eigenvalue
     ``l`` takes its eigenvector instead when ``gap / kappa(V)`` exceeds
     ``2 * max(radius, rank_rtol * ||M||_F * n) + n * eps * ||M||_F``: with
     ``M = V diag(l_j) V^-1`` and ``gap`` the distance to the nearest other

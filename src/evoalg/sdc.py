@@ -12,9 +12,11 @@ eigenspaces are automatically ``W``-orthogonal.
 
 When the pencil rank tops out at ``r < n``, SDC forces the common kernel to
 have dimension exactly ``n - r``; the decision splits it off as the
-annihilator (``algebra``) and solves the ``r``-dimensional leading blocks.
-This module holds the pieces it assembles: the similarity family, the Gram
-basis, the transform and the refutation witnesses of congruence.
+annihilator and solves the ``r``-dimensional leading blocks, and
+``algebra``, which owns the adapted basis, embeds their transform back.
+This module holds the pieces the decision assembles: the similarity family
+(one ``(m, r, r)`` array), the Gram basis, the transform and the refutation
+witnesses of congruence.
 """
 
 from __future__ import annotations
@@ -78,16 +80,17 @@ def _assemble(w: np.ndarray, bases: Sequence[np.ndarray]) -> np.ndarray:
     ])
 
 
-def _similarity_family(mats: Sequence[np.ndarray], lam: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``W = M(lam)`` and the family ``W^{-1} M_k``, in the arithmetic of the stack.
+def _similarity_family(mats: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``W = M(lam)`` and the family ``W^{-1} M_k`` as one ``(m, r, r)`` array, in the arithmetic of the stack.
 
-    A real stack is evaluated at ``Re lam``, so its family is real; a complex
-    stack is evaluated at ``lam``.  ``lam`` is the point the pencil search
-    has found to be of full rank, so ``W`` is inverted without a second rank
-    test; LAPACK's :class:`numpy.linalg.LinAlgError` still signals a ``W``
-    that is exactly singular in floating point.
+    The family is one batched product ``W^{-1} @ mats``, with the bytes of
+    one product per matrix.  A real stack is evaluated at ``Re lam``, so its
+    family is real; a complex stack is evaluated at ``lam``.  ``lam`` is the
+    point the pencil search has found to be of full rank, so ``W`` is
+    inverted without a second rank test; LAPACK's
+    :class:`numpy.linalg.LinAlgError` still signals a ``W`` that is exactly
+    singular in floating point.
     """
     lam = np.asarray(lam)
-    w = pencil.evaluate(mats, lam if np.iscomplexobj(mats[0]) else lam.real)
-    winv = np.linalg.inv(w)
-    return w, [winv @ m for m in mats]
+    w = pencil.evaluate(mats, lam if np.iscomplexobj(mats) else lam.real)
+    return w, np.linalg.inv(w) @ mats

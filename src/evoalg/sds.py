@@ -15,10 +15,13 @@ bases are real exactly when its spectrum is.
 
 The scans of :func:`_witness` (a commutator per pair, cheap and checked with
 a margin, then a defect check per matrix, ill-posed and an eigen-analysis
-each) name the witness when the family is not SDS.  The decision builds
-first and runs the scans only when that fails.  The construction returns a
-defective matrix of the whole space that it meets instead of a basis; for a
-family whose pairs all commute, that is the scans' first witness.
+each) name the witness when the family is not SDS.  The decision hands the
+family in as one ``(m, r, r)`` array and runs the scans before the
+construction only for a family that fails the routing test
+(:func:`_commute_with_sum`), and after it only when the construction of a
+routed family fails.  The construction returns a defective matrix of the
+whole space that it meets instead of a basis; for a family whose pairs all
+commute, that is the scans' first witness.
 """
 
 from __future__ import annotations

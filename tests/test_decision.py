@@ -553,3 +553,65 @@ class TestOnePath:
         p = v.certificate.p
         assert check_certificate(complexify(spec), p).ok
         assert np.count_nonzero(np.any(p.imag != 0, axis=0)) == 2
+
+
+class TestSolveEndings:
+    """Every ending of one decision pass, with the routing test, the scans, the construction and the checker stubbed."""
+
+    WITNESS = NonCommuting((1, 2), 1.0)
+    DEFECT = NonDiagonalisable(1, 0.5)
+    REJECTED = ("constructed transform failed independent congruence verification",)
+    FAILED = ("numerical failure: stub",)
+
+    @pytest.mark.parametrize(
+        "routed, witness, construction, accepted, calls, outcome, refutation, notes",
+        [
+            # not routed: the scans first; their witness ends the pass
+            (False, WITNESS, "basis", True, ["route", "scan"], NOT_EVOLUTION, WITNESS, ()),
+            # not routed, no witness: one construction, and the checker on its transform
+            (False, None, "basis", True, ["route", "scan", "construct", "check"], EVOLUTION, None, ()),
+            (False, None, "basis", False, ["route", "scan", "construct", "check"], UNDETERMINED, None, REJECTED),
+            (False, None, "defect", True, ["route", "scan", "construct"], NOT_EVOLUTION, DEFECT, ()),
+            (False, None, "raises", True, ["route", "scan", "construct"], UNDETERMINED, None, FAILED),
+            # routed: the construction first; a certificate or a whole-space defect ends the pass
+            (True, WITNESS, "basis", True, ["route", "construct", "check"], EVOLUTION, None, ()),
+            (True, WITNESS, "defect", True, ["route", "construct"], NOT_EVOLUTION, DEFECT, ()),
+            # routed, transform rejected: the scans run
+            (True, WITNESS, "basis", False, ["route", "construct", "check", "scan"], NOT_EVOLUTION, WITNESS, ()),
+            (True, None, "basis", False, ["route", "construct", "check", "scan"], UNDETERMINED, None, REJECTED),
+            # routed, construction raises: the scans run, then their witness or the re-raise
+            (True, WITNESS, "raises", True, ["route", "construct", "scan"], NOT_EVOLUTION, WITNESS, ()),
+            (True, None, "raises", True, ["route", "construct", "scan"], UNDETERMINED, None, FAILED),
+        ],
+    )
+    def test_calls_and_ending(self, monkeypatch, routed, witness, construction, accepted, calls, outcome, refutation, notes):
+        seen = []
+        common_eigenbasis, check = sds._common_eigenbasis, decision._check
+
+        def route(family, tol):
+            seen.append("route")
+            return routed
+
+        def scan(family, tol):
+            seen.append("scan")
+            return witness
+
+        def construct(family, tol):
+            seen.append("construct")
+            if construction == "raises":
+                raise numkernel.NonConvergence("stub")
+            return self.DEFECT if construction == "defect" else common_eigenbasis(family, tol)
+
+        def checker(t, p, tol):
+            seen.append("check")
+            result, products = check(t, p, tol)
+            return (result if accepted else decision.CertificateCheck(ok=False, offending_pair=(1, 2))), products
+
+        monkeypatch.setattr(sds, "_commute_with_sum", route)
+        monkeypatch.setattr(sds, "_witness", scan)
+        monkeypatch.setattr(sds, "_common_eigenbasis", construct)
+        monkeypatch.setattr(decision, "_check", checker)
+        v = is_evolution_algebra(example_algebra("simple2d"))
+        assert seen == calls
+        assert (v.outcome, v.refutation, v.diagnostics.notes) == (outcome, refutation, notes)
+        assert (v.certificate is not None) == (outcome == EVOLUTION)

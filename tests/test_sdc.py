@@ -111,6 +111,28 @@ class TestAssemble:
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+class TestSimilarityFamily:
+    """The family is one ``(m, r, r)`` array with the bytes of one product ``W^{-1} @ M_k`` per matrix."""
+
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_batched_product_equals_the_per_matrix_products(self, complex_mode):
+        rng = np.random.default_rng(int(complex_mode))
+        stacks = [m_structure_matrices(planted_evolution_algebra(n, seed=n)[0]) for n in (2, 5, 9)]
+        for n in (2, 3, 8, 13, 24):
+            for m in (1, 4, n):
+                mats = rng.standard_normal((m, n, n))
+                stacks.append(mats + mats.transpose(0, 2, 1))
+        for stack in stacks:
+            if complex_mode:
+                stack = stack * (1.0 + 0.5j) + 1j * stack[::-1]
+            m = len(stack)
+            w, family = sdc._similarity_family(stack, rng.standard_normal(m) + 1j * rng.standard_normal(m))
+            w_inv = np.linalg.inv(w)
+            want = np.array([w_inv @ mat for mat in stack])
+            assert isinstance(family, np.ndarray) and np.iscomplexobj(family) == complex_mode
+            assert family.shape == stack.shape and family.tobytes() == want.tobytes()
+
+
 class TestFullRank:
     """Stacks with an invertible structure matrix, decided through ``is_evolution_algebra``."""
 

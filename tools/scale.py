@@ -1,6 +1,8 @@
 """Print how the decisions, the certificate check and parsing scale with n.
 
-    MALLOC_MMAP_THRESHOLD_=33554432 PYTHONPATH=src python tools/scale.py          (or: make scale)
+Run ``make scale``, which is
+
+    MALLOC_MMAP_THRESHOLD_=33554432 MALLOC_TRIM_THRESHOLD_=268435456 PYTHONPATH=src python tools/scale.py
 
 For ``planted_evolution_algebra(n, seed=1)`` at n = 16, 32, 48 and 64 it
 prints the best of three wall times of ``is_evolution_algebra`` and of
@@ -22,9 +24,12 @@ BLAS runs with one thread when the variables below are not already set, as
 in the benchmark.  Outside the benchmark: the figures depend on the machine
 and its load, so compare two checkouts by running both on one machine,
 alternately.  glibc moves its mmap threshold after large blocks are freed,
-so the time of ``check_certificate``, taken after the decisions, depends on
-what they allocated; ``MALLOC_MMAP_THRESHOLD_`` fixes the threshold and
-makes that column comparable across checkouts.
+and returns freed memory at the top of the heap to the system, so the time
+of ``check_certificate``, taken after the decisions, depends on what they
+allocated and counts the page faults of growing the heap again;
+``MALLOC_MMAP_THRESHOLD_`` fixes the one threshold and
+``MALLOC_TRIM_THRESHOLD_`` keeps the heap from being trimmed, which makes
+that column comparable across checkouts.
 """
 
 from __future__ import annotations
