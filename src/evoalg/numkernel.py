@@ -14,15 +14,18 @@ canonical scan in one stacked SVD, then all its random trials in one
 (``_split_stack``); each matrix of a stack is still ranked by the same
 cutoff, with the bytes of its own ``_split``.  Eigenspaces come from one
 ``np.linalg.eig`` per matrix, with a numerical kernel of ``M - cI`` only
-where a separation bound is not met, in the arithmetic of ``M`` (see
-:func:`eigen_structure`).
+where neither a separation bound nor the singular values of ``M - lI``,
+measured for every single eigenvalue the bound misses in one stacked
+SVD, show a 1-dimensional kernel; each is computed in the arithmetic of
+``M`` (see :func:`eigen_structure`).
 
 The tunable thresholds live in one :class:`ToleranceContext`.  A few fixed
 constants do not: :func:`eigen_structure` escalates its clustering radius
 no further than ``1e-2 * max(1, ||M||_F)``, rejects a clustering whose
 eigenspaces have a joint smallest singular value of at most
-``100 * rho * sqrt(n)``, and widens its separation bound by the factors
-``2`` and ``sqrt(2)`` and the term ``n * eps * ||M||_F``;
+``100 * rho * sqrt(n)``, widens its separation bound by the factors
+``2`` and ``sqrt(2)`` and the term ``n * eps * ||M||_F``, and asks a
+measured second smallest singular value to clear that bound tenfold;
 :func:`complete_to_basis` stops at a residual of ``1e-12``;
 ``_phase_canonical`` treats moduli within a relative ``1e-9`` of the
 largest as ties.
@@ -303,7 +306,15 @@ def eigen_structure(m, tol: ToleranceContext = DEFAULT_TOL) -> EigenStructure:
     ``2 * max(radius, rank_rtol * ||M||_F * n) + n * eps * ||M||_F``: with
     ``M = V diag(l_j) V^-1`` and ``gap`` the distance to the nearest other
     eigenvalue, that bounds the second smallest singular value of ``M - lI``
-    (Bauer-Fike), so the kernel is at most 1-dimensional.  Each eigenspace is
+    (Bauer-Fike), so the kernel is at most 1-dimensional.  One near-defective
+    pair can make ``kappa(V)`` so large that the bound misses every single
+    eigenvalue, so those it misses are measured: the singular values of
+    every ``M - lI`` come from one stacked values-only SVD per arithmetic
+    and are kept across the rungs below, since a single eigenvalue's shift
+    does not depend on the radius.  Such an ``l`` takes its eigenvector too
+    when ``sigma_{n-1}(M - lI)`` exceeds ten times that bound and
+    ``sigma_n(M - lI)`` is at most the kernel cutoff: the kernel is then
+    exactly 1-dimensional, with a margin.  Each eigenspace is
     computed once, in the arithmetic of ``M``: for a real ``M`` a cluster
     with ``|Im c| <= radius/2`` is closed under conjugation (the spectrum
     is, and single linkage keeps conjugate members together), so it is one
@@ -332,6 +343,7 @@ def eigen_structure(m, tol: ToleranceContext = DEFAULT_TOL) -> EigenStructure:
     dist = np.abs(values[:, None] - values[None, :])
     gaps = np.min(np.where(eye > 0, np.inf, dist), axis=1, initial=np.inf)
     rcond = units = None
+    measured = {}  # (member, real arithmetic) -> singular values of M - lI; a single eigenvalue's shift is fixed
     rho = tol.eig_cluster_atol
     while rho <= 1e-2:
         radius = rho * max(1.0, norm)
@@ -339,11 +351,23 @@ def eigen_structure(m, tol: ToleranceContext = DEFAULT_TOL) -> EigenStructure:
         if rcond is None and np.any(gaps > radius):  # some cluster is a single eigenvalue
             rcond, units = _eigenvector_rcond(values, vectors, real), _phase_canonical(vectors)
         certified = (gaps * rcond > floor).tolist() if rcond is not None else ()
+        linkage = [(c, members, real and abs(c.imag) <= radius / 2)
+                   for c, members in _single_linkage(values, dist, radius)]
+        # the single eigenvalues the bound misses: their singular values, one values-only SVD per arithmetic
+        misses = [(int(members[0]), real_cluster) for _, members, real_cluster in linkage
+                  if members.size == 1 and not certified[members[0]]]
+        for arithmetic in (True, False):
+            batch = [j for j, real_cluster in misses if real_cluster == arithmetic and (j, arithmetic) not in measured]
+            if batch:
+                shifts = values[batch].real if arithmetic else values[batch]
+                sigmas = np.linalg.svd(a - shifts[:, None, None] * eye, compute_uv=False)
+                measured.update(((j, arithmetic), row) for j, row in zip(batch, sigmas))
         clusters = []
         consistent = True
-        for centroid, members in _single_linkage(values, dist, radius):
-            real_cluster = real and abs(centroid.imag) <= radius / 2
-            if members.size == 1 and certified[members[0]]:
+        for centroid, members, real_cluster in linkage:
+            s = measured.get((int(members[0]), real_cluster))
+            if members.size == 1 and (certified[members[0]] or (
+                    s[-2] > 10.0 * floor and s[-1] <= _rank_cutoff(float(s[0]), n, tol, radius))):
                 basis = np.ascontiguousarray(units[:, members].real) if real_cluster else units[:, members]
             else:
                 basis = kernel_basis(a - (centroid.real if real_cluster else centroid) * eye, tol, atol=radius)

@@ -377,7 +377,14 @@ class TestConstructionFirst:
 
     @pytest.mark.parametrize(
         "n, kappa, seed",
-        [(6, 1e4, 11), (8, 1e4, 5), (8, 1e4, 6), (8, 1e4, 14), (8, 1e5, 1), (8, 1e5, 3)],
+        [
+            (6, 1e4, 11), (8, 1e4, 5), (8, 1e4, 6), (8, 1e4, 14), (8, 1e5, 1), (8, 1e5, 3),
+            # refuted by a witness that named the member W^{-1} M_k of a canonical point e_k,
+            # computed as a rounded identity
+            (4, 1e4, 6), (4, 1e4, 19), (4, 1e5, 17), (4, 1e6, 1), (4, 1e6, 6), (4, 1e6, 12), (6, 1e4, 18),
+            (6, 1e5, 8), (6, 1e5, 19), (6, 1e6, 5), (8, 1e3, 12), (8, 1e4, 16), (8, 1e5, 14), (8, 1e6, 2),
+            (8, 1e6, 7),
+        ],
     )
     def test_badly_conditioned_planted_instances_are_certified(self, n, kappa, seed):
         # the scans refuted these with a NonDiagonalisable witness; the
@@ -386,6 +393,23 @@ class TestConstructionFirst:
         v = is_evolution_algebra(spec)
         assert v.outcome == EVOLUTION
         assert check_certificate(spec, v.certificate.p).ok
+
+    @pytest.mark.parametrize("tol", [ToleranceContext(), ToleranceContext(eig_cluster_atol=1e-5)], ids=["default", "atol1e-5"])
+    def test_no_refutation_names_the_member_of_a_canonical_point(self, tol):
+        # at lambda0 = e_k the member W^{-1} M_k is the identity, diagonalisable and commuting with every member
+        canonical = 0
+        for n in (4, 6, 8):
+            for kappa in (1e3, 1e4, 1e5, 1e6):
+                for seed in range(20):
+                    v = is_evolution_algebra(scrambled_planted(n, kappa, seed), tol)
+                    r, lam = v.refutation, v.diagnostics.lambda0
+                    if np.count_nonzero(lam) != 1:
+                        continue
+                    canonical += 1
+                    k = int(np.flatnonzero(lam)[0]) + 1
+                    if isinstance(r, (NonDiagonalisable, NonCommuting)):
+                        assert k not in ((r.index,) if isinstance(r, NonDiagonalisable) else r.pair), (n, kappa, seed, r)
+        assert canonical >= 200  # of the 240 decisions
 
 
 class TestOnePath:
@@ -430,6 +454,22 @@ class TestOnePath:
         assert qrs == [((256, 16), "r")]
         for shape, u_size in shapes:
             assert u_size <= np.prod(shape), shape
+
+    def test_defective_refutation_measures_its_simple_eigenvalues_in_few_svds(self, monkeypatch):
+        # one near-defective pair leaves the separation bound short for every simple eigenvalue;
+        # one stacked values-only SVD per rung measures them instead of a kernel SVD each (101 SVDs)
+        spec = adversarial_instance("defective", 48, seed=1)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        v = is_evolution_algebra(spec)
+        assert v.outcome == NOT_EVOLUTION and isinstance(v.refutation, NonDiagonalisable)
+        assert len(calls) <= 12
 
     def test_b2_decision_factors_no_structure_matrix_and_no_stack(self, monkeypatch):
         # a non-zero annihilator leaves every M_k singular: the search starts on the leading blocks

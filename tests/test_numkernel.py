@@ -325,6 +325,39 @@ class TestOneEig:
         monkeypatch.undo()
         assert_matches_reference(m)
 
+    def test_simple_eigenvalues_the_bound_misses_are_measured_in_one_svd(self, monkeypatch):
+        # a Jordan pair perturbed by 1e-14 makes kappa(V) about 8.5e6, so gap / kappa(V) misses the
+        # floor for each of the ten simple eigenvalues 4..13; one stacked values-only SVD of M - lI
+        # finds each kernel a line with a margin, and only the pair's cluster takes a kernel SVD
+        b = np.diag([2.0, 2.0] + [float(v) for v in range(4, 14)])
+        b[0, 1], b[1, 0] = 1.0, 1e-14
+        q = np.linalg.qr(np.random.default_rng(7).standard_normal((12, 12)))[0]
+        m = q @ b @ q.T
+        values, vectors = np.linalg.eig(m)
+        gaps = np.sort(np.abs(values[:, None] - values[None, :]), axis=1)[:, 1]
+        # below 2 * radius, so below the floor of every eigenvalue
+        assert gaps.max() / np.linalg.cond(vectors) < 2.0 * DEFAULT_TOL.eig_cluster_atol * np.linalg.norm(m)
+        svds, kernels = [], []
+        svd, kernel = np.linalg.svd, numkernel.kernel_basis
+
+        def recording_svd(a, *args, **kwargs):
+            svds.append((np.shape(a), kwargs.get("compute_uv", True)))
+            return svd(a, *args, **kwargs)
+
+        def recording_kernel(a, *args, **kwargs):
+            kernels.append(a)
+            return kernel(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(numkernel, "kernel_basis", recording_kernel)
+        es = eigen_structure(m)
+        assert [(c.multiplicity, c.eigenspace_dim) for c in es.clusters] == [(2, 1)] + [(1, 1)] * 10
+        assert [shape for shape, _ in svds if len(shape) == 3] == [(10, 12, 12)]
+        assert all(not uv for shape, uv in svds if len(shape) == 3)
+        assert len(kernels) == 1  # the pair
+        monkeypatch.undo()
+        assert_matches_reference(m)
+
     def test_close_simple_eigenvalues_take_the_kernel(self, monkeypatch):
         # eigenvalues 1 and 1 + 1e-4 are simple at radius 1e-5, but kappa(V) = 2e3 leaves
         # their separation bound 5e-8, below the floor of 2e-5: both take a kernel SVD

@@ -132,6 +132,23 @@ class TestSimilarityFamily:
             assert isinstance(family, np.ndarray) and np.iscomplexobj(family) == complex_mode
             assert family.shape == stack.shape and family.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_canonical_point_makes_its_member_the_exact_identity(self, complex_mode):
+        # at lam = e_k, W is M_k bit for bit: W^{-1} M_k is I, not the rounded product
+        rng = np.random.default_rng(3)
+        mats = rng.standard_normal((4, 6, 6))
+        stack = mats + mats.transpose(0, 2, 1)
+        if complex_mode:
+            stack = stack + 1j * stack[::-1]
+        for k in range(4):
+            lam = np.zeros(4, dtype=np.complex128)
+            lam[k] = 1.0
+            w, family = sdc._similarity_family(stack, lam)
+            assert np.array_equal(w, stack[k])
+            assert np.array_equal(family[k], np.eye(6)) and family.dtype == stack.dtype
+            others = [j for j in range(4) if j != k]
+            assert family[others].tobytes() == (np.linalg.inv(w) @ stack[others]).tobytes()
+
 
 class TestFullRank:
     """Stacks with an invertible structure matrix, decided through ``is_evolution_algebra``."""

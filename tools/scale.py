@@ -17,6 +17,9 @@ Then it prints the best of three wall times of ``is_evolution_algebra`` on
 similarity stage names a pair from the commutators alone, or computes the
 eigen-structure of a defective matrix, or whose pencil search runs to its
 end (branch "b.1": every canonical direction, then every random trial).
+Beside each refutation time it prints the ``np.linalg.svd`` and
+``np.linalg.eig`` calls of one more decision of the same instance, made
+untimed with both functions wrapped by a counter of this script.
 Last it prints the best of three wall times of ``parse`` on the text of
 ``serialise(planted_evolution_algebra(n, seed=1)[0])`` at n = 8, 16 and 32,
 with the line count of each file; the benchmark's files stop at n = 8.
@@ -36,11 +39,14 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 
 for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
 # numpy reads the thread settings when it is first imported
+import numpy as np  # noqa: E402
+
 from evoalg import (  # noqa: E402
     COMPLEX_ONLY_UNDETERMINED,
     EVOLUTION,
@@ -71,6 +77,27 @@ def best_ms(call) -> tuple[float, object]:
     return best * 1e3, result
 
 
+@contextmanager
+def counted(*names):
+    """Count the calls of the named ``np.linalg`` functions made inside the block."""
+    counts = dict.fromkeys(names, 0)
+    originals = {name: getattr(np.linalg, name) for name in names}
+
+    def counting(name):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return originals[name](*args, **kwargs)
+        return call
+
+    for name in names:
+        setattr(np.linalg, name, counting(name))
+    try:
+        yield counts
+    finally:
+        for name, function in originals.items():
+            setattr(np.linalg, name, function)
+
+
 def main() -> None:
     print(f"{'n':>3}  {'is_evolution_algebra ms':>24}  {'check_certificate ms':>21}")
     for n in SIZES:
@@ -89,16 +116,18 @@ def main() -> None:
         if verdict.outcome != COMPLEX_ONLY_UNDETERMINED:
             raise SystemExit(f"complex-only n={n}: expected {COMPLEX_ONLY_UNDETERMINED}, got {verdict.outcome}")
         print(f"{n:>3}  {decide_ms:>24.1f}")
-    print(f"\n{'n':>3}  " + "  ".join(f"{kind + ' refutation ms':>27}" for kind in REFUTATION_KINDS))
+    print(f"\n{'n':>3}  " + "  ".join(f"{kind + ' refutation ms':>27}  {'svd':>4}  {'eig':>3}" for kind in REFUTATION_KINDS))
     for n in REFUTATION_SIZES:
-        times = []
+        columns = []
         for kind in REFUTATION_KINDS:
             spec = adversarial_instance(kind, n, seed=1)
             decide_ms, verdict = best_ms(lambda: is_evolution_algebra(spec))
             if verdict.outcome != NOT_EVOLUTION:
                 raise SystemExit(f"{kind} n={n}: expected {NOT_EVOLUTION}, got {verdict.outcome}")
-            times.append(decide_ms)
-        print(f"{n:>3}  " + "  ".join(f"{t:>27.1f}" for t in times))
+            with counted("svd", "eig") as calls:
+                is_evolution_algebra(spec)
+            columns.append(f"{decide_ms:>27.1f}  {calls['svd']:>4}  {calls['eig']:>3}")
+        print(f"{n:>3}  " + "  ".join(columns))
     print(f"\n{'n':>3}  {'lines':>6}  {'parse ms':>9}")
     for n in PARSE_SIZES:
         text = serialise(planted_evolution_algebra(n, seed=1)[0])
