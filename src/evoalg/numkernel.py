@@ -1,15 +1,13 @@
 """Tolerance-aware dense linear algebra over the real and complex fields.
 
 Everything downstream (structure matrices, pencils, congruence solvers)
-reduces to a handful of primitives defined here: numerical rank, kernels,
-inverses, eigen-structure with explicit eigenvalue clustering, and
-commutator norms.
+reduces to a handful of primitives defined here: numerical rank, kernels
+and eigen-structure with explicit eigenvalue clustering.
 
 Every rank decision is one singular-value split (``_split``): the rank
 counts the singular values above ``max(rank_rtol * sigma_max * max(shape),
-atol)``, a cutoff that ``_rank_cutoff`` alone computes.  :func:`rank`, the
-guard of :func:`inverse`, :func:`kernel_basis` and the pencil search call
-it.  The pencil search factors ``M_1`` alone, then the rest of its
+atol)``, a cutoff that ``_rank_cutoff`` alone computes.  :func:`rank`,
+:func:`kernel_basis` and the pencil search call it.  The pencil search factors ``M_1`` alone, then the rest of its
 canonical scan in one stacked SVD, then all its random trials in one
 (``_split_stack``); each matrix of a stack is still ranked by the same
 cutoff, with the bytes of its own ``_split``.  Eigenspaces come from one
@@ -158,21 +156,6 @@ def rank(m, tol: ToleranceContext = DEFAULT_TOL) -> int:
     The zero matrix has rank 0; the function is total.
     """
     return _split(_as_matrix(m), tol)[0]
-
-
-def inverse(m, tol: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
-    """Inverse of a square matrix, guarded by the rank tolerance.
-
-    Raises :class:`Singular` when the numerical rank falls short of the size,
-    which signals callers that the invertible-matrix shortcut does not apply.
-    """
-    a = _as_matrix(m)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"inverse needs a square matrix, got {a.shape}")
-    if rank(a, tol) < n:
-        raise Singular(f"matrix of size {n} has numerical rank below {n}")
-    return np.linalg.inv(a)
 
 
 def _phase_canonical(columns: np.ndarray) -> np.ndarray:
@@ -385,15 +368,3 @@ def eigen_structure(m, tol: ToleranceContext = DEFAULT_TOL) -> EigenStructure:
             return EigenStructure(tuple(clusters), radius)
         rho *= 10.0
     raise NonConvergence("eigenvalue clustering did not stabilise at any resolution")
-
-
-def commutator_norm(a, b) -> float:
-    """Frobenius norm of ``AB - BA``.
-
-    Callers compare the result against ``commute_rtol * ||A||_F * ||B||_F``.
-    """
-    x = _as_matrix(a)
-    y = _as_matrix(b)
-    if x.shape != y.shape or x.shape[0] != x.shape[1]:
-        raise DimensionMismatch(f"commutator needs equal square matrices, got {x.shape} and {y.shape}")
-    return float(np.linalg.norm(x @ y - y @ x))

@@ -39,13 +39,13 @@ class PencilRankWitness:
     ``canonical_index`` is the 1-based index of the structure matrix when the
     witness is a canonical direction, else ``None``.  ``smallest_kept_sv`` is
     the smallest retained singular value at the witness, recorded for
-    conditioning diagnostics and tie-breaking.
+    conditioning diagnostics and tie-breaking.  The seed of the random
+    directions is the caller's and is not recorded.
     """
 
     lambda0: np.ndarray
     r0: int
     trials_used: int
-    seed: int
     canonical_index: Optional[int] = None
     smallest_kept_sv: float = 0.0
 
@@ -110,7 +110,7 @@ def max_pencil_rank(
             k, r, s = j + 1, int(ranks[j]), rest[j]
     lam = np.zeros(m, dtype=np.complex128)
     lam[k] = 1.0
-    best = PencilRankWitness(lam, r, k + 1, seed, canonical_index=k + 1,
+    best = PencilRankWitness(lam, r, k + 1, canonical_index=k + 1,
                              smallest_kept_sv=float(s[r - 1]) if r else 0.0)
     if r == n:
         return best
@@ -120,5 +120,5 @@ def max_pencil_rank(
     for t, r in enumerate(ranks.tolist()):
         smin = float(s[t, r - 1]) if r else 0.0
         if r > best.r0 or (r == best.r0 and best.canonical_index is None and smin > best.smallest_kept_sv):
-            best = PencilRankWitness(lams[t], r, m + t + 1, seed, smallest_kept_sv=smin)
+            best = PencilRankWitness(lams[t], r, m + t + 1, smallest_kept_sv=smin)
     return replace(best, trials_used=m + trials)

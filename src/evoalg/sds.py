@@ -21,7 +21,8 @@ construction only for a family that fails the routing test
 (:func:`_commute_with_sum`), and after it only when the construction of a
 routed family fails.  The construction returns a defective matrix of the
 whole space that it meets instead of a basis; for a family whose pairs all
-commute, that is the scans' first witness.
+commute, that is the scans' first witness.  Neither eigen-analyses an exact
+identity, such as ``W^{-1} M_k`` at a canonical pencil point ``e_k``.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ def _common_eigenbasis(mats: Sequence[np.ndarray], tol: ToleranceContext) -> Uni
     :class:`NonDiagonalisable` witness: every earlier matrix was one
     non-defective cluster, so it is the first defect of :func:`_witness`,
     whose witness it is when the pairs of the family all commute.
+    A member that is exactly the identity splits nothing and is skipped.
     Raises :class:`RefinementInconsistency` when a restriction turns out
     defective inside a subspace.
     """
@@ -93,6 +95,8 @@ def _common_eigenbasis(mats: Sequence[np.ndarray], tol: ToleranceContext) -> Uni
     for idx, mat in enumerate(mats):
         if len(bases) == n:
             break  # every subspace is 1-dimensional: nothing splits any more
+        if np.array_equal(mat, whole):
+            continue  # the exact identity splits no subspace
         refined: list[np.ndarray] = []
         for basis in bases:
             d = basis.shape[1]
@@ -125,8 +129,9 @@ def _witness(mats: Sequence[np.ndarray], tol: ToleranceContext) -> Optional[Unio
 
     Returns the first failure as the refutation witness, else ``None``.  A
     commutator is cheap and is compared with its bound with a margin; a
-    defect is ill-posed and costs an eigen-analysis, so defects come last.
-    Each row of commutators ``N_i N_j - N_j N_i``, ``j > i``, is one product.
+    defect is ill-posed and costs an eigen-analysis, so defects come last,
+    and an exact identity, never defective, is skipped.  Each row of
+    commutators ``N_i N_j - N_j N_i``, ``j > i``, is one product.
     """
     stack = np.asarray(mats)
     norms = [float(np.linalg.norm(m)) for m in stack]
@@ -136,7 +141,10 @@ def _witness(mats: Sequence[np.ndarray], tol: ToleranceContext) -> Optional[Unio
             norm = float(np.linalg.norm(commutator))
             if norm > tol.commute_rtol * norms[i] * norms[j]:
                 return NonCommuting((i + 1, j + 1), norm)
+    identity = np.eye(stack.shape[-1])
     for idx, m in enumerate(mats):
+        if np.array_equal(m, identity):
+            continue  # the exact identity is never defective
         defect = numkernel.eigen_structure(m, tol).defective_cluster()
         if defect is not None:
             return NonDiagonalisable(idx + 1, defect.eigenvalue)

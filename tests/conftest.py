@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,15 +9,15 @@ from evoalg import (
     AlgebraSpec,
     adapt_basis_to_annihilator,
     annihilator_basis,
-    change_basis,
     example_algebra,
     m_structure_matrices,
     max_pencil_rank,
-    planted_evolution_algebra,
     validate,
 )
-from evoalg.numkernel import inverse
 from evoalg.pencil import evaluate
+
+# the corpus builders of tools/probe.py, imported by the tests as `from probe import ...`
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 
 def assert_parallel(u, v, tol=1e-6):
@@ -54,15 +57,6 @@ def subnormal_tetraploid():
     return validate(AlgebraSpec(spec.dim, spec.field, {k: v * 1e-310 for k, v in spec.constants.items()}))
 
 
-def scrambled_planted(n, kappa, seed):
-    """A planted instance re-expressed in a basis of condition number ``kappa``."""
-    spec, _ = planted_evolution_algebra(n, seed=seed)
-    rng = np.random.default_rng([seed, n, int(np.log10(kappa))])
-    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return change_basis(spec, u @ np.diag(np.logspace(0, -np.log10(kappa), n)) @ v.T)
-
-
 def similarity_family(spec, tol=DEFAULT_TOL):
     """``(lambda0, [W^{-1} M_k])`` of the stack the decision solves, or ``None`` when its pencil tops out below full rank.
 
@@ -75,7 +69,7 @@ def similarity_family(spec, tol=DEFAULT_TOL):
     point = max_pencil_rank(stack, tol)
     if point.r0 < stack[0].shape[0]:
         return None
-    w_inv = inverse(evaluate(stack, point.lambda0 if np.iscomplexobj(stack[0]) else point.lambda0.real), tol)
+    w_inv = np.linalg.inv(evaluate(stack, point.lambda0 if np.iscomplexobj(stack[0]) else point.lambda0.real))
     return point.lambda0, [w_inv @ m for m in stack]
 
 

@@ -39,7 +39,7 @@ def reference_max_pencil_rank(mats, tol=DEFAULT_TOL, trials=DEFAULT_TRIALS, seed
         if best is None or r > best.r0:
             lam = np.zeros(m, dtype=np.complex128)
             lam[k] = 1.0
-            best = PencilRankWitness(lam, r, k + 1, seed, canonical_index=k + 1,
+            best = PencilRankWitness(lam, r, k + 1, canonical_index=k + 1,
                                      smallest_kept_sv=float(s[r - 1]) if r else 0.0)
             if r == n:
                 return best
@@ -49,7 +49,7 @@ def reference_max_pencil_rank(mats, tol=DEFAULT_TOL, trials=DEFAULT_TRIALS, seed
         r, s, _ = numkernel._split(reference_evaluate(mats, lam.real if real else lam), tol)
         smin = float(s[r - 1]) if r else 0.0
         if r > best.r0 or (r == best.r0 and best.canonical_index is None and smin > best.smallest_kept_sv):
-            best = PencilRankWitness(lam, r, m + t + 1, seed, smallest_kept_sv=smin)
+            best = PencilRankWitness(lam, r, m + t + 1, smallest_kept_sv=smin)
     return replace(best, trials_used=m + trials)
 
 

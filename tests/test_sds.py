@@ -3,11 +3,20 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from evoalg import adversarial_instance, complexify, example_algebra, m_structure_matrices, numkernel
+from evoalg import (
+    adversarial_instance,
+    complexify,
+    example_algebra,
+    is_evolution_algebra,
+    m_structure_matrices,
+    numkernel,
+    planted_evolution_algebra,
+)
 from evoalg.corpus import well_conditioned_matrix
-from evoalg.numkernel import DEFAULT_TOL, DimensionMismatch, commutator_norm, eigen_structure, inverse
+from evoalg.numkernel import DEFAULT_TOL, DimensionMismatch, eigen_structure
 from evoalg.sds import NonCommuting, NonDiagonalisable, _common_eigenbasis, _witness
-from conftest import scrambled_planted, similarity_family
+from conftest import similarity_family
+from probe import scrambled_planted
 
 MENDEL_N = np.array([[1.0, 2.0], [-2.0, -3.0]])
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -69,7 +78,7 @@ class TestAreSds:
 
     def test_commuting_but_defective(self, tetraploid0_mats):
         m1, m2, m3 = tetraploid0_mats
-        inv1 = inverse(m1)
+        inv1 = np.linalg.inv(m1)
         res = witness([inv1 @ m2, inv1 @ m3])
         assert isinstance(res, NonDiagonalisable)
         assert res.index == 1
@@ -135,7 +144,7 @@ def reference_pair_scan(mats, tol=DEFAULT_TOL):
     """The pair scan one commutator at a time, as it was before the rows were batched."""
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            norm = commutator_norm(mats[i], mats[j])
+            norm = float(np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i]))
             bound = tol.commute_rtol * float(np.linalg.norm(mats[i])) * float(np.linalg.norm(mats[j]))
             if norm > bound:
                 return NonCommuting((i + 1, j + 1), norm)
@@ -171,7 +180,7 @@ class TestCommonEigenbasis:
     def test_mendel_half(self):
         eps = 0.5
         mats = m_structure_matrices(example_algebra("mendel", eps))
-        n = inverse(mats[0]) @ mats[1]
+        n = np.linalg.inv(mats[0]) @ mats[1]
         bases = common_bases([n])
         q = np.hstack(bases)
         values = sorted(evs[0].real for evs in eigenvalue_tuples(bases, [n]))
@@ -184,7 +193,7 @@ class TestCommonEigenbasis:
         eps = 0.1
         s_eps = np.sqrt(3 * eps * (3 * eps + 4))
         mats = m_structure_matrices(example_algebra("tetraploid", eps))
-        inv1 = inverse(mats[0])
+        inv1 = np.linalg.inv(mats[0])
         family = [inv1 @ mats[1], inv1 @ mats[2]]
         bases = common_bases(family)
         assert len(bases) == 3 and all(v.shape[1] == 1 for v in bases)
@@ -211,3 +220,25 @@ class TestCommonEigenbasis:
         assert all(np.iscomplexobj(v) for v in bases)
         values = sorted((evs[0] for evs in eigenvalue_tuples(bases, [rot])), key=lambda z: z.imag)
         np.testing.assert_allclose(values, [-1j, 1j], atol=1e-12)
+
+
+class TestIdentityMember:
+    @pytest.mark.parametrize(
+        "spec",
+        [planted_evolution_algebra(6, seed=0)[0], adversarial_instance("defective", 24, seed=0)],
+        ids=["planted-n6", "defective-n24"],
+    )
+    def test_the_exact_identity_is_not_eigen_analysed(self, monkeypatch, spec):
+        # at a canonical pencil point e_k the member W^{-1} M_k is the exact identity:
+        # it splits no subspace and is never defective
+        identities = []
+        eigen_structure = numkernel.eigen_structure
+
+        def recording(m, tol):
+            identities.append(np.array_equal(m, np.eye(m.shape[0])))
+            return eigen_structure(m, tol)
+
+        monkeypatch.setattr(numkernel, "eigen_structure", recording)
+        v = is_evolution_algebra(spec)
+        assert np.count_nonzero(v.diagnostics.lambda0) == 1  # a canonical point
+        assert identities and not any(identities), identities

@@ -66,7 +66,7 @@ EXAMPLES = [
 
 
 def scrambled_planted(n, kappa, seed):
-    """A planted instance re-expressed in a basis of condition number ``kappa``, as in the tests."""
+    """A planted instance re-expressed in a basis of condition number ``kappa``: the κ-scrambled corpus, which the tests import from here."""
     spec, _ = planted_evolution_algebra(n, seed=seed)
     rng = np.random.default_rng([seed, n, int(np.log10(kappa))])
     u, _ = np.linalg.qr(rng.standard_normal((n, n)))
