@@ -6,11 +6,14 @@ and eigen-structure with explicit eigenvalue clustering.
 
 Every rank decision is one singular-value split (``_split``): the rank
 counts the singular values above ``max(rank_rtol * sigma_max * max(shape),
-atol)``, a cutoff that ``_rank_cutoff`` alone computes.  :func:`rank`,
-:func:`kernel_basis` and the pencil search call it.  The pencil search factors ``M_1`` alone, then the rest of its
-canonical scan in one stacked SVD, then all its random trials in one
-(``_split_stack``); each matrix of a stack is still ranked by the same
-cutoff, with the bytes of its own ``_split``.  Eigenspaces come from one
+atol)``, a cutoff that ``_rank_cutoff`` alone computes.  :func:`rank` and
+:func:`kernel_basis` call it.  The pencil search ranks stacks instead
+(``_split_stack``): ``M_1`` alone, then the rest of its canonical scan in
+one stack, then all its random trials in one, each matrix by the same
+cutoff.  A real, exactly symmetric stack, which every pencil of real
+structure matrices is, takes the singular values of ``eigvalsh`` (the
+moduli of the eigenvalues); any other stack takes one stacked SVD, with
+the bytes of each matrix's own ``_split``.  Eigenspaces come from one
 ``np.linalg.eig`` per matrix, with a numerical kernel of ``M - cI`` only
 where neither a separation bound nor the singular values of ``M - lI``,
 measured for every single eigenvalue the bound misses in one stacked
@@ -132,14 +135,24 @@ def _split(a: np.ndarray, tol: ToleranceContext, atol: float = 0.0, vectors: boo
 
 
 def _split_stack(stack: np.ndarray, tol: ToleranceContext) -> tuple[np.ndarray, np.ndarray]:
-    """``_split`` of every matrix of a ``(k, n, n)`` stack by one SVD: ``(ranks, singular values)``.
+    """The rank of every matrix of a ``(k, n, n)`` stack by one factorisation: ``(ranks, singular values)``.
 
-    LAPACK factors the stacked matrices one at a time, so each row of
-    singular values, and so each rank, has the bytes of the matrix's own
-    ``_split``.  An all-zero matrix, which ``_split`` does not factor, has
-    zero singular values and rank 0 here as well.
+    A real stack that is exactly symmetric takes one ``np.linalg.eigvalsh``:
+    a real symmetric ``M = Q diag(l) Q^T`` has the SVD ``Q diag(|l|)
+    (Q diag(sign l))^T``, so the moduli of its eigenvalues, sorted
+    descending, are its singular values, found by a cheaper solver.  They
+    agree with the SVD's to rounding, not bit for bit.  Every other stack,
+    complex symmetric (which is not Hermitian) or not symmetric, takes one
+    values-only SVD; LAPACK factors the stacked matrices one at a time, so
+    each row of singular values, and so each rank, has the bytes of the
+    matrix's own ``_split``.  Each matrix is ranked by the cutoff of
+    :func:`_rank_cutoff`.  An all-zero matrix has zero singular values and
+    rank 0 either way.
     """
-    s = np.linalg.svd(stack, compute_uv=False)
+    if not np.iscomplexobj(stack) and np.array_equal(stack, stack.swapaxes(-1, -2)):
+        s = np.sort(np.abs(np.linalg.eigvalsh(stack)), axis=-1)[..., ::-1]
+    else:
+        s = np.linalg.svd(stack, compute_uv=False)
     # each cutoff compared in the dtype of s, as _split compares its Python float
     cutoff = np.array([_rank_cutoff(top, stack.shape[-1], tol) for top in s[:, 0].tolist()], dtype=s.dtype)
     return np.count_nonzero(s > cutoff[:, None], axis=1), s

@@ -8,19 +8,26 @@ deterministically whenever one exists.  For real matrices the rank defect is
 a real polynomial condition, so a real random vector does as well.
 
 The search is one canonical scan followed by the random trials, in three
-SVD calls at most: ``M_1`` is factored alone, since that is where nearly
-every search stops; the rest of the scan in one stacked SVD; and all the
-trials, evaluated at once, in one more.  Each matrix is still ranked by
-the one cutoff of ``numkernel._split``, so the result has the bytes of a
-scan that factors one direction at a time.  The decision runs it once,
-after splitting off the annihilator: on the full tensor when the
-annihilator is zero (an invertible ``M_k`` is branch "a"), and on the
-leading blocks otherwise, since a non-zero annihilator leaves every
-``M_k`` singular.
+stacked factorisations at most (``numkernel._split_stack``): ``M_1`` is
+ranked alone, since that is where nearly every search stops; the rest of
+the scan in one stack; and all the trials, evaluated at once, in one more.
+Structure matrices and their real pencils are symmetric, so a real stack
+is ranked by the moduli of its ``eigvalsh`` eigenvalues, which are its
+singular values; a complex or non-symmetric stack takes the SVD.  Every
+matrix is ranked by the one cutoff of ``numkernel._rank_cutoff``.  The
+random directions do not depend on the matrices, so they are drawn once
+per ``(m, seed, trials, field)`` and cached (``_directions``): a process
+that decides many algebras of one dimension draws them once.
+
+The decision runs the search once, after splitting off the annihilator: on
+the full tensor when the annihilator is zero (an invertible ``M_k`` is
+branch "a"), and on the leading blocks otherwise, since a non-zero
+annihilator leaves every ``M_k`` singular.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -75,6 +82,14 @@ def _unit_gaussian(m: int, seed: int, trial: int, real: bool) -> np.ndarray:
     return (z / np.linalg.norm(z)).astype(np.complex128)
 
 
+@functools.lru_cache(maxsize=32)
+def _directions(m: int, seed: int, trials: int, real: bool) -> np.ndarray:
+    """The ``(trials, m)`` read-only array of ``_unit_gaussian(m, seed, t, real)`` for ``t < trials``, drawn once."""
+    lams = np.array([_unit_gaussian(m, seed, t, real) for t in range(trials)])
+    lams.flags.writeable = False
+    return lams
+
+
 def max_pencil_rank(
     mats: Sequence[np.ndarray],
     tol: ToleranceContext = DEFAULT_TOL,
@@ -85,24 +100,26 @@ def max_pencil_rank(
 
     Canonical directions are scanned first in ascending index: the first
     of full rank is returned, with ``trials_used`` counting the directions
-    up to it.  ``M_1`` is factored alone, since most searches stop there;
-    the rest of the scan is factored in one stacked SVD.  Random candidates
-    have standard Gaussian coordinates on per-trial streams derived from the
-    seed, so the result is reproducible bit for bit; all of them are
-    evaluated at once and factored in one stacked SVD.  They are real when
-    the matrices are real (any real dtype) and complex otherwise;
-    ``lambda0`` is complex128 either way.  Among random candidates of equal
-    rank the one with the largest smallest retained singular value wins.  A
-    random candidate never displaces an equal-rank canonical one.  Every
-    matrix is ranked by the cutoff of ``numkernel._split``.  Raises
+    up to it.  ``M_1`` is ranked alone, since most searches stop there;
+    the rest of the scan is ranked as one stack.  Random candidates have
+    standard Gaussian coordinates on per-trial streams derived from the
+    seed, so the result is reproducible bit for bit; they are drawn once
+    per ``(m, seed, trials, field)`` (``_directions``), and all of them are
+    evaluated at once and ranked as one stack.  They are real when the
+    matrices are real (any real dtype) and complex otherwise; ``lambda0`` is
+    complex128 either way, and a copy of its own.  Among random candidates
+    of equal rank the one with the largest smallest retained singular value
+    wins.  A random candidate never displaces an equal-rank canonical one.
+    Every stack is ranked by ``numkernel._split_stack``: a real symmetric
+    one by its ``eigvalsh`` moduli, any other by its SVD.  Raises
     :class:`ValueError` when ``trials < 1``.
     """
     n = numkernel._check_stack(mats)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     m = len(mats)
-    k = 0
-    r, s, _ = numkernel._split(np.asarray(mats[0]), tol)
+    ranks, first = numkernel._split_stack(np.asarray(mats[:1]), tol)
+    k, r, s = 0, int(ranks[0]), first[0]
     if r < n and m > 1:
         ranks, rest = numkernel._split_stack(np.asarray(mats[1:]), tol)
         j = int(np.argmax(ranks))  # the first direction of maximal rank, so the first of full rank if any
@@ -115,10 +132,10 @@ def max_pencil_rank(
     if r == n:
         return best
     real = not np.iscomplexobj(mats[0])
-    lams = np.array([_unit_gaussian(m, seed, t, real) for t in range(trials)])
+    lams = _directions(m, seed, trials, real)
     ranks, s = numkernel._split_stack(evaluate(mats, lams.real if real else lams), tol)
     for t, r in enumerate(ranks.tolist()):
         smin = float(s[t, r - 1]) if r else 0.0
         if r > best.r0 or (r == best.r0 and best.canonical_index is None and smin > best.smallest_kept_sv):
-            best = PencilRankWitness(lams[t], r, m + t + 1, smallest_kept_sv=smin)
+            best = PencilRankWitness(lams[t].copy(), r, m + t + 1, smallest_kept_sv=smin)
     return replace(best, trials_used=m + trials)

@@ -89,13 +89,18 @@ def _similarity_family(mats: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, n
     point the pencil search has found to be of full rank, so ``W`` is
     inverted without a second rank test; LAPACK's
     :class:`numpy.linalg.LinAlgError` still signals a ``W`` that is exactly
-    singular in floating point.  At a canonical point ``lam = e_k``, ``W``
+    singular in floating point, and the same error is raised for an inverse
+    that overflows (a subnormal ``W``), before any product spreads its
+    infinities.  At a canonical point ``lam = e_k``, ``W``
     is ``M_k`` bit for bit, so ``W^{-1} M_k`` is the exact identity, not
     the rounded product.
     """
     lam = np.asarray(lam)
     w = pencil.evaluate(mats, lam if np.iscomplexobj(mats) else lam.real)
-    family = np.linalg.inv(w) @ mats
+    inverse = np.linalg.inv(w)
+    if not np.all(np.isfinite(inverse)):
+        raise np.linalg.LinAlgError("the inverse of the pencil point overflows")
+    family = inverse @ mats
     (support,) = np.nonzero(lam)
     if support.size == 1 and lam[support[0]] == 1:
         family[support[0]] = np.eye(w.shape[0])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,25 @@ from evoalg.pencil import evaluate
 from evoalg.sds import NonCommuting, NonDiagonalisable
 from conftest import columns_match_up_to_scale, subnormal_tetraploid
 from probe import scrambled_planted
+
+
+def record_factored(monkeypatch):
+    """Every matrix handed to ``np.linalg.svd`` or ``np.linalg.eigvalsh``, each matrix of a stack apart.
+
+    The pencil search ranks a real symmetric stack by ``eigvalsh`` and any other by ``svd``.
+    """
+    seen = []
+
+    def recording(factor):
+        def record(a, *args, **kwargs):
+            a = np.asarray(a)
+            seen.extend(np.array(m, copy=True) for m in a.reshape((-1,) + a.shape[-2:]))
+            return factor(a, *args, **kwargs)
+        return record
+
+    for name in ("svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    return seen
 
 
 class TestFixtureVerdicts:
@@ -242,6 +263,18 @@ class TestRefutationEdges:
         assert v.outcome == UNDETERMINED
         assert any("numerical failure" in note for note in v.diagnostics.notes)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_overflowing_inverse_is_undetermined_without_warnings(self, n):
+        # every constant times 1e-310: the pencil point is subnormal and its inverse overflows,
+        # which is named before any product spreads infinities into NaNs
+        spec, _ = planted_evolution_algebra(n, seed=0)
+        tiny = AlgebraSpec(n, spec.field, {key: c * 1e-310 for key, c in spec.constants.items()})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v = is_evolution_algebra(tiny)
+        assert v.outcome == UNDETERMINED
+        assert v.diagnostics.notes == ("numerical failure: the inverse of the pencil point overflows",)
+
 
 class TestArguments:
     # checked on entry, so the error does not depend on how far the decision gets
@@ -418,15 +451,7 @@ class TestOnePath:
     def test_b1_decision_factors_each_structure_matrix_once(self, monkeypatch):
         spec = adversarial_instance("ann_mismatch", 6, 0)
         t = m_structure_matrices(spec)
-        seen = []
-        svd = np.linalg.svd
-
-        def recording_svd(a, *args, **kwargs):
-            a = np.asarray(a)
-            seen.extend(np.array(m, copy=True) for m in a.reshape((-1,) + a.shape[-2:]))  # each matrix of a stack
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        seen = record_factored(monkeypatch)
         v = is_evolution_algebra(spec)
         assert v.diagnostics.branch == "b.1"
         for k, m in enumerate(t):
@@ -475,14 +500,7 @@ class TestOnePath:
         # a non-zero annihilator leaves every M_k singular: the search starts on the leading blocks
         spec, _ = planted_evolution_algebra(16, seed=1)
         t = m_structure_matrices(spec)
-        seen = []
-        svd = np.linalg.svd
-
-        def recording_svd(a, *args, **kwargs):
-            seen.append(np.array(a, copy=True))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        seen = record_factored(monkeypatch)
         v = is_evolution_algebra(spec)
         assert v.outcome == EVOLUTION and v.diagnostics.branch == "b.2"
         assert seen and not any(a.shape == (256, 16) for a in seen)
@@ -495,14 +513,7 @@ class TestOnePath:
     )
     def test_branch_a_decision_factors_its_pencil_point_once(self, monkeypatch, spec, outcome):
         # the search has found W = M_k of full rank, so inverting it takes no second rank test
-        seen = []
-        svd = np.linalg.svd
-
-        def recording_svd(a, *args, **kwargs):
-            seen.append(np.array(a, copy=True))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        seen = record_factored(monkeypatch)
         v = is_evolution_algebra(spec)
         assert v.outcome == outcome and v.diagnostics.branch == "a"
         k = int(np.flatnonzero(v.diagnostics.lambda0)[0])

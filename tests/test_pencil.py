@@ -18,7 +18,7 @@ from evoalg import (
 )
 from evoalg.corpus import well_conditioned_matrix
 from evoalg.numkernel import DEFAULT_TOL, DimensionMismatch
-from evoalg.pencil import DEFAULT_TRIALS, PencilRankWitness, _unit_gaussian, evaluate
+from evoalg.pencil import DEFAULT_TRIALS, PencilRankWitness, _directions, _unit_gaussian, evaluate
 from evoalg import numkernel
 
 
@@ -31,7 +31,7 @@ def reference_evaluate(mats, lam):
 
 
 def reference_max_pencil_rank(mats, tol=DEFAULT_TOL, trials=DEFAULT_TRIALS, seed=0):
-    """The pencil search as one loop: one ``_split`` per direction, one pencil evaluation per trial."""
+    """The pencil search as one loop: one SVD ``_split`` per direction, one pencil evaluation per trial."""
     n, m = mats[0].shape[0], len(mats)
     best = None
     for k in range(m):
@@ -55,6 +55,11 @@ def reference_max_pencil_rank(mats, tol=DEFAULT_TOL, trials=DEFAULT_TRIALS, seed
 
 def witness_bytes(w):
     return w.lambda0.tobytes(), w.r0, w.trials_used, w.canonical_index, float(w.smallest_kept_sv).hex()
+
+
+def real_symmetric(stack):
+    stack = np.asarray(stack)
+    return not np.iscomplexobj(stack) and np.array_equal(stack, stack.swapaxes(-1, -2))
 
 
 def leading_blocks(spec):
@@ -208,9 +213,28 @@ class TestMaxPencilRank:
 
 class TestBatchedSearch:
     @pytest.mark.parametrize("name, stack, trials, seed", REFERENCE_STACKS, ids=[c[0] for c in REFERENCE_STACKS])
-    def test_equals_the_one_direction_at_a_time_loop(self, name, stack, trials, seed):
+    def test_equals_the_one_direction_at_a_time_loop(self, monkeypatch, name, stack, trials, seed):
+        symmetric_inputs = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(a, *args, **kwargs):
+            symmetric_inputs.append(real_symmetric(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
         got = max_pencil_rank(stack, trials=trials, seed=seed)
-        assert witness_bytes(got) == witness_bytes(reference_max_pencil_rank(stack, trials=trials, seed=seed))
+        want = reference_max_pencil_rank(stack, trials=trials, seed=seed)
+        assert all(symmetric_inputs)  # eigvalsh ranks real symmetric stacks only
+        if not real_symmetric(stack):
+            # complex and non-symmetric stacks keep the SVD: the bytes of the loop
+            assert not symmetric_inputs
+            assert witness_bytes(got) == witness_bytes(want)
+            return
+        # eigvalsh moduli are the singular values to rounding: the same witness, its smallest value to 8 n eps sigma_max
+        assert witness_bytes(got)[:4] == witness_bytes(want)[:4]
+        sigma_max = float(np.linalg.norm(evaluate(stack, got.lambda0.real), 2))
+        bound = 8 * len(stack[0]) * np.finfo(np.asarray(stack).dtype).eps * sigma_max
+        assert abs(got.smallest_kept_sv - want.smallest_kept_sv) <= bound
 
     def test_the_corpus_reaches_every_ending(self):
         ends = set()
@@ -222,3 +246,30 @@ class TestBatchedSearch:
         assert (None, True) in ends  # at a random trial
         assert (None, False) in ends  # topped out at a random trial
         assert any(k and not full for k, full in ends)  # topped out at a structure matrix
+
+
+class TestDirections:
+    @pytest.mark.parametrize("real", [True, False])
+    def test_the_bytes_of_one_draw_per_trial(self, real):
+        want = np.array([_unit_gaussian(7, 3, t, real) for t in range(5)])
+        got = _directions(7, 3, 5, real)
+        assert got.shape == (5, 7) and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_read_only(self):
+        lams = _directions(4, 0, 3, True)
+        with pytest.raises(ValueError):
+            lams[0, 0] = 1.0
+
+    def test_drawn_once_per_field(self):
+        real, complex_ = _directions(6, 2, 4, True), _directions(6, 2, 4, False)
+        assert _directions(6, 2, 4, True) is real and _directions(6, 2, 4, False) is complex_
+        assert not np.any(real.imag) and np.all(complex_.imag)
+
+    def test_a_witness_owns_its_direction(self):
+        _, units, trials, seed = next(c for c in REFERENCE_STACKS if c[0] == "full rank at a random trial")
+        first = max_pencil_rank(units, trials=trials, seed=seed)
+        assert first.canonical_index is None
+        drawn = first.lambda0.copy()
+        first.lambda0[:] = 0.0
+        assert max_pencil_rank(units, trials=trials, seed=seed).lambda0.tobytes() == drawn.tobytes()
