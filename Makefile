@@ -46,7 +46,8 @@ same:
 
 # best-of-3 wall time of the decision and the certificate check on planted n = 16, 32, 48, 64,
 # of the complex-only decision at n = 16, 32, of the noncommuting, defective and ann_mismatch
-# refutations at n = 24, 48 (each with the svd, eigvalsh and eig calls of one more, untimed decision), and of
+# refutations at n = 24, 48 (each also with the direction cache emptied before every decision, and with
+# the svd, eigvalsh and eig calls of one more, untimed decision), and of
 # parsing planted files at n = 8, 16, 32; not part of the benchmark
 # (see tools/scale.py). Fixed mmap and trim thresholds keep glibc from moving the first after the
 # decisions free large blocks and from returning freed heap to the system, so that the

@@ -17,7 +17,8 @@ singular values; a complex or non-symmetric stack takes the SVD.  Every
 matrix is ranked by the one cutoff of ``numkernel._rank_cutoff``.  The
 random directions do not depend on the matrices, so they are drawn once
 per ``(m, seed, trials, field)`` and cached (``_directions``): a process
-that decides many algebras of one dimension draws them once.
+that decides many algebras of one dimension draws them once, and a process
+that decides one algebra draws them as often as without the cache.
 
 The decision runs the search once, after splitting off the annihilator: on
 the full tensor when the annihilator is zero (an invertible ``M_k`` is
@@ -111,8 +112,12 @@ def max_pencil_rank(
     of equal rank the one with the largest smallest retained singular value
     wins.  A random candidate never displaces an equal-rank canonical one.
     Every stack is ranked by ``numkernel._split_stack``: a real symmetric
-    one by its ``eigvalsh`` moduli, any other by its SVD.  Raises
-    :class:`ValueError` when ``trials < 1``.
+    one by its ``eigvalsh`` moduli, any other by its SVD.  The moduli
+    agree with the SVD's singular values only to about ``n * eps *
+    sigma_max``, so two random candidates whose smallest retained values
+    are that close, or a singular value that close to the cutoff, may be
+    resolved otherwise than an SVD would: another ``lambda0``, or another
+    rank.  Raises :class:`ValueError` when ``trials < 1``.
     """
     n = numkernel._check_stack(mats)
     if trials < 1:

@@ -21,11 +21,12 @@ Beside each refutation time it prints the ``np.linalg.svd``,
 ``np.linalg.eigvalsh`` and ``np.linalg.eig`` calls of one more decision of
 the same instance, made untimed with the three functions wrapped by a
 counter of this script (the pencil search ranks real symmetric stacks by
-``eigvalsh``).  The best of three is taken with a warm cache of the
-pencil search's random directions (``pencil._directions``): the first
+``eigvalsh``).  That best of three is taken with a warm cache of the
+pencil search's random directions (``pencil._directions``): only the first
 decision whose search reaches its random trials at a given dimension, such
-as the first ``ann_mismatch`` call, pays for drawing them, and the two
-repeats do not.
+as the first ``ann_mismatch`` call, pays for drawing them.  The ``cold ms``
+column beside it is the best of three with that cache emptied before each
+decision, the time of a process that decides one algebra.
 Last it prints the best of three wall times of ``parse`` on the text of
 ``serialise(planted_evolution_algebra(n, seed=1)[0])`` at n = 8, 16 and 32,
 with the line count of each file; the benchmark's files stop at n = 8.
@@ -64,6 +65,7 @@ from evoalg import (  # noqa: E402
     planted_evolution_algebra,
     serialise,
 )
+from evoalg import pencil  # noqa: E402
 from probe import complex_only  # noqa: E402  (tools/ is on the path of a script run from it)
 
 SIZES = (16, 32, 48, 64)
@@ -74,9 +76,10 @@ PARSE_SIZES = (8, 16, 32)
 REPEATS = 3
 
 
-def best_ms(call) -> tuple[float, object]:
+def best_ms(call, before=lambda: None) -> tuple[float, object]:
     best, result = float("inf"), None
     for _ in range(REPEATS):
+        before()
         t0 = time.perf_counter()
         result = call()
         best = min(best, time.perf_counter() - t0)
@@ -122,7 +125,7 @@ def main() -> None:
         if verdict.outcome != COMPLEX_ONLY_UNDETERMINED:
             raise SystemExit(f"complex-only n={n}: expected {COMPLEX_ONLY_UNDETERMINED}, got {verdict.outcome}")
         print(f"{n:>3}  {decide_ms:>24.1f}")
-    print(f"\n{'n':>3}  " + "  ".join(f"{kind + ' refutation ms':>27}  {'svd':>4}  {'eigvalsh':>8}  {'eig':>3}" for kind in REFUTATION_KINDS))
+    print(f"\n{'n':>3}  " + "  ".join(f"{kind + ' refutation ms':>27}  {'cold ms':>7}  {'svd':>4}  {'eigvalsh':>8}  {'eig':>3}" for kind in REFUTATION_KINDS))
     for n in REFUTATION_SIZES:
         columns = []
         for kind in REFUTATION_KINDS:
@@ -130,9 +133,10 @@ def main() -> None:
             decide_ms, verdict = best_ms(lambda: is_evolution_algebra(spec))
             if verdict.outcome != NOT_EVOLUTION:
                 raise SystemExit(f"{kind} n={n}: expected {NOT_EVOLUTION}, got {verdict.outcome}")
+            cold_ms, _ = best_ms(lambda: is_evolution_algebra(spec), before=pencil._directions.cache_clear)
             with counted("svd", "eigvalsh", "eig") as calls:
                 is_evolution_algebra(spec)
-            columns.append(f"{decide_ms:>27.1f}  {calls['svd']:>4}  {calls['eigvalsh']:>8}  {calls['eig']:>3}")
+            columns.append(f"{decide_ms:>27.1f}  {cold_ms:>7.1f}  {calls['svd']:>4}  {calls['eigvalsh']:>8}  {calls['eig']:>3}")
         print(f"{n:>3}  " + "  ".join(columns))
     print(f"\n{'n':>3}  {'lines':>6}  {'parse ms':>9}")
     for n in PARSE_SIZES:
