@@ -1,4 +1,4 @@
-.PHONY: test acceptance bench reports probe same scale
+.PHONY: test acceptance bench reports probe same pools scale
 
 # the sources under src/ are tested directly, without an installed copy
 PYTEST = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest
@@ -44,10 +44,18 @@ same:
 	if diff "$$out/base" "$$out/here"; then echo "reports and probe: no difference from $(BASE)"; \
 	else status=$$?; python tools/same_counts.py "$$out/base" "$$out/here"; exit $$status; fi
 
+# every item the benchmark's workload builders make for seeds 101-140, decided in this checkout and in
+# $(BASE), one sorted line each (outcome, refutation kind, certificate acceptance, judgement; see
+# tools/pools.py), then diffed; exits non-zero on any difference
+pools:
+	@test -n "$(BASE)" || { echo "usage: make pools BASE=<checkout>" >&2; exit 2; }
+	@out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
+	python tools/pools.py . > "$$out/here" && python tools/pools.py "$(BASE)" > "$$out/base" && \
+	if diff "$$out/base" "$$out/here"; then echo "benchmark pools: no difference from $(BASE)"; else exit 1; fi
+
 # best-of-3 wall time of the decision and the certificate check on planted n = 16, 32, 48, 64,
 # of the complex-only decision at n = 16, 32, of the noncommuting, defective and ann_mismatch
-# refutations at n = 24, 48 (each also with the direction cache emptied before every decision, and with
-# the svd, eigvalsh and eig calls of one more, untimed decision), and of
+# refutations at n = 24, 48 (each with the svd, eigvalsh and eig calls of one more, untimed decision), and of
 # parsing planted files at n = 8, 16, 32; not part of the benchmark
 # (see tools/scale.py). Fixed mmap and trim thresholds keep glibc from moving the first after the
 # decisions free large blocks and from returning freed heap to the system, so that the

@@ -9,16 +9,16 @@ counts the singular values above ``max(rank_rtol * sigma_max * max(shape),
 atol)``, a cutoff that ``_rank_cutoff`` alone computes.  :func:`rank` and
 :func:`kernel_basis` call it.  The pencil search ranks stacks instead
 (``_split_stack``): ``M_1`` alone, then the rest of its canonical scan in
-one stack, then all its random trials in one, each matrix by the same
-cutoff.  A real, exactly symmetric stack, which every pencil of real
-structure matrices is, takes the singular values of ``eigvalsh`` (the
-moduli of the eigenvalues); any other stack takes one stacked SVD, with
-the bytes of each matrix's own ``_split``.  Eigenspaces come from one
-``np.linalg.eig`` per matrix, with a numerical kernel of ``M - cI`` only
-where neither a separation bound nor the singular values of ``M - lI``,
-measured for every single eigenvalue the bound misses in one stacked
-SVD, show a 1-dimensional kernel; each is computed in the arithmetic of
-``M`` (see :func:`eigen_structure`).
+one stack, then its random trials in one, or in blocks of bounded size,
+each matrix by the same cutoff.  A real, exactly symmetric stack, which
+every pencil of real structure matrices is, takes the singular values of
+``eigvalsh`` (the moduli of the eigenvalues); any other stack takes one
+stacked SVD, with the bytes of each matrix's own ``_split``.  Eigenspaces
+come from one ``np.linalg.eig`` per matrix, with a numerical kernel of
+``M - cI`` only where neither a separation bound nor the singular values
+of ``M - lI``, measured for every single eigenvalue the bound misses in
+one stacked SVD, show a 1-dimensional kernel; each is computed in the
+arithmetic of ``M`` (see :func:`eigen_structure`).
 
 The tunable thresholds live in one :class:`ToleranceContext`.  A few fixed
 constants do not: :func:`eigen_structure` escalates its clustering radius

@@ -7,18 +7,18 @@ directions are tried first so that an invertible ``M_k`` is found
 deterministically whenever one exists.  For real matrices the rank defect is
 a real polynomial condition, so a real random vector does as well.
 
-The search is one canonical scan followed by the random trials, in three
-stacked factorisations at most (``numkernel._split_stack``): ``M_1`` is
-ranked alone, since that is where nearly every search stops; the rest of
-the scan in one stack; and all the trials, evaluated at once, in one more.
-Structure matrices and their real pencils are symmetric, so a real stack
-is ranked by the moduli of its ``eigvalsh`` eigenvalues, which are its
-singular values; a complex or non-symmetric stack takes the SVD.  Every
-matrix is ranked by the one cutoff of ``numkernel._rank_cutoff``.  The
-random directions do not depend on the matrices, so they are drawn once
-per ``(m, seed, trials, field)`` and cached (``_directions``): a process
-that decides many algebras of one dimension draws them once, and a process
-that decides one algebra draws them as often as without the cache.
+The search is one canonical scan followed by the random trials, in
+stacked factorisations (``numkernel._split_stack``): ``M_1`` is ranked
+alone, since that is where nearly every search stops; the rest of the scan
+in one stack; and the trials, evaluated at once, in one more, or in
+consecutive blocks where one stack would exceed ``_STACK_BYTES`` (the
+default 16 trials are one stack up to n = 362).  Structure matrices and
+their real pencils are symmetric, so a real stack is ranked by the moduli
+of its ``eigvalsh`` eigenvalues, which are its singular values; a complex
+or non-symmetric stack takes the SVD.  Every matrix is ranked by the one
+cutoff of ``numkernel._rank_cutoff``.  The random directions are drawn
+row by row from one generator seeded by ``seed``, so the first ``t`` of
+them do not depend on ``trials``.
 
 The decision runs the search once, after splitting off the annihilator: on
 the full tensor when the annihilator is zero (an invertible ``M_k`` is
@@ -28,7 +28,6 @@ annihilator leaves every ``M_k`` singular.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -38,6 +37,8 @@ from . import numkernel
 from .numkernel import DEFAULT_TOL, DimensionMismatch, ToleranceContext
 
 DEFAULT_TRIALS = 16
+# the bytes of one stack of random-trial pencils, so that memory does not grow with ``trials``
+_STACK_BYTES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -76,21 +77,6 @@ def evaluate(mats: Sequence[np.ndarray], lam) -> np.ndarray:
     return out
 
 
-def _unit_gaussian(m: int, seed: int, trial: int, real: bool) -> np.ndarray:
-    """Unit direction with standard Gaussian coordinates on the stream ``[seed, trial]``."""
-    rng = np.random.default_rng([seed, trial])
-    z = rng.standard_normal(m) if real else rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    return (z / np.linalg.norm(z)).astype(np.complex128)
-
-
-@functools.lru_cache(maxsize=32)
-def _directions(m: int, seed: int, trials: int, real: bool) -> np.ndarray:
-    """The ``(trials, m)`` read-only array of ``_unit_gaussian(m, seed, t, real)`` for ``t < trials``, drawn once."""
-    lams = np.array([_unit_gaussian(m, seed, t, real) for t in range(trials)])
-    lams.flags.writeable = False
-    return lams
-
-
 def max_pencil_rank(
     mats: Sequence[np.ndarray],
     tol: ToleranceContext = DEFAULT_TOL,
@@ -99,25 +85,29 @@ def max_pencil_rank(
 ) -> PencilRankWitness:
     """Best-rank pencil point found among canonical directions and random trials.
 
-    Canonical directions are scanned first in ascending index: the first
-    of full rank is returned, with ``trials_used`` counting the directions
-    up to it.  ``M_1`` is ranked alone, since most searches stop there;
-    the rest of the scan is ranked as one stack.  Random candidates have
-    standard Gaussian coordinates on per-trial streams derived from the
-    seed, so the result is reproducible bit for bit; they are drawn once
-    per ``(m, seed, trials, field)`` (``_directions``), and all of them are
-    evaluated at once and ranked as one stack.  They are real when the
-    matrices are real (any real dtype) and complex otherwise; ``lambda0`` is
-    complex128 either way, and a copy of its own.  Among random candidates
-    of equal rank the one with the largest smallest retained singular value
-    wins.  A random candidate never displaces an equal-rank canonical one.
-    Every stack is ranked by ``numkernel._split_stack``: a real symmetric
-    one by its ``eigvalsh`` moduli, any other by its SVD.  The moduli
-    agree with the SVD's singular values only to about ``n * eps *
-    sigma_max``, so two random candidates whose smallest retained values
-    are that close, or a singular value that close to the cutoff, may be
-    resolved otherwise than an SVD would: another ``lambda0``, or another
-    rank.  Raises :class:`ValueError` when ``trials < 1``.
+    Canonical directions are scanned first in ascending index: the first of
+    full rank is returned, with ``trials_used`` counting the directions up
+    to it.  ``M_1`` is ranked alone, since most searches stop there; the
+    rest of the scan is ranked as one stack.  Random candidates have
+    standard Gaussian coordinates drawn from
+    ``np.random.default_rng(seed)``, so the result is reproducible bit for
+    bit: a real row of ``standard_normal((trials, m))`` when the matrices
+    are real (any real dtype), else a row of
+    ``standard_normal((trials, 2, m))`` read as real and imaginary parts,
+    each normalised and stored as complex128.  Row ``t`` is drawn before row ``t + 1``, so raising
+    ``trials`` only adds directions.  The trials are evaluated and ranked in
+    consecutive stacks of at most ``_STACK_BYTES`` each, drawn in turn (one
+    stack of the default 16 up to n = 362), and compared in trial order.
+    Among random candidates of equal rank the one with the largest smallest
+    retained singular value wins.  A random candidate never displaces an
+    equal-rank canonical one.  Every stack is ranked by
+    ``numkernel._split_stack``: a real symmetric one by its ``eigvalsh``
+    moduli, any other by its SVD.  The moduli agree with the SVD's singular
+    values only to about ``n * eps * sigma_max``, so two random candidates
+    whose smallest retained values are that close, or a singular value that
+    close to the cutoff, may be resolved otherwise than an SVD would:
+    another ``lambda0``, or another rank.  Raises :class:`ValueError` when
+    ``trials < 1``.
     """
     n = numkernel._check_stack(mats)
     if trials < 1:
@@ -137,10 +127,16 @@ def max_pencil_rank(
     if r == n:
         return best
     real = not np.iscomplexobj(mats[0])
-    lams = _directions(m, seed, trials, real)
-    ranks, s = numkernel._split_stack(evaluate(mats, lams.real if real else lams), tol)
-    for t, r in enumerate(ranks.tolist()):
-        smin = float(s[t, r - 1]) if r else 0.0
-        if r > best.r0 or (r == best.r0 and best.canonical_index is None and smin > best.smallest_kept_sv):
-            best = PencilRankWitness(lams[t].copy(), r, m + t + 1, smallest_kept_sv=smin)
+    rng = np.random.default_rng(seed)
+    block = max(1, _STACK_BYTES // ((8 if real else 16) * n * n))  # pencils per stack
+    for start in range(0, trials, block):
+        # the next rows of standard_normal((trials, m)), or of (trials, 2, m) read as real and imaginary parts
+        z = rng.standard_normal((min(block, trials - start), 1 if real else 2, m))
+        z = z[:, 0] if real else z[:, 0] + 1j * z[:, 1]
+        lams = (z / np.linalg.norm(z, axis=-1, keepdims=True)).astype(np.complex128)
+        ranks, s = numkernel._split_stack(evaluate(mats, lams.real if real else lams), tol)
+        for t, r in enumerate(ranks.tolist()):
+            smin = float(s[t, r - 1]) if r else 0.0
+            if r > best.r0 or (r == best.r0 and best.canonical_index is None and smin > best.smallest_kept_sv):
+                best = PencilRankWitness(lams[t], r, m + start + t + 1, smallest_kept_sv=smin)
     return replace(best, trials_used=m + trials)

@@ -544,14 +544,17 @@ class TestOnePath:
             evaluated.clear()
 
     @pytest.mark.parametrize(
-        "spec, outcome",
+        "spec, outcome, branch",
         [
-            (planted_evolution_algebra(6, seed=4)[0], EVOLUTION),  # b.2
-            (adversarial_instance("defective", 6, 0), NOT_EVOLUTION),  # a
-            (adversarial_instance("defective", 4, None), NOT_EVOLUTION),  # b.1
+            (planted_evolution_algebra(6, seed=4)[0], EVOLUTION, "b.2"),
+            (adversarial_instance("defective", 6, 0), NOT_EVOLUTION, "a"),
+            # e_i^2 with a zero i-th coordinate in the natural basis: no M_k is invertible, the annihilator
+            # is zero, and the similarity spectrum at the random pencil point is real and simple
+            (AlgebraSpec(3, "real", {(i, i, k): float(3 * i + k) for i in (1, 2, 3) for k in (1, 2, 3) if i != k}),
+             EVOLUTION, "b.1"),
         ],
     )
-    def test_real_spectra_are_factored_in_real_arithmetic(self, monkeypatch, spec, outcome):
+    def test_real_spectra_are_factored_in_real_arithmetic(self, monkeypatch, spec, outcome, branch):
         # every eigenspace of a real family with a real spectrum is computed
         # once, as a real kernel, by the construction and the scans alike
         complex_svds = []
@@ -563,10 +566,45 @@ class TestOnePath:
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         v = is_evolution_algebra(spec)
-        assert v.outcome == outcome
+        assert (v.outcome, v.diagnostics.branch) == (outcome, branch)
         if outcome == NOT_EVOLUTION:
             assert isinstance(v.refutation, NonDiagonalisable)
         assert complex_svds and not any(complex_svds)
+
+    def test_a_non_real_computed_spectrum_is_measured_over_c(self, monkeypatch):
+        # at its random pencil point the perturbed Jordan pair of N_1 splits into a conjugate pair,
+        # so eigen_structure measures that pair over C: every complex SVD is of M - lI at one of its
+        # computed eigenvalues l, or of eigenspace bases whose complex columns are eigenvectors of such an l
+        eig, svd = np.linalg.eig, np.linalg.svd
+        spectra, complex_inputs = [], []
+
+        def recording_eig(a, *args, **kwargs):
+            values, vectors = eig(a, *args, **kwargs)
+            spectra.append((np.array(a), values))
+            return values, vectors
+
+        def recording_svd(a, *args, **kwargs):
+            if np.iscomplexobj(a):
+                complex_inputs.append((spectra[-1], np.array(a)))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eig", recording_eig)
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        v = is_evolution_algebra(adversarial_instance("defective", 4, None))
+        assert v.diagnostics.branch == "b.1"
+        assert isinstance(v.refutation, NonDiagonalisable) and v.refutation.index == 1
+        assert complex_inputs
+        for (m, values), a in complex_inputs:
+            non_real = values[values.imag != 0]
+            assert not np.iscomplexobj(m) and non_real.size
+
+            def is_eigenvector(v):
+                return min(np.linalg.norm(m @ v - l * v) for l in non_real) <= 1e-12 * np.linalg.norm(m)
+
+            for b in a.reshape(-1, *a.shape[-2:]):
+                shift = b.shape == m.shape and any(np.array_equal(b, m - l * np.eye(len(m))) for l in non_real)
+                complex_columns = [v for v in b.T if np.any(v.imag)]
+                assert shift or (complex_columns and all(map(is_eigenvector, complex_columns)))
 
     def test_rejected_transform_is_checked_once(self, monkeypatch):
         calls = []

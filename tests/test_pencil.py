@@ -18,8 +18,8 @@ from evoalg import (
 )
 from evoalg.corpus import well_conditioned_matrix
 from evoalg.numkernel import DEFAULT_TOL, DimensionMismatch
-from evoalg.pencil import DEFAULT_TRIALS, PencilRankWitness, _directions, _unit_gaussian, evaluate
-from evoalg import numkernel
+from evoalg.pencil import DEFAULT_TRIALS, PencilRankWitness, evaluate
+from evoalg import numkernel, pencil
 
 
 def reference_evaluate(mats, lam):
@@ -28,6 +28,17 @@ def reference_evaluate(mats, lam):
     for c, m in zip(lam, mats):
         out += c * m
     return out
+
+
+def reference_directions(m, seed, trials, real):
+    """The documented draw: the rows of one ``default_rng(seed)`` draw, normalised, as complex128."""
+    rng = np.random.default_rng(seed)
+    if real:
+        z = rng.standard_normal((trials, m))
+    else:
+        parts = rng.standard_normal((trials, 2, m))
+        z = parts[:, 0] + 1j * parts[:, 1]
+    return (z / np.linalg.norm(z, axis=-1, keepdims=True)).astype(np.complex128)
 
 
 def reference_max_pencil_rank(mats, tol=DEFAULT_TOL, trials=DEFAULT_TRIALS, seed=0):
@@ -44,8 +55,7 @@ def reference_max_pencil_rank(mats, tol=DEFAULT_TOL, trials=DEFAULT_TRIALS, seed
             if r == n:
                 return best
     real = not np.iscomplexobj(mats[0])
-    for t in range(trials):
-        lam = _unit_gaussian(m, seed, t, real)
+    for t, lam in enumerate(reference_directions(m, seed, trials, real)):
         r, s, _ = numkernel._split(reference_evaluate(mats, lam.real if real else lam), tol)
         smin = float(s[r - 1]) if r else 0.0
         if r > best.r0 or (r == best.r0 and best.canonical_index is None and smin > best.smallest_kept_sv):
@@ -96,6 +106,8 @@ def reference_stacks():
     units = np.array([p.T @ np.diag(np.eye(6)[k]) @ p for k in range(6)])  # rank 1 each, rank 6 together
     yield "full rank at a random trial", units, DEFAULT_TRIALS, 1
     yield "rank 3 at a random trial", units[:3], DEFAULT_TRIALS, 1
+    yield "complex, full rank at a random trial", units * (1.0 + 0.5j), DEFAULT_TRIALS, 1
+    yield "complex, rank 3 at a random trial", units[:3] * (1.0 + 0.5j), DEFAULT_TRIALS, 1
     yield "m = 1, full rank", t[:1], 1, 0
     yield "m = 1, singular", t[1:2], 1, 5
     yield "trials = 1", t, 1, 9
@@ -248,23 +260,67 @@ class TestBatchedSearch:
         assert any(k and not full for k, full in ends)  # topped out at a structure matrix
 
 
+def recorded_calls(monkeypatch, module, name):
+    """The arguments of every later call of ``module.name``, in order."""
+    calls = []
+    function = getattr(module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def searches_to_the_end(case):
+    _, stack, trials, seed = case
+    return max_pencil_rank(stack, trials=trials, seed=seed).trials_used == len(stack) + trials
+
+
 class TestDirections:
-    @pytest.mark.parametrize("real", [True, False])
-    def test_the_bytes_of_one_draw_per_trial(self, real):
-        want = np.array([_unit_gaussian(7, 3, t, real) for t in range(5)])
-        got = _directions(7, 3, 5, real)
-        assert got.shape == (5, 7) and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("name", ["rank 3 at a random trial", "complex, rank 3 at a random trial"])
+    def test_more_trials_only_add_directions(self, monkeypatch, name):
+        _, mats, _, seed = next(c for c in REFERENCE_STACKS if c[0] == name)  # topped out: every trial is ranked
+        evaluated = recorded_calls(monkeypatch, pencil, "evaluate")
+        few = max_pencil_rank(mats, trials=5, seed=seed)
+        more = max_pencil_rank(mats, trials=13, seed=seed)
+        drawn = [lam for _, lam in evaluated]
+        assert [rows.shape[0] for rows in drawn] == [5, 13]
+        assert drawn[0].tobytes() == drawn[1][:5].tobytes()
+        assert few.canonical_index is None and few.r0 == more.r0 == 3
+        assert np.iscomplexobj(mats) == np.iscomplexobj(drawn[1])
 
-    def test_read_only(self):
-        lams = _directions(4, 0, 3, True)
-        with pytest.raises(ValueError):
-            lams[0, 0] = 1.0
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_trials_are_ranked_in_bounded_stacks(self, monkeypatch, field):
+        cases = [c for c in REFERENCE_STACKS if np.iscomplexobj(c[1]) == (field == "complex") and c[2] > 1]
+        cases = [c for c in cases if searches_to_the_end(c)]
+        assert len(cases) >= 4
+        for name, stack, trials, seed in cases:
+            evaluated = recorded_calls(monkeypatch, pencil, "evaluate")
+            whole = max_pencil_rank(stack, trials=trials, seed=seed)
+            n = stack[0].shape[0]
+            # three complex pencils, or the canonical scan if that is larger
+            bound = max(3 * 16 * n * n, np.asarray(stack[1:]).nbytes)
+            monkeypatch.setattr(pencil, "_STACK_BYTES", bound)
+            split = recorded_calls(monkeypatch, numkernel, "_split_stack")
+            blocked = max_pencil_rank(stack, trials=trials, seed=seed)
+            monkeypatch.undo()
+            stacks = [s for s, _ in split]
+            canonical = 1 + (len(stack) > 1)
+            assert len(stacks) > canonical + 1, name  # the trials took more than one stack
+            assert sum(len(s) for s in stacks[canonical:]) == trials, name
+            assert all(s.nbytes <= bound for s in stacks), name
+            # consecutive draws from one generator: the directions of one stack
+            rows = [lam for _, lam in evaluated]
+            assert np.concatenate(rows[1:]).tobytes() == rows[0].tobytes(), name
+            assert witness_bytes(blocked) == witness_bytes(whole), name
 
-    def test_drawn_once_per_field(self):
-        real, complex_ = _directions(6, 2, 4, True), _directions(6, 2, 4, False)
-        assert _directions(6, 2, 4, True) is real and _directions(6, 2, 4, False) is complex_
-        assert not np.any(real.imag) and np.all(complex_.imag)
+    def test_the_default_trials_are_one_stack(self, monkeypatch):
+        _, mats, trials, seed = next(c for c in REFERENCE_STACKS if c[0] == "rank 3 at a random trial")
+        stacks = recorded_calls(monkeypatch, numkernel, "_split_stack")
+        max_pencil_rank(mats, trials=trials, seed=seed)
+        assert [len(stack) for stack, _ in stacks] == [1, 2, DEFAULT_TRIALS]
 
     def test_a_witness_owns_its_direction(self):
         _, units, trials, seed = next(c for c in REFERENCE_STACKS if c[0] == "full rank at a random trial")
