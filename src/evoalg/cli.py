@@ -311,9 +311,5 @@ def run(argv=None) -> int:
         return EXIT_USAGE
 
 
-def main(argv=None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

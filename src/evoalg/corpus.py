@@ -112,11 +112,11 @@ def example_algebra(name: str, epsilon: Optional[float] = None, allow_out_of_ran
     return algebra.validate(AlgebraSpec(3, REAL, constants))
 
 
-def well_conditioned_matrix(n: int, rng: np.random.Generator, cond_cap: float = 1e4) -> np.ndarray:
-    """Random invertible real matrix with condition number below ``cond_cap``."""
+def well_conditioned_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random invertible real matrix with condition number at most ``1e4``."""
     while True:
         p = rng.uniform(-1.0, 1.0, size=(n, n))
-        if np.linalg.cond(p) <= cond_cap:
+        if np.linalg.cond(p) <= 1e4:
             return p
 
 

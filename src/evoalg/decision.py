@@ -24,12 +24,13 @@ goes in a fixed order: the routing test (every member commutes with the sum
 of the family); for a family that fails it, the scans; then the
 construction of a common eigenbasis and a congruence transform, and the
 certificate check on it; and, for a routed family whose transform was
-rejected or whose construction failed numerically, the scans.  A transform
-that passes the check is the positive verdict, and a defective matrix of
-the whole space met by the construction is the refutation.  The scans name
-the witness of a refutation, the commutators, cheap and robust, before the
-ill-posed defect check; without one, a numerical failure stands and a
-rejected transform leaves the verdict undetermined.
+rejected or that has no common eigenbasis, the scans.  A transform that
+passes the check is the positive verdict, and a defective matrix of the
+whole space met by the construction is the refutation.  The scans name the
+witness of a refutation, the commutators, cheap and robust, before the
+ill-posed defect check; without one, the verdict is undetermined.  A
+numerical failure anywhere is final: the verdict is undetermined, with the
+failure in its notes.
 
 A real algebra has a real similarity family, and its transform is complex
 only in the eigenspaces of non-real eigenvalues.  A positive verdict needs a
@@ -49,15 +50,14 @@ from .algebra import REAL, AdaptedBasis, AlgebraSpec
 from .numkernel import DEFAULT_TOL, NonConvergence, ToleranceContext
 from .pencil import DEFAULT_TRIALS
 from .sdc import Refutation
-from .sds import RefinementInconsistency
 
 EVOLUTION = "evolution"
 NOT_EVOLUTION = "not_evolution"
 COMPLEX_ONLY_UNDETERMINED = "complex_only_undetermined"
 UNDETERMINED = "undetermined"
 
-# the failures that give an undetermined verdict, or that the scans may overrule with a witness
-_NUMERICAL_FAILURES = (NonConvergence, RefinementInconsistency, np.linalg.LinAlgError)
+# the failures that give an undetermined verdict
+_NUMERICAL_FAILURES = (NonConvergence, np.linalg.LinAlgError)
 
 _RULES = {
     "a": "invertible structure matrix shortcut",
@@ -168,10 +168,10 @@ def _solve(
     checker on it.  A transform the checker accepts is the certificate, and
     a defective matrix of the whole space met by the construction is the
     refutation (the scans' first witness when the pairs of the family all
-    commute).  A routed family whose transform is rejected, or whose
-    construction raised, runs the scans after it.  Without a witness, a
-    construction that raised re-raises, and a rejected transform gives
-    ``(None, None)``.
+    commute).  A routed family whose transform is rejected, or that has no
+    common eigenbasis, runs the scans after it; without a witness, the
+    ending is ``(None, None)``.  A numerical failure of the construction is
+    final and propagates.
     """
     w, family = sdc._similarity_family(stack, lam)
     routed = sds._commute_with_sum(family, tol)
@@ -179,23 +179,17 @@ def _solve(
         refutation = sds._witness(family, tol)
         if refutation is not None:
             return None, refutation
-    failure = None
-    try:
-        bases = sds._common_eigenbasis(family, tol)
-        if isinstance(bases, sds.NonDiagonalisable):
-            return None, bases
+    bases = sds._common_eigenbasis(family, tol)
+    if isinstance(bases, sds.NonDiagonalisable):
+        return None, bases
+    if bases is not None:
         p = sdc._assemble(w, bases)
         if adapted is not None:
             p = algebra._embed(adapted, p)
         check, products = _check(t, p, tol)
         if check.ok:
             return _certificate(p, products), None
-    except _NUMERICAL_FAILURES as exc:
-        failure = exc  # for a routed family, the scans decide whether it stands
-    refutation = sds._witness(family, tol) if routed else None
-    if refutation is None and failure is not None:
-        raise failure
-    return None, refutation
+    return None, sds._witness(family, tol) if routed else None
 
 
 def is_evolution_algebra(

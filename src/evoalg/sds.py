@@ -18,11 +18,13 @@ a margin, then a defect check per matrix, ill-posed and an eigen-analysis
 each) name the witness when the family is not SDS.  The decision hands the
 family in as one ``(m, r, r)`` array and runs the scans before the
 construction only for a family that fails the routing test
-(:func:`_commute_with_sum`), and after it only when the construction of a
-routed family fails.  The construction returns a defective matrix of the
-whole space that it meets instead of a basis; for a family whose pairs all
-commute, that is the scans' first witness.  Neither eigen-analyses an exact
-identity, such as ``W^{-1} M_k`` at a canonical pencil point ``e_k``.
+(:func:`_commute_with_sum`), and after it only when a routed family gets
+no basis or a rejected transform.  The construction returns a defective
+matrix of the whole space that it meets instead of a basis, and ``None``
+for a restriction defective inside a subspace; for a family whose pairs
+all commute, the former is the scans' first witness.  Neither
+eigen-analyses an exact identity, such as ``W^{-1} M_k`` at a canonical
+pencil point ``e_k``.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ import numpy as np
 
 from . import numkernel
 from .numkernel import ToleranceContext
-
-
-class RefinementInconsistency(Exception):
-    """A restriction failed diagonalisability inside a subspace (tolerance boundary)."""
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,9 @@ def _commute_with_sum(mats: Sequence[np.ndarray], tol: ToleranceContext) -> bool
     return bool(np.all(commutators <= bound))
 
 
-def _common_eigenbasis(mats: Sequence[np.ndarray], tol: ToleranceContext) -> Union[list[np.ndarray], NonDiagonalisable]:
+def _common_eigenbasis(
+    mats: Sequence[np.ndarray], tol: ToleranceContext
+) -> Union[list[np.ndarray], NonDiagonalisable, None]:
     """Orthonormal bases of the common eigenspaces of a diagonalisable commuting family.
 
     Refines subspaces matrix by matrix, in index order, until every subspace
@@ -86,8 +86,8 @@ def _common_eigenbasis(mats: Sequence[np.ndarray], tol: ToleranceContext) -> Uni
     non-defective cluster, so it is the first defect of :func:`_witness`,
     whose witness it is when the pairs of the family all commute.
     A member that is exactly the identity splits nothing and is skipped.
-    Raises :class:`RefinementInconsistency` when a restriction turns out
-    defective inside a subspace.
+    A restriction that turns out defective inside a subspace gives ``None``:
+    there is no basis, and the witness, if any, is left to the scans.
     """
     n = numkernel._check_stack(mats)
     whole = np.eye(n, dtype=mats[0].dtype)
@@ -114,10 +114,7 @@ def _common_eigenbasis(mats: Sequence[np.ndarray], tol: ToleranceContext) -> Uni
                 if cluster.multiplicity == d and cluster.eigenspace_dim == d:
                     refined.append(basis)  # the cluster fills the subspace
                 elif cluster.eigenspace_dim != cluster.multiplicity:
-                    raise RefinementInconsistency(
-                        f"matrix {idx + 1}: eigenvalue {cluster.eigenvalue} has eigenspace dimension "
-                        f"{cluster.eigenspace_dim} inside a subspace of multiplicity {cluster.multiplicity}"
-                    )
+                    return None  # a restriction defective inside a subspace: no common eigenbasis
                 else:
                     refined.append(basis @ cluster.basis)
         bases = refined

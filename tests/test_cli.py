@@ -92,6 +92,23 @@ class TestCheck:
         assert code == 1
         assert text in out.splitlines() and f"note: {note}" in out.splitlines()
 
+    def test_batch_text_reports_have_headers(self, capsys):
+        sources = ["example://simple2d", "example://nota2"]
+        code, out, _ = run(capsys, "check", *sources)
+        assert code == 1
+        headers = [line for line in out.splitlines() if line.startswith("== ")]
+        assert headers == [f"== {source}" for source in sources]
+        first, second = out.split(headers[1] + "\n")
+        assert first.startswith(headers[0] + "\nverdict: evolution\n")
+        assert second.startswith("verdict: not_evolution\n")
+
+    def test_bare_tolerance_sets_all_four(self, capsys):
+        code, out, _ = run(capsys, "check", "example://simple2d", "--tol", "1e-9", "--json")
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["tolerances"] == {
+            "rank_rtol": 1e-9, "eig_cluster_atol": 1e-9, "commute_rtol": 1e-9, "verify_rtol": 1e-9,
+        }
+
     def test_tolerance_overrides(self, capsys):
         code, _, _ = run(capsys, "check", "example://simple2d", "--tol", "verify_rtol=1e-6", "--tol", "rank_rtol=1e-12")
         assert code == 0
@@ -134,6 +151,11 @@ class TestOtherCommands:
         assert code == 0
         assert out.strip().splitlines() == ["0.0 0.0 1.0"]
 
+    def test_ann_json(self, capsys):
+        code, out, _ = run(capsys, "ann", "example://nota2", "--json")
+        assert code == 0
+        assert json.loads(out) == {"ann_dim": 1, "basis": [[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}
+
     def test_ann_empty(self, capsys):
         code, out, _ = run(capsys, "ann", "example://simple2d")
         assert code == 0
@@ -173,6 +195,9 @@ class TestOtherCommands:
         assert code == 1
         report = json.loads(out)
         assert report["ok"] is False and report["offending_pair"] == [1, 2]
+        code, out, _ = run(capsys, "verify", "example://simple2d", "--p", str(bad))
+        assert code == 1
+        assert out.startswith("certificate rejected: product of basis vectors 1 and 2 has residual ")
 
     def test_verify_rejects_non_finite_transform(self, tmp_path, capsys):
         p = tmp_path / "inf.mat"

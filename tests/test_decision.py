@@ -35,7 +35,7 @@ from evoalg.numkernel import DEFAULT_TOL
 from evoalg.pencil import evaluate
 from evoalg.sds import NonCommuting, NonDiagonalisable
 from conftest import columns_match_up_to_scale, subnormal_tetraploid
-from probe import scrambled_planted
+from probe import COMPLEX_NUMBERS, TOLERANCES, direct_sum, scrambled_planted
 
 
 def record_factored(monkeypatch):
@@ -408,6 +408,47 @@ class TestConstructionFirst:
         v = is_evolution_algebra(adversarial_instance("noncommuting", 24, seed=1075121533))
         assert v.outcome == NOT_EVOLUTION and isinstance(v.refutation, NonDiagonalisable)
 
+    @pytest.mark.parametrize("tol_name", TOLERANCES)
+    @pytest.mark.parametrize("name, eigenvalue", [("mendel", -0.890410628249924), ("tetraploid", 0.726192636245195)])
+    def test_no_basis_leaves_the_witness_to_the_scans(self, monkeypatch, tol_name, name, eigenvalue):
+        # C plus the example: the family passes the routing test, and its third member, restricted
+        # to a subspace, is defective; the construction gives no basis and the scans name the witness
+        tol = TOLERANCES[tol_name]
+        constructions = []
+        common_eigenbasis = sds._common_eigenbasis
+
+        def recording(family, tol):
+            bases = common_eigenbasis(family, tol)
+            constructions.append((family, bases))
+            return bases
+
+        monkeypatch.setattr(sds, "_common_eigenbasis", recording)
+        v = is_evolution_algebra(direct_sum(AlgebraSpec(2, "real", COMPLEX_NUMBERS), example_algebra(name, 0.0)), tol)
+        [(family, bases)] = constructions
+        assert bases is None
+        assert v.outcome == NOT_EVOLUTION and not v.diagnostics.notes
+        assert v.refutation == sds._witness(family, tol)
+        assert v.refutation.index == 3 and v.refutation.eigenvalue == pytest.approx(eigenvalue, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [822908896, 1713748021, 664749585, 1476712180])
+    def test_a_failed_eigen_analysis_is_final(self, monkeypatch, seed):
+        # the construction's eigen-analysis fails to converge; the scans would repeat it on the same matrix
+        failures = []
+        eigen_structure = numkernel.eigen_structure
+
+        def counting(m, tol):
+            try:
+                return eigen_structure(m, tol)
+            except numkernel.NonConvergence:
+                failures.append(m.shape)
+                raise
+
+        monkeypatch.setattr(numkernel, "eigen_structure", counting)
+        v = is_evolution_algebra(adversarial_instance("defective", 24, seed=seed))
+        assert v.outcome == UNDETERMINED
+        assert v.diagnostics.notes == ("numerical failure: eigenvalue clustering did not stabilise at any resolution",)
+        assert len(failures) == 1
+
     @pytest.mark.parametrize(
         "n, kappa, seed",
         [
@@ -662,15 +703,18 @@ class TestSolveEndings:
             (False, None, "basis", False, ["route", "scan", "construct", "check"], UNDETERMINED, None, REJECTED),
             (False, None, "defect", True, ["route", "scan", "construct"], NOT_EVOLUTION, DEFECT, ()),
             (False, None, "raises", True, ["route", "scan", "construct"], UNDETERMINED, None, FAILED),
+            (False, None, "none", True, ["route", "scan", "construct"], UNDETERMINED, None, REJECTED),
             # routed: the construction first; a certificate or a whole-space defect ends the pass
             (True, WITNESS, "basis", True, ["route", "construct", "check"], EVOLUTION, None, ()),
             (True, WITNESS, "defect", True, ["route", "construct"], NOT_EVOLUTION, DEFECT, ()),
-            # routed, transform rejected: the scans run
+            # routed, transform rejected or no basis: the scans run
             (True, WITNESS, "basis", False, ["route", "construct", "check", "scan"], NOT_EVOLUTION, WITNESS, ()),
             (True, None, "basis", False, ["route", "construct", "check", "scan"], UNDETERMINED, None, REJECTED),
-            # routed, construction raises: the scans run, then their witness or the re-raise
-            (True, WITNESS, "raises", True, ["route", "construct", "scan"], NOT_EVOLUTION, WITNESS, ()),
-            (True, None, "raises", True, ["route", "construct", "scan"], UNDETERMINED, None, FAILED),
+            (True, WITNESS, "none", True, ["route", "construct", "scan"], NOT_EVOLUTION, WITNESS, ()),
+            (True, None, "none", True, ["route", "construct", "scan"], UNDETERMINED, None, REJECTED),
+            # routed, construction raises: the failure is final, the scans never run
+            (True, WITNESS, "raises", True, ["route", "construct"], UNDETERMINED, None, FAILED),
+            (True, None, "raises", True, ["route", "construct"], UNDETERMINED, None, FAILED),
         ],
     )
     def test_calls_and_ending(self, monkeypatch, routed, witness, construction, accepted, calls, outcome, refutation, notes):
@@ -689,6 +733,8 @@ class TestSolveEndings:
             seen.append("construct")
             if construction == "raises":
                 raise numkernel.NonConvergence("stub")
+            if construction == "none":
+                return None
             return self.DEFECT if construction == "defect" else common_eigenbasis(family, tol)
 
         def checker(t, p, tol):
