@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import algebra, corpus, decision, fileformat, sdc, sds
+from . import algebra, corpus, decision, fileformat
 from .decision import COMPLEX_ONLY_UNDETERMINED, EVOLUTION, NOT_EVOLUTION, UNDETERMINED
 from .numkernel import DEFAULT_TOL, ToleranceContext
 from .pencil import DEFAULT_TRIALS
@@ -73,49 +73,26 @@ def _pairs(a) -> list:
     return np.stack([np.real(a), np.imag(a)], axis=-1).tolist()
 
 
-def _refutation_json(r) -> Optional[dict]:
-    if r is None:
-        return None
-    if isinstance(r, sds.NonDiagonalisable):
-        return {"kind": "non_diagonalisable", "matrix_index": r.index, "eigenvalue": _pairs(r.eigenvalue)}
-    if isinstance(r, sds.NonCommuting):
-        return {"kind": "non_commuting", "pair": list(r.pair), "commutator_norm": r.commutator_norm}
-    if isinstance(r, sdc.KernelDimensionMismatch):
-        return {"kind": "kernel_dimension_mismatch", "kernel_dim": r.kernel_dim, "expected": r.expected}
-    if isinstance(r, sdc.NoFullRankPencil):
-        return {"kind": "no_full_rank_pencil", "trials": r.trials, "seed": r.seed}
-    raise TypeError(f"unknown refutation {r!r}")
+def _json(value):
+    """A report value: arrays and complex numbers as ``[re, im]`` pairs, tuples as lists, dataclasses as their fields."""
+    if isinstance(value, (np.ndarray, complex)):
+        return _pairs(value)
+    if isinstance(value, tuple):
+        return list(value)
+    return {name: _json(v) for name, v in vars(value).items()} if dataclasses.is_dataclass(value) else value
 
 
 def report_json(verdict: decision.Verdict, runtime_ms: float) -> dict:
     """Stable report object for a verdict; see the README for the schema."""
-    cert = None
-    if verdict.certificate is not None:
-        c = verdict.certificate
-        cert = {
-            "p": _pairs(c.p),
-            "diagonals": _pairs(c.diagonals),
-            "natural_basis": _pairs(c.p.T),
-            "natural_basis_products": _pairs(c.natural_basis_products),
-        }
-    d = verdict.diagnostics
-    diagnostics = {
-        "r0": d.r0,
-        "lambda0": None if d.lambda0 is None else _pairs(d.lambda0),
-        "ann_dim": d.ann_dim,
-        "trials": d.trials,
-        "trials_used": d.trials_used,
-        "seed": d.seed,
-        "tolerances": dataclasses.asdict(d.tolerances),
-        "notes": list(d.notes),
-        "runtime_ms": runtime_ms,
-    }
+    c, d, r = verdict.certificate, verdict.diagnostics, verdict.refutation
     return {
         "verdict": verdict.outcome,
         "branch": d.branch,
-        "certificate": cert,
-        "refutation": _refutation_json(verdict.refutation),
-        "diagnostics": diagnostics,
+        "certificate": None if c is None else {
+            "natural_basis": _pairs(c.p.T), **{name: _pairs(v) for name, v in vars(c).items()}},
+        "refutation": None if r is None else {
+            "kind": r.kind, **{r.json_names.get(name, name): _json(v) for name, v in vars(r).items()}},
+        "diagnostics": {**{name: _json(v) for name, v in vars(d).items() if name != "branch"}, "runtime_ms": runtime_ms},
     }
 
 
@@ -157,11 +134,16 @@ def _tolerances(values: Optional[list[str]]) -> ToleranceContext:
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--tol", action="append", metavar="VALUE|NAME=VALUE",
                    help="override tolerances: a bare value sets all four, name=value sets one; repeatable")
+    p.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
+    p.add_argument("--epsilon", type=float, default=None, help="deformation parameter for example:// sources")
+
+
+def _decision_flags(p: argparse.ArgumentParser):
+    """The common flags and those of the pencil search, for the commands that decide."""
+    _common_flags(p)
     p.add_argument("--trials", type=_int_at_least(1), default=DEFAULT_TRIALS,
                    help="random pencil trials (default %(default)s)")
     p.add_argument("--seed", type=_int_at_least(0), default=0, help="seed of the pencil search (default %(default)s)")
-    p.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
-    p.add_argument("--epsilon", type=float, default=None, help="deformation parameter for example:// sources")
 
 
 @functools.cache  # a parser is reusable: each parse starts from fresh defaults
@@ -171,11 +153,11 @@ def _build_parser() -> _Parser:
 
     p_check = sub.add_parser("check", help="decide one or more algebras")
     p_check.add_argument("files", nargs="+", metavar="FILE")
-    _common_flags(p_check)
+    _decision_flags(p_check)
 
     p_basis = sub.add_parser("basis", help="print a natural basis or the refutation")
     p_basis.add_argument("file", metavar="FILE")
-    _common_flags(p_basis)
+    _decision_flags(p_basis)
 
     p_ann = sub.add_parser("ann", help="print an annihilator basis")
     p_ann.add_argument("file", metavar="FILE")
@@ -272,13 +254,7 @@ def _cmd_verify(args) -> int:
     check = decision.check_certificate(spec, p, tol)
     ms = (time.perf_counter() - t0) * 1000.0
     if args.json:
-        print(json.dumps({
-            "ok": check.ok,
-            "offending_pair": list(check.offending_pair) if check.offending_pair else None,
-            "residual": check.residual,
-            "reason": check.reason,
-            "runtime_ms": ms,
-        }, sort_keys=True))
+        print(json.dumps({**dataclasses.asdict(check), "runtime_ms": ms}, sort_keys=True))
     elif check.ok:
         print(f"certificate accepted (worst off-diagonal product residual {check.residual:.3e})")
     elif check.reason is not None:

@@ -35,19 +35,18 @@ _EPSILON_RANGES = {
 ADVERSARIAL_KINDS = ("defective", "noncommuting", "ann_mismatch")
 
 
-def example_algebra(name: str, epsilon: Optional[float] = None, allow_out_of_range: bool = False) -> AlgebraSpec:
+def example_algebra(name: str, epsilon: Optional[float] = None) -> AlgebraSpec:
     """Return a named example algebra, deformed by ``epsilon`` where applicable.
 
     ``epsilon`` defaults to 0 for the parametric families and must stay inside
-    the documented range unless ``allow_out_of_range`` is set (out-of-range
-    values are mathematically fine but leave the genetic interpretation).
+    the documented range, that of the genetic interpretation.
     """
     if name not in EXAMPLE_NAMES:
         raise KeyError(f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}")
     if name in _EPSILON_RANGES:
         eps = 0.0 if epsilon is None else float(epsilon)
         lo, hi = _EPSILON_RANGES[name]
-        if not allow_out_of_range and not (lo <= eps <= hi):
+        if not lo <= eps <= hi:
             raise OutOfRangeEpsilon(f"{name} expects epsilon in [{lo:g}, {hi:g}], got {eps:g}")
     elif epsilon is not None:
         raise OutOfRangeEpsilon(f"{name} takes no epsilon parameter")
@@ -82,7 +81,7 @@ def example_algebra(name: str, epsilon: Optional[float] = None, allow_out_of_ran
     if name == "mendel3d_ann":
         # the Mendelian deformation padded with an annihilator direction e3;
         # the e3 coordinate of every product is minus its e2 coordinate
-        mendel = example_algebra("mendel", eps, allow_out_of_range).constants
+        mendel = example_algebra("mendel", eps).constants
         constants = {**mendel, **{(i, j, 3): -v for (i, j, k), v in mendel.items() if k == 2}}
         return algebra.validate(AlgebraSpec(3, REAL, constants))
 

@@ -40,7 +40,7 @@ only, undetermined over R", with the complex certificate attached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -49,7 +49,7 @@ from . import algebra, numkernel, pencil, sdc, sds
 from .algebra import REAL, AdaptedBasis, AlgebraSpec
 from .numkernel import DEFAULT_TOL, NonConvergence, ToleranceContext
 from .pencil import DEFAULT_TRIALS
-from .sdc import Refutation
+from .sds import Refutation
 
 EVOLUTION = "evolution"
 NOT_EVOLUTION = "not_evolution"
@@ -156,7 +156,7 @@ def _solve(
     lam: np.ndarray,
     adapted: Optional[AdaptedBasis],
     tol: ToleranceContext,
-) -> tuple[Optional[Certificate], Optional[Refutation]]:
+) -> tuple[Optional[Certificate], Optional[Refutation], Optional[str]]:
     """Decide the stack at the pencil point ``lam`` in one pass, in the arithmetic of the stack.
 
     Builds the family ``N_k = W^{-1} M_k`` once, as one array, then goes
@@ -169,27 +169,30 @@ def _solve(
     a defective matrix of the whole space met by the construction is the
     refutation (the scans' first witness when the pairs of the family all
     commute).  A routed family whose transform is rejected, or that has no
-    common eigenbasis, runs the scans after it; without a witness, the
-    ending is ``(None, None)``.  A numerical failure of the construction is
-    final and propagates.
+    common eigenbasis, runs the scans after it.  Returns the certificate,
+    the refutation and, where no transform passed, a note that says why.
+    A numerical failure of the construction is final and propagates.
     """
     w, family = sdc._similarity_family(stack, lam)
     routed = sds._commute_with_sum(family, tol)
     if not routed:
         refutation = sds._witness(family, tol)
         if refutation is not None:
-            return None, refutation
+            return None, refutation, None
     bases = sds._common_eigenbasis(family, tol)
-    if isinstance(bases, sds.NonDiagonalisable):
-        return None, bases
-    if bases is not None:
+    if isinstance(bases, list):
         p = sdc._assemble(w, bases)
         if adapted is not None:
             p = algebra._embed(adapted, p)
         check, products = _check(t, p, tol)
         if check.ok:
-            return _certificate(p, products), None
-    return None, sds._witness(family, tol) if routed else None
+            return _certificate(p, products), None, None
+        note = "constructed transform failed independent congruence verification"
+    elif bases is not None:
+        return None, bases, None  # a defective matrix of the whole space
+    else:
+        note = "no common eigenbasis was constructed: a restriction to a common eigenspace is defective"
+    return None, sds._witness(family, tol) if routed else None, note
 
 
 def is_evolution_algebra(
@@ -231,20 +234,20 @@ def is_evolution_algebra(
         if branch == "b.1" and witness.r0 == n and witness.canonical_index is not None:
             branch = "a"  # an invertible structure matrix is the witness
         if witness.r0 == n - ann_dim:
-            certificate, refutation = _solve(t, stack, witness.lambda0, adapted, tol)
+            certificate, refutation, note = _solve(t, stack, witness.lambda0, adapted, tol)
         elif ann_dim:
             notes.append("randomized search found no invertible pencil point for the reduced blocks")
-            certificate, refutation = None, sdc.NoFullRankPencil(witness.trials_used, seed)
+            certificate, refutation, note = None, sdc.NoFullRankPencil(witness.trials_used, seed), None
         else:
             notes.append(
                 "no full-rank pencil point found by randomized search; "
                 "the rank defect contradicts the zero common kernel"
             )
-            certificate, refutation = None, sdc.KernelDimensionMismatch(0, n - witness.r0)
+            certificate, refutation, note = None, sdc.KernelDimensionMismatch(0, n - witness.r0), None
         if refutation is not None:
             outcome = NOT_EVOLUTION
         elif certificate is None:
-            notes.append("constructed transform failed independent congruence verification")
+            notes.append(note)
             outcome = UNDETERMINED
         elif spec.field == REAL and np.iscomplexobj(certificate.p):
             notes.append("similarity spectrum is not real; no real natural basis was certified")
@@ -298,26 +301,9 @@ def explain(verdict: Verdict) -> str:
         if d.lambda0 is not None:
             lines.append(f"pencil point: lambda0 = {_fmt_vector(d.lambda0)} (rank {d.r0})")
     r = verdict.refutation
-    if isinstance(r, sds.NonDiagonalisable):
-        lines.append(
-            f"refutation: matrix {r.index} of the similarity family is not diagonalisable; "
-            f"defective eigenvalue {_fmt_complex(r.eigenvalue)}"
-        )
-    elif isinstance(r, sds.NonCommuting):
-        lines.append(
-            f"refutation: matrices {r.pair[0]} and {r.pair[1]} of the similarity family do not commute "
-            f"(commutator norm {r.commutator_norm:.6g})"
-        )
-    elif isinstance(r, sdc.KernelDimensionMismatch):
-        lines.append(
-            f"refutation: common kernel has dimension {r.kernel_dim}, "
-            f"but the pencil rank defect requires {r.expected}"
-        )
-    elif isinstance(r, sdc.NoFullRankPencil):
-        lines.append(
-            f"refutation: no invertible pencil point for the reduced blocks "
-            f"after {r.trials} trials (seed {r.seed})"
-        )
+    if r is not None:
+        values = {name: _fmt_complex(v) if isinstance(v, complex) else v for name, v in vars(r).items()}
+        lines.append("refutation: " + r.text.format(**values))
     c = verdict.certificate
     if c is not None:
         lines.append("natural basis (coordinates in the input basis):")
@@ -328,11 +314,7 @@ def explain(verdict: Verdict) -> str:
             lines.append(f"  b{i + 1}^2 = {_fmt_vector(c.natural_basis_products[i])}")
     if d is not None:
         t = d.tolerances
-        lines.append(
-            "tolerances: "
-            f"rank_rtol={t.rank_rtol:g}, eig_cluster_atol={t.eig_cluster_atol:g}, "
-            f"commute_rtol={t.commute_rtol:g}, verify_rtol={t.verify_rtol:g}"
-        )
+        lines.append("tolerances: " + ", ".join(f"{f.name}={getattr(t, f.name):g}" for f in fields(t)))
         lines.append(f"reproduce with: seed={d.seed}, trials={d.trials}" +
                      (f", trials_used={d.trials_used}" if d.trials_used is not None else ""))
         for note in d.notes:

@@ -37,7 +37,7 @@ here assumes realness; callers that need a real result pass real data in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -80,10 +80,10 @@ class ToleranceContext:
     verify_rtol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("rank_rtol", "eig_cluster_atol", "commute_rtol", "verify_rtol"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (0.0 < value < 1.0):
-                raise ValueError(f"{name} must lie strictly in (0, 1), got {value!r}")
+                raise ValueError(f"{f.name} must lie strictly in (0, 1), got {value!r}")
 
 
 DEFAULT_TOL = ToleranceContext()

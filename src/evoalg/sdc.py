@@ -22,31 +22,34 @@ witnesses of congruence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from . import pencil
-from .sds import NonCommuting, NonDiagonalisable
+from .sds import Refutation
 
 
 @dataclass(frozen=True)
-class KernelDimensionMismatch:
+class KernelDimensionMismatch(Refutation):
     """Refutation witness: dim of the common kernel differs from n - r0."""
+
+    kind = "kernel_dimension_mismatch"
+    text = "common kernel has dimension {kernel_dim}, but the pencil rank defect requires {expected}"
 
     kernel_dim: int
     expected: int
 
 
 @dataclass(frozen=True)
-class NoFullRankPencil:
+class NoFullRankPencil(Refutation):
     """Refutation witness: no invertible pencil point found for the reduced blocks."""
+
+    kind = "no_full_rank_pencil"
+    text = "no invertible pencil point for the reduced blocks after {trials} trials (seed {seed})"
 
     trials: int
     seed: int
-
-
-Refutation = Union[NonDiagonalisable, NonCommuting, KernelDimensionMismatch, NoFullRankPencil]
 
 
 def gram_factor(g: np.ndarray) -> np.ndarray:

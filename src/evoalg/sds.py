@@ -30,7 +30,7 @@ pencil point ``e_k``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,17 +38,34 @@ from . import numkernel
 from .numkernel import ToleranceContext
 
 
+class Refutation:
+    """A refutation witness: a dataclass with its JSON ``kind``, the ``text`` of its report line,
+    formatted with its fields, and ``json_names``, the JSON names of the fields the report renames."""
+
+    kind: ClassVar[str]
+    text: ClassVar[str]
+    json_names: ClassVar[dict[str, str]] = {}
+
+
 @dataclass(frozen=True)
-class NonDiagonalisable:
+class NonDiagonalisable(Refutation):
     """Refutation witness: matrix ``index`` (1-based) has a defective eigenvalue."""
+
+    kind = "non_diagonalisable"
+    text = "matrix {index} of the similarity family is not diagonalisable; defective eigenvalue {eigenvalue}"
+    json_names = {"index": "matrix_index"}
 
     index: int
     eigenvalue: complex
 
 
 @dataclass(frozen=True)
-class NonCommuting:
+class NonCommuting(Refutation):
     """Refutation witness: the pair of matrices (1-based) fails to commute."""
+
+    kind = "non_commuting"
+    text = ("matrices {pair[0]} and {pair[1]} of the similarity family do not commute "
+            "(commutator norm {commutator_norm:.6g})")
 
     pair: tuple[int, int]
     commutator_norm: float

@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from evoalg import cli, example_algebra, parse
+from evoalg import cli, example_algebra, explain, is_evolution_algebra, parse
+from evoalg.decision import NOT_EVOLUTION, Verdict
 from evoalg.fileformat import format_matrix, serialise
+from evoalg.sdc import KernelDimensionMismatch, NoFullRankPencil
+from evoalg.sds import NonCommuting, NonDiagonalisable
 from conftest import subnormal_tetraploid
 
 
@@ -114,6 +117,32 @@ class TestCheck:
         assert code == 0
         code, _, err = run(capsys, "check", "example://simple2d", "--tol", "bogus=1")
         assert code == 3 and "unknown tolerance" in err
+
+
+class TestRefutationReports:
+    @pytest.mark.parametrize(
+        "refutation, line, payload",
+        [
+            (NonDiagonalisable(2, complex(-1.5, -0.25)),
+             "refutation: matrix 2 of the similarity family is not diagonalisable; defective eigenvalue -1.5-0.25i",
+             {"kind": "non_diagonalisable", "matrix_index": 2, "eigenvalue": [-1.5, -0.25]}),
+            (NonCommuting((1, 3), 0.123456789),
+             "refutation: matrices 1 and 3 of the similarity family do not commute (commutator norm 0.123457)",
+             {"kind": "non_commuting", "pair": [1, 3], "commutator_norm": 0.123456789}),
+            (KernelDimensionMismatch(0, 2),
+             "refutation: common kernel has dimension 0, but the pencil rank defect requires 2",
+             {"kind": "kernel_dimension_mismatch", "kernel_dim": 0, "expected": 2}),
+            (NoFullRankPencil(20, 7),
+             "refutation: no invertible pencil point for the reduced blocks after 20 trials (seed 7)",
+             {"kind": "no_full_rank_pencil", "trials": 20, "seed": 7}),
+        ],
+        ids=["non_diagonalisable", "non_commuting", "kernel_dimension_mismatch", "no_full_rank_pencil"],
+    )
+    def test_exact_text_line_and_json_payload(self, refutation, line, payload):
+        diagnostics = is_evolution_algebra(example_algebra("simple2d")).diagnostics
+        verdict = Verdict(NOT_EVOLUTION, None, refutation, diagnostics)
+        assert [text for text in explain(verdict).splitlines() if text.startswith("refutation: ")] == [line]
+        assert cli.report_json(verdict, 0.0)["refutation"] == payload
 
 
 class TestOtherCommands:
@@ -277,6 +306,19 @@ class TestErrors:
     def test_bad_numbers_are_usage_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 3 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ann", "--seed", "1", "example://nota2"],
+            ["ann", "--trials", "4", "example://nota2"],
+            ["verify", "--seed", "1", "example://simple2d", "--p", "p.mat"],
+            ["verify", "--trials", "4", "example://simple2d", "--p", "p.mat"],
+        ],
+    )
+    def test_only_the_deciding_commands_take_search_flags(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "unrecognized arguments" in err
 
     @pytest.mark.parametrize("density", ["nan", "-1", "2", "inf"])
     def test_density_outside_the_unit_interval_is_a_usage_error(self, capsys, density):

@@ -135,3 +135,17 @@ def test_the_counts_equal_their_ceilings(corpus, tol_name):
 def test_the_ceiling_file_holds_exactly_the_stress_rows():
     rows = {f"{tol_name} | {row}" for tol_name in TOLERANCES for corpus in CORPORA.values() for row, _, _ in corpus()}
     assert set(read_ceilings()) == rows
+
+
+@pytest.mark.parametrize("tol_name", TOLERANCES)
+def test_power_of_two_scaling_keeps_the_outcome_and_refutation_class(tol_name):
+    # a factor 2^k changes no significand, and every tolerance is relative, so the decision must not move
+    tol = TOLERANCES[tol_name]
+    moved = []
+    for index, (row, spec, _) in enumerate(scrambled()):
+        given = is_evolution_algebra(spec, tol)
+        for factor in (2.0**30, 2.0**-30):
+            v = is_evolution_algebra(rescaled(spec, factor), tol)
+            if (v.outcome, type(v.refutation)) != (given.outcome, type(given.refutation)):
+                moved.append((row, index, factor, given.outcome, v.outcome, given.refutation, v.refutation))
+    assert not moved
