@@ -1,4 +1,4 @@
-.PHONY: test acceptance bench reports probe same pools scale
+.PHONY: test acceptance bench reports probe same pools pairs scale
 
 # the sources under src/ are tested directly, without an installed copy
 PYTEST = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest
@@ -52,6 +52,15 @@ pools:
 	@out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
 	python tools/pools.py . > "$$out/here" && python tools/pools.py "$(BASE)" > "$$out/base" && \
 	if diff "$$out/base" "$$out/here"; then echo "benchmark pools: no difference from $(BASE)"; else exit 1; fi
+
+# N alternating pairs of benchmark runs of workload W (each the run_seconds of BENCHMARK.json, 35 s),
+# here and in $(BASE), at seeds SEED .. SEED+N-1, the side that runs first alternating; prints each pair,
+# then per end-to-end metric both sides' median and quartiles, the per-pair ratios and the wins
+# (see tools/pairs.py)
+N ?= 10
+pairs:
+	@test -n "$(BASE)" || { echo "usage: make pairs BASE=<checkout> W=<workload> N=10 SEED=<s>" >&2; exit 2; }
+	@python tools/pairs.py "$(BASE)" --workload $(W) --pairs $(N) --seed $(SEED)
 
 # best-of-3 wall time of the decision and the certificate check on planted n = 16, 32, 48, 64,
 # of the complex-only decision at n = 16, 32, of the noncommuting, defective and ann_mismatch

@@ -213,25 +213,32 @@ def complete_to_basis(columns: np.ndarray) -> list[int]:
     Returns the indices of the chosen standard basis vectors, in selection
     order: at each step the vector with the largest residual after projection
     onto the current span is taken, lowest index on ties.  Deterministic and
-    well-conditioned.  The span grows in one preallocated ``(n, n)`` array.
+    well-conditioned.  The span grows in one preallocated ``(n, n)`` array,
+    and the squared moduli of its entries in another, filled one column per
+    step, so no step recomputes them for the columns already chosen.
     """
     n, k = columns.shape
     q = np.zeros((n, n), dtype=columns.dtype)
     q[:, :k] = columns
+    sq = np.zeros((n, n))
+    sq[:, :k] = np.abs(columns) ** 2
+    taken = np.zeros(n, dtype=bool)
     chosen: list[int] = []
     for m in range(k, n):
-        span = q[:, :m]
         # residual of e_i: 1 - ||row i of q||^2
-        residuals = 1.0 - np.sum(np.abs(span) ** 2, axis=1)
-        residuals[chosen] = -np.inf
+        residuals = 1.0 - np.sum(sq[:, :m], axis=1)
+        residuals[taken] = -np.inf
         i = int(np.argmax(residuals))
         if residuals[i] <= 1e-12:
             raise np.linalg.LinAlgError("cannot complete to a basis; span already full")
+        taken[i] = True
         chosen.append(i)
         e = np.zeros(n, dtype=q.dtype)
         e[i] = 1.0
-        v = e - span @ span[i].conj()  # q^H e_i is the conjugate of row i
-        q[:, m] = v / np.linalg.norm(v)
+        v = e - q[:, :m] @ q[i, :m].conj()  # q^H e_i is the conjugate of row i
+        v /= np.linalg.norm(v)
+        q[:, m] = v
+        sq[:, m] = np.abs(v) ** 2
     return chosen
 
 

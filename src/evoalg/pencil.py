@@ -10,12 +10,18 @@ a real polynomial condition, so a real random vector does as well.
 The search is one canonical scan followed by the random trials, in
 stacked factorisations (``numkernel._split_stack``): ``M_1`` is ranked
 alone, since that is where nearly every search stops; the rest of the scan
-in one stack; and the trials, evaluated at once, in one more, or in
-consecutive blocks where one stack would exceed ``_STACK_BYTES`` (the
-default 16 trials are one stack up to n = 362).  Structure matrices and
-their real pencils are symmetric, so a real stack is ranked by the moduli
-of its ``eigvalsh`` eigenvalues, which are its singular values; a complex
-or non-symmetric stack takes the SVD.  Every matrix is ranked by the one
+in one stack; and the trials in one more, or in consecutive blocks where
+one stack would exceed ``_STACK_BYTES`` (the default 16 trials are one
+stack up to n = 362).  A block of trials is evaluated by :func:`evaluate`:
+for real matrices (whose directions are real) in one ``np.einsum``
+contraction of the directions with the stack, which adds the products
+``lam_j M_j`` in index order and so gives the bytes of a loop over the
+matrices; for complex matrices by that loop itself, since numpy's SIMD
+complex ``multiply`` and einsum's textbook complex product round some
+products differently.  Structure matrices and their real pencils are
+symmetric, so a real stack is ranked by the moduli of its ``eigvalsh``
+eigenvalues, which are its singular values; a complex or non-symmetric
+stack takes the SVD.  Every matrix is ranked by the one
 cutoff of ``numkernel._rank_cutoff``.  The random directions are drawn
 row by row from one generator seeded by ``seed``, so the first ``t`` of
 them do not depend on ``trials``.
@@ -64,15 +70,25 @@ def evaluate(mats: Sequence[np.ndarray], lam) -> np.ndarray:
 
     ``lam`` has shape ``(..., m)`` for ``m`` matrices of size ``n``, and the
     result has shape ``(..., n, n)``: one coefficient row gives one matrix.
-    Each pencil is accumulated in index order, so a stack of rows gives the
-    bytes of one call per row.  Symmetric whenever the inputs are.
+    Each pencil is accumulated in index order from +0, one separately
+    rounded product ``lam_j * M_j`` at a time, so a stack of rows gives the
+    bytes of one call per row.  When the stack or the coefficients are real,
+    the pencils are one unoptimised ``np.einsum`` contraction, whose loop
+    over ``j`` does exactly that.  A complex stack at complex coefficients
+    keeps one ``out += c * M_j`` per matrix: numpy's complex ``multiply``
+    runs SIMD loops that round some products otherwise than einsum's
+    textbook ``(ac - bd) + (ad + bc)i``, and its pencils keep the bytes of
+    ``multiply``.  Symmetric whenever the inputs are.
     """
     n = numkernel._check_stack(mats)
     coeffs = np.asarray(lam)
     if coeffs.shape[-1:] != (len(mats),):
         raise DimensionMismatch(f"pencil over {len(mats)} matrices needs {len(mats)} coefficients, got {coeffs.shape}")
-    out = np.zeros(coeffs.shape[:-1] + (n, n), dtype=np.result_type(coeffs.dtype, *(m.dtype for m in mats)))
-    for c, m in zip(np.moveaxis(coeffs, -1, 0)[..., None, None], mats):
+    stack = np.asarray(mats)
+    if not (np.iscomplexobj(coeffs) and np.iscomplexobj(stack)):
+        return np.einsum("...k,kij->...ij", coeffs, stack)
+    out = np.zeros(coeffs.shape[:-1] + (n, n), dtype=np.result_type(coeffs.dtype, stack.dtype))
+    for c, m in zip(np.moveaxis(coeffs, -1, 0)[..., None, None], stack):
         out += c * m
     return out
 

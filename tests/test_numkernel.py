@@ -486,6 +486,10 @@ class TestCompleteToBasis:
                     tied[[j, (j + k) % n], j] = 1 / np.sqrt(2)
                 if np.linalg.matrix_rank(tied) == k:
                     cases.append(np.linalg.qr(tied)[0] if k > 1 else tied)
+        for n in (16, 24, 32):  # decisions reach n = 64; a few larger spans, real and complex
+            for k in (1, n // 4, n // 2, n - 1):
+                cases.append(np.linalg.qr(rng.standard_normal((n, k)))[0])
+                cases.append(np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0])
         for columns in cases:
             assert complete_to_basis(columns) == reference(columns)
         assert len(cases) > 400
