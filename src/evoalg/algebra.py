@@ -15,14 +15,13 @@ reports the first offending entry in iteration order.  Public functions take
 the tensor once on entry (``m_structure_matrices``) and work on the array.
 
 A change of basis ``P`` takes the congruence transforms ``P^T M_k P`` and
-re-coordinatises them through ``P^{-1}`` in one helper (``_combine``): every
-entry is summed over ``k`` in index order, from +0, as ``np.add.reduce``
-sums it, and the zero coefficients of ``P^{-1}`` are skipped, which changes
-no bit.  The adapted basis of the decision (branch "b.2") needs only the
-leading blocks, and its first columns are standard vectors: it gathers
-those blocks from the tensor exactly and re-coordinatises them through the
-few non-zero entries of each row of ``P^{-1}``, so no ``n^4`` product is
-formed on the decision path.
+re-coordinatises them through ``P^{-1}``: row ``l`` of ``P^{-1}`` gives the
+new ``M_l`` as the pencil of the congruent stack at that row, so it is the
+one contraction of the package, ``pencil.evaluate``.  The adapted basis of
+the decision (branch "b.2") needs only the leading blocks, and its first
+columns are standard vectors: it gathers those blocks from the tensor
+exactly and contracts them with ``P^{-1}`` in the same way, so no ``n^4``
+product is formed on the decision path.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ import numpy as np
 
 from . import numkernel
 from .numkernel import DEFAULT_TOL, DimensionMismatch, Singular, ToleranceContext
+from .pencil import evaluate
 
 REAL = "real"
 COMPLEX = "complex"
@@ -204,38 +204,14 @@ def m_structure_matrices(spec: AlgebraSpec) -> np.ndarray:
     return validate(spec).constants.tensor
 
 
-def _combine(pinv: np.ndarray, congruent: np.ndarray) -> np.ndarray:
-    """``sum_k pinv[l, k] * congruent[k]`` for every row ``l`` of ``pinv``, made symmetric.
-
-    Each entry is summed in k order from +0, as ``np.add.reduce`` over ``k``
-    sums it, but only over the non-zero ``pinv[l, k]``.  A zero coefficient
-    adds a signed zero, which leaves a non-zero partial sum as it is and +0
-    at +0, and a sum that starts from +0 is never -0: skipping the term
-    changes no bit.  Step ``j`` adds the j-th non-zero term of every row at
-    once (a row with fewer is padded with zero coefficients, which change
-    nothing for the same reason); for a dense ``pinv``, step ``j`` takes
-    ``k = j`` in every row, and ``congruent[j]`` is broadcast rather than
-    copied.  The sum is these explicit steps, never a reduction over ``k``,
-    whose order would depend on the memory layout (``np.add.reduce`` sums an
-    axis that is innermost in memory pairwise).
-    """
-    nonzero = pinv != 0
-    dense = nonzero.all()
-    # per row, the k of its non-zero coefficients in ascending order, then those of its zeros
-    order = np.argsort(~nonzero, axis=1, kind="stable")[:, : nonzero.sum(axis=1).max()]
-    total = np.zeros((len(pinv),) + congruent.shape[1:], dtype=np.result_type(pinv, congruent))
-    for ks, c in zip(order.T, pinv[np.arange(len(pinv))[:, None], order].T):
-        total += c[:, None, None] * (congruent[ks[0]] if dense else congruent[ks])
-    return (total + total.transpose(0, 2, 1)) / 2.0  # guard against round-off asymmetry
-
-
 def _recoordinatise(t: np.ndarray, pm: np.ndarray) -> np.ndarray:
     """Structure tensor in the basis given by the columns of ``pm``.
 
     The congruence transforms ``P^T M_k P`` are re-coordinatised through
-    ``P^{-1}`` by :func:`_combine`.
+    ``P^{-1}`` by :func:`pencil.evaluate`, then made symmetric.
     """
-    return _combine(np.linalg.inv(pm), pm.T @ t @ pm)
+    total = evaluate(pm.T @ t @ pm, np.linalg.inv(pm))
+    return (total + total.transpose(0, 2, 1)) / 2.0  # guard against round-off asymmetry
 
 
 def multiply(spec: AlgebraSpec, a, b) -> np.ndarray:
@@ -308,10 +284,11 @@ def _adapt(t: np.ndarray, ann: np.ndarray) -> AdaptedBasis:
     ``P^T M_k P`` is ``M_k[idx][:, idx]`` exactly: each entry of the product
     is one product with 1 plus products with 0.  The blocks are gathered,
     not multiplied, and re-coordinatised through ``P^{-1}`` by
-    :func:`_combine`, which skips the structural zeros of ``P^{-1}`` (a row
-    has about ``ann_dim + 1`` non-zero entries).  The result is, bit for
-    bit, the leading blocks of ``_recoordinatise(t, P)``, from about
-    ``n (ann_dim + 1) r^2`` terms where that forms ``n^4``.
+    :func:`pencil.evaluate`, whose complex loop skips the structural zeros of
+    ``P^{-1}`` (a row has about ``ann_dim + 1`` non-zero entries).  The
+    gathered blocks are exactly symmetric, and so is each sum of them, so no
+    symmetrisation is needed.  The result is, bit for bit, the leading
+    blocks of ``_recoordinatise(t, P)``, without forming its ``n^4`` product.
     """
     n = t.shape[0]
     a = ann.shape[1]
@@ -323,7 +300,7 @@ def _adapt(t: np.ndarray, ann: np.ndarray) -> AdaptedBasis:
     transform[indices, range(r)] = 1.0
     transform[:, r:] = ann
     leading = t.take(indices, axis=1).take(indices, axis=2)
-    return AdaptedBasis(transform, a, _combine(np.linalg.inv(transform), leading))
+    return AdaptedBasis(transform, a, evaluate(leading, np.linalg.inv(transform)))
 
 
 def _embed(adapted: AdaptedBasis, p_blocks: np.ndarray) -> np.ndarray:

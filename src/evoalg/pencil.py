@@ -7,24 +7,25 @@ directions are tried first so that an invertible ``M_k`` is found
 deterministically whenever one exists.  For real matrices the rank defect is
 a real polynomial condition, so a real random vector does as well.
 
-The search is one canonical scan followed by the random trials, in
-stacked factorisations (``numkernel._split_stack``): ``M_1`` is ranked
-alone, since that is where nearly every search stops; the rest of the scan
-in one stack; and the trials in one more, or in consecutive blocks where
-one stack would exceed ``_STACK_BYTES`` (the default 16 trials are one
-stack up to n = 362).  A block of trials is evaluated by :func:`evaluate`:
-for real matrices (whose directions are real) in one ``np.einsum``
-contraction of the directions with the stack, which adds the products
-``lam_j M_j`` in index order and so gives the bytes of a loop over the
-matrices; for complex matrices by that loop itself, since numpy's SIMD
-complex ``multiply`` and einsum's textbook complex product round some
-products differently.  Structure matrices and their real pencils are
-symmetric, so a real stack is ranked by the moduli of its ``eigvalsh``
-eigenvalues, which are its singular values; a complex or non-symmetric
-stack takes the SVD.  Every matrix is ranked by the one
-cutoff of ``numkernel._rank_cutoff``.  The random directions are drawn
-row by row from one generator seeded by ``seed``, so the first ``t`` of
-them do not depend on ``trials``.
+The search is one canonical scan followed by the random trials, in stacked
+factorisations (``numkernel._split_stack``): ``M_1`` is ranked alone, since
+that is where nearly every search stops; the rest of the scan in one stack;
+and the trials in one more, or in consecutive blocks where one stack would
+exceed ``_STACK_BYTES`` (the default 16 trials are one stack up to n = 362).
+A block of trials is evaluated by :func:`evaluate`, the package's one
+contraction ``sum_j c_j M_j`` (a change of basis in ``algebra`` is one too):
+for real matrices of size ``n >= 2`` (whose directions are real) in one
+``np.einsum`` contraction of the directions with the stack, which adds the
+products ``lam_j M_j`` in index order and so gives the bytes of a loop over
+the matrices; for complex matrices, and for 1x1 ones, by that loop itself,
+since numpy's SIMD complex ``multiply`` and einsum's textbook complex
+product round some products differently, and einsum sums a 1x1 stack in
+another order.  Structure matrices and their real pencils are symmetric, so
+a real stack is ranked by the moduli of its ``eigvalsh`` eigenvalues, which
+are its singular values; a complex or non-symmetric stack takes the SVD.
+Every matrix is ranked by the one cutoff of ``numkernel._rank_cutoff``.  The
+random directions are drawn row by row from one generator seeded by
+``seed``, so the first ``t`` of them do not depend on ``trials``.
 
 The decision runs the search once, after splitting off the annihilator: on
 the full tensor when the annihilator is zero (an invertible ``M_k`` is
@@ -69,28 +70,38 @@ def evaluate(mats: Sequence[np.ndarray], lam) -> np.ndarray:
     """Evaluate ``sum_j lam_j M_j`` for each row of coefficients.
 
     ``lam`` has shape ``(..., m)`` for ``m`` matrices of size ``n``, and the
-    result has shape ``(..., n, n)``: one coefficient row gives one matrix.
-    Each pencil is accumulated in index order from +0, one separately
+    result has shape ``(..., n, n)``.  This is the package's one such
+    contraction: the pencils, and a change of basis (rows of ``P^{-1}``).
+    Each entry is accumulated in index order from +0, one separately
     rounded product ``lam_j * M_j`` at a time, so a stack of rows gives the
-    bytes of one call per row.  When the stack or the coefficients are real,
-    the pencils are one unoptimised ``np.einsum`` contraction, whose loop
-    over ``j`` does exactly that.  A complex stack at complex coefficients
-    keeps one ``out += c * M_j`` per matrix: numpy's complex ``multiply``
-    runs SIMD loops that round some products otherwise than einsum's
-    textbook ``(ac - bd) + (ad + bc)i``, and its pencils keep the bytes of
-    ``multiply``.  Symmetric whenever the inputs are.
+    bytes of one call per row.  For ``n >= 2`` with a real stack or real
+    coefficients that is one unoptimised ``np.einsum``; otherwise it is a
+    loop of ``out += c * M_j``: numpy's SIMD complex ``multiply`` rounds
+    some products otherwise than einsum's textbook complex product, and
+    einsum sums a 1x1 stack in an unrolled SIMD loop.  The loop skips zero
+    coefficients, whose signed-zero products change no sum that starts
+    from +0.  Step ``s`` gathers the s-th non-zero term of every row (a
+    shorter row is padded with zero coefficients), or broadcasts ``M_s``
+    when no coefficient is zero and ``n >= 2``: numpy's complex
+    ``multiply`` rounds one row times a broadcast 1x1 matrix otherwise than
+    ``c * M_s``.  Symmetric whenever the inputs are.
     """
     n = numkernel._check_stack(mats)
     coeffs = np.asarray(lam)
     if coeffs.shape[-1:] != (len(mats),):
         raise DimensionMismatch(f"pencil over {len(mats)} matrices needs {len(mats)} coefficients, got {coeffs.shape}")
     stack = np.asarray(mats)
-    if not (np.iscomplexobj(coeffs) and np.iscomplexobj(stack)):
+    if n > 1 and not (np.iscomplexobj(coeffs) and np.iscomplexobj(stack)):
         return np.einsum("...k,kij->...ij", coeffs, stack)
-    out = np.zeros(coeffs.shape[:-1] + (n, n), dtype=np.result_type(coeffs.dtype, stack.dtype))
-    for c, m in zip(np.moveaxis(coeffs, -1, 0)[..., None, None], stack):
-        out += c * m
-    return out
+    rows = coeffs.reshape(-1, len(mats))
+    nonzero = rows != 0
+    broadcast = n > 1 and nonzero.all()
+    # per row, the j of its non-zero coefficients in ascending order, then those of its zeros
+    order = np.argsort(~nonzero, axis=1, kind="stable")[:, : nonzero.sum(axis=1).max(initial=0)]
+    out = np.zeros((len(rows), n, n), dtype=np.result_type(coeffs.dtype, stack.dtype))
+    for js, c in zip(order.T, np.take_along_axis(rows, order, axis=1).T):
+        out += c[:, None, None] * (stack[js[0]] if broadcast else stack[js])
+    return out.reshape(coeffs.shape[:-1] + (n, n))
 
 
 def max_pencil_rank(

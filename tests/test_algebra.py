@@ -425,8 +425,9 @@ class TestChangeBasis:
             return constants
 
         rng = np.random.default_rng(12)
-        for seed in range(6):
-            spec, _ = planted_evolution_algebra(3 + seed, seed=seed)
+        # n = 3...8, then 1x1 matrices and the sizes of the benchmark's instances
+        for n, seed in [*((3 + seed, seed) for seed in range(6)), (1, 0), (16, 0), (24, 0), (32, 0)]:
+            spec, _ = planted_evolution_algebra(n, seed=seed)
             for p in (rng.uniform(-1, 1, (spec.dim, spec.dim)), rng.standard_normal((spec.dim, spec.dim)) * (1 + 1j)):
                 assert change_basis(spec, p).constants == loop_change_basis(spec, p)
 

@@ -138,33 +138,39 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatch):
             evaluate(mendel0_mats, 1.0)
 
-    @pytest.mark.parametrize("stack_field, row_field, n, shape, as_list", [
-        pytest.param("real", "real", 7, (2, 5), False, id="real"),
-        pytest.param("complex", "complex", 7, (2, 5), False, id="complex"),
-        pytest.param("real", "complex", 7, (2, 5), False, id="real-stack-complex-rows"),
-        pytest.param("complex", "real", 7, (2, 5), False, id="complex-stack-real-rows"),
-        pytest.param("real", "real", 7, (2, 5), True, id="real-list"),
-        pytest.param("complex", "complex", 7, (2, 5), True, id="complex-list"),
+    @pytest.mark.parametrize("stack_field, row_field, n, m, shape, as_list", [
+        pytest.param("real", "real", 7, 7, (2, 5), False, id="real"),
+        pytest.param("complex", "complex", 7, 7, (2, 5), False, id="complex"),
+        pytest.param("real", "complex", 7, 7, (2, 5), False, id="real-stack-complex-rows"),
+        pytest.param("complex", "real", 7, 7, (2, 5), False, id="complex-stack-real-rows"),
+        pytest.param("real", "real", 7, 7, (2, 5), True, id="real-list"),
+        pytest.param("complex", "complex", 7, 7, (2, 5), True, id="complex-list"),
         # one stack of the default 16 random trials on an n = 24 refutation
-        pytest.param("real", "real", 24, (1, DEFAULT_TRIALS), False, id="refute-n24-trials"),
+        pytest.param("real", "real", 24, 24, (1, DEFAULT_TRIALS), False, id="refute-n24-trials"),
+        # 1x1 matrices, where einsum would reduce over the matrices in another order
+        *(pytest.param(stack_field, row_field, 1, m, shape, False, id=f"1x1-{stack_field}-{row_field}-m{m}-{len(shape)}d")
+          for stack_field, row_field in (("real", "real"), ("complex", "complex"), ("real", "complex"), ("complex", "real"))
+          for m in (3, 17, 33) for shape in ((), (2, 5))),
     ])
-    def test_rows_give_the_bytes_of_one_call_per_row(self, stack_field, row_field, n, shape, as_list):
-        mats = m_structure_matrices(adversarial_instance("ann_mismatch", n, 3))
+    def test_rows_give_the_bytes_of_one_call_per_row(self, stack_field, row_field, n, m, shape, as_list):
+        mats = np.ascontiguousarray(m_structure_matrices(adversarial_instance("ann_mismatch", m, 3))[:, :n, :n])
         rng = np.random.default_rng(11)
-        rows = rng.standard_normal(shape + (n,))
+        dense = rng.standard_normal(shape + (m,))
         if row_field == "complex":
-            rows = rows + 1j * rng.standard_normal(shape + (n,))
-        rows[..., 1], rows[..., 2] = 0.0, -0.0  # products that are zeros of either sign
+            dense = dense + 1j * rng.standard_normal(shape + (m,))
+        sparse = dense.copy()
+        sparse[..., 1], sparse[..., 2] = 0.0, -0.0  # products that are zeros of either sign
         if stack_field == "complex":
             mats = mats * (1.0 + 0.5j)
         if as_list:
             mats = list(mats)
-        out = evaluate(mats, rows)
-        assert out.shape == shape + (n, n)
-        assert out.dtype == np.result_type(rows, *mats)
-        for i, j in np.ndindex(shape):
-            one = evaluate(mats, rows[i, j]).tobytes()
-            assert out[i, j].tobytes() == one == reference_evaluate(mats, rows[i, j]).tobytes(), (i, j)
+        for rows in (dense, sparse):
+            out = evaluate(mats, rows)
+            assert out.shape == shape + (n, n)
+            assert out.dtype == np.result_type(rows, *mats)
+            for index in np.ndindex(shape):
+                one = evaluate(mats, rows[index]).tobytes()
+                assert out[index].tobytes() == one == reference_evaluate(mats, rows[index]).tobytes(), index
 
 
 class TestMaxPencilRank:

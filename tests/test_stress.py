@@ -29,7 +29,7 @@ from evoalg import (
 )
 from evoalg.corpus import ADVERSARIAL_KINDS
 from evoalg.decision import EVOLUTION, NOT_EVOLUTION
-from probe import TOLERANCES, scrambled_planted
+from probe import TOLERANCES, one_direction, scrambled_planted
 
 CEILINGS = Path(__file__).parent / "data" / "stress_ceilings.json"
 COLUMNS = ["wrong_refutations", "undetermined", "adversarial_certificates", "rejected_certificates"]
@@ -46,6 +46,13 @@ def scrambled():
         for n in (4, 6, 8):
             for seed in range(20):
                 yield f"scrambled kappa={kappa:.0e}", scrambled_planted(n, kappa, seed), True
+
+
+def one_direction_squares():
+    """Algebras whose squares all lie along one basis vector, n = 2...8, in a well-conditioned basis."""
+    for n in range(2, 9):
+        for seed in range(20):
+            yield "one-direction", one_direction(n, seed)[0], True
 
 
 def deformed_examples():
@@ -84,6 +91,7 @@ def rescaled_examples():
 # each corpus yields ``(row, spec, whether spec is an evolution algebra by construction)``
 CORPORA = {
     "scrambled": scrambled,
+    "one-direction": one_direction_squares,
     "deformed": deformed_examples,
     "planted": planted,
     "adversarial": adversarial,
@@ -135,6 +143,15 @@ def test_the_counts_equal_their_ceilings(corpus, tol_name):
 def test_the_ceiling_file_holds_exactly_the_stress_rows():
     rows = {f"{tol_name} | {row}" for tol_name in TOLERANCES for corpus in CORPORA.values() for row, _, _ in corpus()}
     assert set(read_ceilings()) == rows
+
+
+@pytest.mark.parametrize("tol_name", TOLERANCES)
+def test_the_one_direction_squares_have_their_natural_basis(tol_name):
+    # each is an evolution algebra by the library's own checker, so a refutation of it is wrong
+    for n in range(2, 9):
+        for seed in range(20):
+            spec, p = one_direction(n, seed)
+            assert check_certificate(spec, p, TOLERANCES[tol_name]).ok, (n, seed)
 
 
 @pytest.mark.parametrize("tol_name", TOLERANCES)

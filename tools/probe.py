@@ -20,6 +20,9 @@ The corpus is decided at the default tolerances and at
   n ∈ {16, 24}, seeds 0–3;
 * planted n ∈ {4, 6, 8} re-expressed in a basis of condition number
   κ ∈ {1e3, 1e4, 1e5, 1e6}, seeds 0–19;
+* evolution algebras whose squares all lie along one basis vector,
+  re-expressed by ``corpus.well_conditioned_matrix``, n = 2…8, seeds 0–19
+  (``one_direction``);
 * the named examples at the ε of the README and the acceptance tests, real
   and complexified;
 * a real algebra that is an evolution algebra only over C (the complex
@@ -74,6 +77,23 @@ def scrambled_planted(n, kappa, seed):
     return change_basis(spec, u @ np.diag(np.logspace(0, -np.log10(kappa), n)) @ v.T)
 
 
+def one_direction(n, seed):
+    """An evolution algebra whose squares all lie along one basis vector, scrambled, and its natural basis.
+
+    In the natural basis ``e_i^2 = c_i e_k0`` for ``i != k0`` and ``e_k0^2 = 0``: every structure
+    matrix is a multiple of one matrix, and ``e_k0`` spans the annihilator.  ``k0``, the ``c_i``
+    (``+-[0.5, 2)``) and then the change of basis ``corpus.well_conditioned_matrix`` are drawn from
+    ``default_rng([seed, n, 99])``.  Returns the spec and its natural basis as the columns of a
+    matrix, which ``check_certificate`` accepts.
+    """
+    rng = np.random.default_rng([seed, n, 99])
+    k0 = int(rng.integers(n))
+    c = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    constants = {(i + 1, i + 1, k0 + 1): float(c[i]) for i in range(n) if i != k0}
+    p = well_conditioned_matrix(n, rng)
+    return change_basis(AlgebraSpec(n, "real", constants), p), np.linalg.inv(p)
+
+
 # C as a real algebra: e1 the unit, e2^2 = -e1
 COMPLEX_NUMBERS = {(1, 1, 1): 1.0, (2, 2, 1): -1.0, (1, 2, 2): 1.0}
 
@@ -113,6 +133,9 @@ def corpus():
         for kappa in (1e3, 1e4, 1e5, 1e6):
             for seed in range(20):
                 yield f"scrambled n={n} kappa={kappa:g} seed={seed}", scrambled_planted(n, kappa, seed)
+    for n in range(2, 9):
+        for seed in range(20):
+            yield f"one-direction n={n} seed={seed}", one_direction(n, seed)[0]
     for name, eps in EXAMPLES:
         spec = example_algebra(name, eps)
         yield f"example {name} eps={eps} real", spec

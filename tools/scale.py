@@ -8,6 +8,11 @@ For ``planted_evolution_algebra(n, seed=1)`` at n = 16, 32, 48 and 64 it
 prints the best of three wall times of ``is_evolution_algebra`` and of
 ``check_certificate`` on the returned certificate, unscaled, in
 milliseconds.  It then prints the best of three wall times of
+``is_evolution_algebra`` on the complexification of the same instance at
+n = 32 and 64, with the decision's branch: branch "b.2", whose
+re-coordinatisation of the leading blocks through ``P^{-1}`` skips the
+zero coefficients (``pencil.evaluate`` over a complex stack), a path that
+no benchmark workload reaches.  Next the best of three wall times of
 ``is_evolution_algebra`` on ``complex_only(n, 0)`` from ``tools/probe.py``
 (C as a real algebra plus idempotents, scrambled) at n = 16 and 32, a
 decision that ends complex only and that no benchmark workload reaches.
@@ -55,6 +60,7 @@ from evoalg import (  # noqa: E402
     NOT_EVOLUTION,
     adversarial_instance,
     check_certificate,
+    complexify,
     is_evolution_algebra,
     parse,
     planted_evolution_algebra,
@@ -63,6 +69,7 @@ from evoalg import (  # noqa: E402
 from probe import complex_only  # noqa: E402  (tools/ is on the path of a script run from it)
 
 SIZES = (16, 32, 48, 64)
+COMPLEXIFIED_SIZES = (32, 64)
 COMPLEX_ONLY_SIZES = (16, 32)
 REFUTATION_KINDS = ("noncommuting", "defective", "ann_mismatch")
 REFUTATION_SIZES = (24, 48)
@@ -111,6 +118,13 @@ def main() -> None:
         if not check.ok:
             raise SystemExit(f"n={n}: the certificate was rejected")
         print(f"{n:>3}  {decide_ms:>24.1f}  {check_ms:>21.1f}")
+    print(f"\n{'n':>3}  {'complexified decision ms':>24}  {'branch':>6}")
+    for n in COMPLEXIFIED_SIZES:
+        spec = complexify(planted_evolution_algebra(n, seed=1)[0])
+        decide_ms, verdict = best_ms(lambda: is_evolution_algebra(spec))
+        if verdict.outcome != EVOLUTION:
+            raise SystemExit(f"complexified n={n}: expected an evolution verdict, got {verdict.outcome}")
+        print(f"{n:>3}  {decide_ms:>24.1f}  {verdict.diagnostics.branch:>6}")
     print(f"\n{'n':>3}  {'complex-only decision ms':>24}")
     for n in COMPLEX_ONLY_SIZES:
         spec = complex_only(n, 0)
