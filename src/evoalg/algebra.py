@@ -172,8 +172,10 @@ def _scatter(constants: Mapping, n: int, real: bool) -> np.ndarray:
 def validate(spec: AlgebraSpec) -> AlgebraSpec:
     """Check a spec once and return it as a checked spec.
 
-    Rejects non-finite constants, out-of-range or disordered indices and
-    non-positive dimension; drops exact zeros and coerces values to complex.
+    Rejects non-finite constants, out-of-range or disordered indices,
+    non-positive dimension, and labels that an algebra file cannot hold, so
+    that ``parse(serialise(spec)) == spec``; drops exact zeros and coerces
+    values to complex.
     Raises :class:`MalformedSpec` with the first offending entry in the
     message.  The result's ``constants`` is a read-only mapping in sorted
     ``(i, j, k)`` order; a checked spec keeps the tensor it holds.
@@ -191,6 +193,10 @@ def validate(spec: AlgebraSpec) -> AlgebraSpec:
         labels = tuple(str(x) for x in labels)
         if len(labels) != n:
             raise MalformedSpec(f"{len(labels)} labels for dimension {n}")
+        for label in labels:
+            if not label or label != label.strip() or "," in label or "#" in label or label.splitlines() != [label]:
+                raise MalformedSpec(f"label {label!r} would not read back from an algebra file: a label is non-empty "
+                                    "and holds no ',', '#', line break or leading or trailing whitespace")
     return AlgebraSpec(n, spec.field, constants, labels)
 
 

@@ -21,16 +21,16 @@ point it returns.
 Every algebra is decided in one pass (``_solve``), in the arithmetic of its
 structure tensor, on a similarity family built once as one array.  The pass
 goes in a fixed order: the routing test (every member commutes with the sum
-of the family); for a family that fails it, the scans; then the
-construction of a common eigenbasis and a congruence transform, and the
-certificate check on it; and, for a routed family whose transform was
-rejected or that has no common eigenbasis, the scans.  A transform that
-passes the check is the positive verdict, and a defective matrix of the
-whole space met by the construction is the refutation.  The scans name the
-witness of a refutation, the commutators, cheap and robust, before the
-ill-posed defect check; without one, the verdict is undetermined.  A
-numerical failure anywhere is final: the verdict is undetermined, with the
-failure in its notes.
+of the family); for a family that fails it, the scan of the commutators;
+then the construction of a common eigenbasis and a congruence transform,
+and the certificate check on it; and, for a routed family whose transform
+was rejected or that has no common eigenbasis, the scan.  A transform that
+passes the check is the positive verdict.  A non-commuting pair, cheap and
+checked with a margin, is named by the scan; a defect, ill-posed under
+perturbation, only by the construction, which confirms a defect met on the
+whole space or in a subspace on the whole matrix.  Without a witness, the
+verdict is undetermined.  A numerical failure anywhere is final: the
+verdict is undetermined, with the failure in its notes.
 
 A real algebra has a real similarity family, and its transform is complex
 only in the eigenspaces of non-real eigenvalues.  A positive verdict needs a
@@ -161,17 +161,17 @@ def _solve(
 
     Builds the family ``N_k = W^{-1} M_k`` once, as one array, then goes
     through it in a fixed order.  First the routing test: whether every
-    ``N_k`` commutes with their sum.  A family that fails it runs the scans
-    first, and their witness, commutators before defects, is the
-    refutation.  Then the construction: the common eigenbasis, the
-    transform (embedded through the adapted basis of branch b.2), and the
-    checker on it.  A transform the checker accepts is the certificate, and
-    a defective matrix of the whole space met by the construction is the
-    refutation (the scans' first witness when the pairs of the family all
-    commute).  A routed family whose transform is rejected, or that has no
-    common eigenbasis, runs the scans after it.  Returns the certificate,
-    the refutation and, where no transform passed, a note that says why.
-    A numerical failure of the construction is final and propagates.
+    ``N_k`` commutes with their sum.  A family that fails it runs the scan
+    of the commutators first, and a non-commuting pair is the refutation.
+    Then the construction: the common eigenbasis, the transform (embedded
+    through the adapted basis of branch b.2), and the checker on it.  A
+    transform the checker accepts is the certificate, and a member whose
+    analysis, on the whole space or in a subspace, is defective is the
+    refutation when the whole matrix is defective too.  A routed family
+    whose transform is rejected, or that has no common eigenbasis, runs the
+    scan after it.  Returns the certificate, the refutation and, where no
+    transform passed, a note that says why.  A numerical failure of the
+    construction is final and propagates.
     """
     w, family = sdc._similarity_family(stack, lam)
     routed = sds._commute_with_sum(family, tol)

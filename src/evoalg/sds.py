@@ -13,18 +13,16 @@ The refinement is one pass in the arithmetic of the family: a real family
 goes on over C only inside the eigenspaces of non-real eigenvalues, so its
 bases are real exactly when its spectrum is.
 
-The scans of :func:`_witness` (a commutator per pair, cheap and checked with
-a margin, then a defect check per matrix, ill-posed and an eigen-analysis
-each) name the witness when the family is not SDS.  The decision hands the
-family in as one ``(m, r, r)`` array and runs the scans before the
-construction only for a family that fails the routing test
-(:func:`_commute_with_sum`), and after it only when a routed family gets
-no basis or a rejected transform.  The construction returns a defective
-matrix of the whole space that it meets instead of a basis, and ``None``
-for a restriction defective inside a subspace; for a family whose pairs
-all commute, the former is the scans' first witness.  Neither
-eigen-analyses an exact identity, such as ``W^{-1} M_k`` at a canonical
-pencil point ``e_k``.
+The scan of :func:`_witness`, a commutator per pair, cheap and checked with
+a margin, names a non-commuting pair.  The decision hands the family in as
+one ``(m, r, r)`` array and runs the scan before the construction only for a
+family that fails the routing test (:func:`_commute_with_sum`), and after it
+only when a routed family gets no basis or a rejected transform.  A defect
+is named by the construction alone: a member whose analysis, on the whole
+space or in a subspace, has a defective cluster is returned with its defect
+on the whole matrix, and ``None`` when the whole matrix is not defective.
+The construction does not eigen-analyse an exact identity, such as
+``W^{-1} M_k`` at a canonical pencil point ``e_k``.
 """
 
 from __future__ import annotations
@@ -93,18 +91,17 @@ def _common_eigenbasis(
     is 1-dimensional or the matrices run out; the concatenated bases form an
     invertible Q with every ``Q^{-1} N_k Q`` diagonal.  While the whole space
     is still unsplit, the refinement works on ``N_k`` itself, and a cluster
-    that fills its subspace with a full eigenspace keeps the subspace's basis.
+    that fills its subspace keeps the subspace's basis.
 
     Each subspace is split by the eigenspaces ``eigen_structure`` returns,
     used as they are: a real cluster of a real matrix has a real basis, and
-    a subspace inside a non-real eigenspace is restricted over C.  A
-    defective matrix of the whole space is returned as the
-    :class:`NonDiagonalisable` witness: every earlier matrix was one
-    non-defective cluster, so it is the first defect of :func:`_witness`,
-    whose witness it is when the pairs of the family all commute.
-    A member that is exactly the identity splits nothing and is skipped.
-    A restriction that turns out defective inside a subspace gives ``None``:
-    there is no basis, and the witness, if any, is left to the scans.
+    a subspace inside a non-real eigenspace is restricted over C.  A member
+    whose analysis has a defective cluster, on the whole space or on a
+    subspace, is returned as the :class:`NonDiagonalisable` witness of its
+    defect on the whole matrix (the analysis already made for the whole
+    space, one more for a subspace), and as ``None`` when the whole matrix
+    is not defective: there is then no basis and no witness.  A member that
+    is exactly the identity splits nothing and is skipped.
     """
     n = numkernel._check_stack(mats)
     whole = np.eye(n, dtype=mats[0].dtype)
@@ -120,32 +117,20 @@ def _common_eigenbasis(
             if d == 1:
                 refined.append(basis)
                 continue
-            if basis is whole:
-                structure = numkernel.eigen_structure(mat, tol)
-                defect = structure.defective_cluster()
-                if defect is not None:
-                    return NonDiagonalisable(idx + 1, defect.eigenvalue)
-            else:
-                structure = numkernel.eigen_structure(basis.conj().T @ mat @ basis, tol)
-            for cluster in structure.clusters:
-                if cluster.multiplicity == d and cluster.eigenspace_dim == d:
-                    refined.append(basis)  # the cluster fills the subspace
-                elif cluster.eigenspace_dim != cluster.multiplicity:
-                    return None  # a restriction defective inside a subspace: no common eigenbasis
-                else:
-                    refined.append(basis @ cluster.basis)
+            structure = numkernel.eigen_structure(mat if basis is whole else basis.conj().T @ mat @ basis, tol)
+            if structure.defective_cluster() is not None:
+                defect = (structure if basis is whole else numkernel.eigen_structure(mat, tol)).defective_cluster()
+                return None if defect is None else NonDiagonalisable(idx + 1, defect.eigenvalue)
+            refined.extend(basis if c.multiplicity == d else basis @ c.basis for c in structure.clusters)
         bases = refined
     return bases
 
 
-def _witness(mats: Sequence[np.ndarray], tol: ToleranceContext) -> Optional[Union[NonDiagonalisable, NonCommuting]]:
-    """The scans: a commutator per pair in index order, then a defect check per matrix in ascending index.
+def _witness(mats: Sequence[np.ndarray], tol: ToleranceContext) -> Optional[NonCommuting]:
+    """The scan: a commutator per pair in index order; the first pair that fails to commute, else ``None``.
 
-    Returns the first failure as the refutation witness, else ``None``.  A
-    commutator is cheap and is compared with its bound with a margin; a
-    defect is ill-posed and costs an eigen-analysis, so defects come last,
-    and an exact identity, never defective, is skipped.  Each row of
-    commutators ``N_i N_j - N_j N_i``, ``j > i``, is one product.
+    A commutator is cheap and is compared with its bound with a margin.
+    Each row of commutators ``N_i N_j - N_j N_i``, ``j > i``, is one product.
     """
     stack = np.asarray(mats)
     norms = [float(np.linalg.norm(m)) for m in stack]
@@ -155,11 +140,4 @@ def _witness(mats: Sequence[np.ndarray], tol: ToleranceContext) -> Optional[Unio
             norm = float(np.linalg.norm(commutator))
             if norm > tol.commute_rtol * norms[i] * norms[j]:
                 return NonCommuting((i + 1, j + 1), norm)
-    identity = np.eye(stack.shape[-1])
-    for idx, m in enumerate(mats):
-        if np.array_equal(m, identity):
-            continue  # the exact identity is never defective
-        defect = numkernel.eigen_structure(m, tol).defective_cluster()
-        if defect is not None:
-            return NonDiagonalisable(idx + 1, defect.eigenvalue)
     return None

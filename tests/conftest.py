@@ -12,9 +12,11 @@ from evoalg import (
     example_algebra,
     m_structure_matrices,
     max_pencil_rank,
+    numkernel,
     validate,
 )
 from evoalg.pencil import evaluate
+from evoalg.sds import NonDiagonalisable
 
 # the corpus builders of tools/probe.py, imported by the tests as `from probe import ...`
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
@@ -71,6 +73,19 @@ def similarity_family(spec, tol=DEFAULT_TOL):
         return None
     w_inv = np.linalg.inv(evaluate(stack, point.lambda0 if np.iscomplexobj(stack[0]) else point.lambda0.real))
     return point.lambda0, [w_inv @ m for m in stack]
+
+
+def reference_defect_scan(mats, tol=DEFAULT_TOL):
+    """The defect scan that once followed the commutators of ``sds._witness``: a defect check per
+    matrix in ascending index, the first defective matrix as the witness, else ``None``."""
+    identity = np.eye(np.shape(mats)[-1])
+    for idx, m in enumerate(mats):
+        if np.array_equal(m, identity):
+            continue  # the exact identity is never defective
+        defect = numkernel.eigen_structure(m, tol).defective_cluster()
+        if defect is not None:
+            return NonDiagonalisable(idx + 1, defect.eigenvalue)
+    return None
 
 
 @pytest.fixture

@@ -34,8 +34,8 @@ from evoalg.decision import Diagnostics, Verdict
 from evoalg.numkernel import DEFAULT_TOL
 from evoalg.pencil import evaluate
 from evoalg.sds import NonCommuting, NonDiagonalisable
-from conftest import columns_match_up_to_scale, subnormal_tetraploid
-from probe import COMPLEX_NUMBERS, TOLERANCES, direct_sum, scrambled_planted
+from conftest import columns_match_up_to_scale, reference_defect_scan, subnormal_tetraploid
+from probe import COMPLEX_NUMBERS, TOLERANCES, direct_sum, proportional_squares, scrambled_planted
 
 
 def record_factored(monkeypatch):
@@ -367,7 +367,10 @@ class TestConstructionFirst:
                         stack = adapt_basis_to_annihilator(spec).blocks if d.branch == "b.2" else m_structure_matrices(spec)
                         stack = list(stack)
                         w_inv = np.linalg.inv(evaluate(stack, lam))
-                        assert sds._witness([w_inv @ m for m in stack], DEFAULT_TOL) == v.refutation, (kind, n, seed, field)
+                        family = [w_inv @ m for m in stack]
+                        # the commutator scan, then the reference defect scan: the witness of the scans as they were
+                        scans = sds._witness(family, DEFAULT_TOL) or reference_defect_scan(family)
+                        assert scans == v.refutation, (kind, n, seed, field)
                         checked[field] += 1
         assert checked["real"] >= 110 and checked["complex"] >= 110, checked
 
@@ -410,9 +413,9 @@ class TestConstructionFirst:
 
     @pytest.mark.parametrize("tol_name", TOLERANCES)
     @pytest.mark.parametrize("name, eigenvalue", [("mendel", -0.890410628249924), ("tetraploid", 0.726192636245195)])
-    def test_no_basis_leaves_the_witness_to_the_scans(self, monkeypatch, tol_name, name, eigenvalue):
+    def test_a_defect_met_in_a_subspace_is_named_on_the_whole_matrix(self, monkeypatch, tol_name, name, eigenvalue):
         # C plus the example: the family passes the routing test, and its third member, restricted
-        # to a subspace, is defective; the construction gives no basis and the scans name the witness
+        # to a subspace, is defective; the construction names that member's defect on the whole matrix
         tol = TOLERANCES[tol_name]
         constructions = []
         common_eigenbasis = sds._common_eigenbasis
@@ -425,10 +428,28 @@ class TestConstructionFirst:
         monkeypatch.setattr(sds, "_common_eigenbasis", recording)
         v = is_evolution_algebra(direct_sum(AlgebraSpec(2, "real", COMPLEX_NUMBERS), example_algebra(name, 0.0)), tol)
         [(family, bases)] = constructions
-        assert bases is None
+        assert isinstance(bases, NonDiagonalisable) and bases == v.refutation
         assert v.outcome == NOT_EVOLUTION and not v.diagnostics.notes
-        assert v.refutation == sds._witness(family, tol)
+        assert sds._witness(family, tol) is None and reference_defect_scan(family, tol) == v.refutation
         assert v.refutation.index == 3 and v.refutation.eigenvalue == pytest.approx(eigenvalue, abs=1e-12)
+
+    def test_a_restriction_defective_where_its_matrix_is_not_has_no_witness(self, monkeypatch):
+        # proportional squares n=8 seed=19 at the default tolerances: a restriction to a common
+        # eigenspace is defective and its member, on the whole space, is not; no basis and no witness
+        constructions = []
+        common_eigenbasis = sds._common_eigenbasis
+
+        def recording(family, tol):
+            bases = common_eigenbasis(family, tol)
+            constructions.append((family, bases))
+            return bases
+
+        monkeypatch.setattr(sds, "_common_eigenbasis", recording)
+        v = is_evolution_algebra(proportional_squares(8, 19)[0])
+        [(family, bases)] = constructions
+        assert bases is None and reference_defect_scan(family) is None
+        assert v.outcome == UNDETERMINED and v.refutation is None
+        assert v.diagnostics.notes == ("no common eigenbasis was constructed: a restriction to a common eigenspace is defective",)
 
     @pytest.mark.parametrize("seed", [822908896, 1713748021, 664749585, 1476712180])
     def test_a_failed_eigen_analysis_is_final(self, monkeypatch, seed):

@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evoalg import AlgebraSpec, adversarial_instance, example_algebra, parse, planted_evolution_algebra, serialise, validate
@@ -156,6 +156,23 @@ class TestRoundTrips:
             k = int(rng.integers(1, n + 1))
             constants[(i, j, k)] = complex(rng.standard_normal(), rng.standard_normal())
         spec = validate(AlgebraSpec(n, "complex", constants))
+        assert parse(serialise(spec)) == spec
+
+    @pytest.mark.parametrize(
+        "label",
+        ["a,b", "a#x", " a", "a ", "", "a\nb", "a\r\nb", "a\x0bb", "a\x1cb", "a\x85b", "a\u2028b", "\u2003a"],
+    )
+    def test_a_label_a_file_cannot_hold_is_rejected(self, label):
+        with pytest.raises(MalformedSpec, match=re.escape(repr(label))):
+            validate(AlgebraSpec(2, "real", {(1, 1, 1): 1.0}, labels=(label, "c")))
+
+    @given(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_every_accepted_label_round_trips(self, labels):
+        try:
+            spec = validate(AlgebraSpec(len(labels), "real", {(1, 1, 1): 1.0}, labels=tuple(labels)))
+        except MalformedSpec:
+            assume(False)
         assert parse(serialise(spec)) == spec
 
 

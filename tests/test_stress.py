@@ -10,8 +10,16 @@ equal ``tests/data/stress_ceilings.json``: a count above its ceiling is a
 new wrong verdict, and a count below it is a mended one, whose ceiling is
 then lowered in the same change so that the file always states the truth.
 The ceilings record known defects, not acceptable levels.
+
+A permutation of the basis relabels the constants exactly, so it cannot
+change what the algebra is.  Every instance is decided again with its basis
+reversed, and each κ-scrambled instance with one fixed permutation; per
+(tolerance set, row, order) the ``basis_order`` section of the file counts
+the outcomes that differ from the instance as given and, apart, the swaps
+between ``evolution`` and ``not_evolution``.
 """
 
+import functools
 import json
 from pathlib import Path
 
@@ -29,10 +37,11 @@ from evoalg import (
 )
 from evoalg.corpus import ADVERSARIAL_KINDS
 from evoalg.decision import EVOLUTION, NOT_EVOLUTION
-from probe import TOLERANCES, one_direction, scrambled_planted
+from probe import TOLERANCES, one_direction, proportional_squares, scrambled_planted
 
 CEILINGS = Path(__file__).parent / "data" / "stress_ceilings.json"
 COLUMNS = ["wrong_refutations", "undetermined", "adversarial_certificates", "rejected_certificates"]
+ORDER_COLUMNS = ["changed_outcomes", "evolution_swaps"]
 
 
 def rescaled(spec, factor):
@@ -53,6 +62,13 @@ def one_direction_squares():
     for n in range(2, 9):
         for seed in range(20):
             yield "one-direction", one_direction(n, seed)[0], True
+
+
+def proportional():
+    """Algebras whose natural basis vectors share n // 2 square directions, n = 3...8, in a well-conditioned basis."""
+    for n in range(3, 9):
+        for seed in range(20):
+            yield "proportional-squares", proportional_squares(n, seed)[0], True
 
 
 def deformed_examples():
@@ -92,6 +108,7 @@ def rescaled_examples():
 CORPORA = {
     "scrambled": scrambled,
     "one-direction": one_direction_squares,
+    "proportional-squares": proportional,
     "deformed": deformed_examples,
     "planted": planted,
     "adversarial": adversarial,
@@ -99,14 +116,20 @@ CORPORA = {
 }
 
 
+@functools.cache
+def decided(corpus, tol_name: str) -> list:
+    """``(row, spec, evolution, verdict)`` for every instance of ``corpus``, decided once for both tables."""
+    with np.errstate(all="ignore"):  # the rescaled constants overflow and underflow on purpose
+        return [(row, spec, evolution, is_evolution_algebra(spec, TOLERANCES[tol_name])) for row, spec, evolution in corpus()]
+
+
 def count(corpus, tol_name: str) -> dict:
     """``{"<tol_name> | <row>": [the four counts of COLUMNS]}`` over the instances of ``corpus``."""
     tol = TOLERANCES[tol_name]
     table = {}
     with np.errstate(all="ignore"):  # the rescaled constants overflow and underflow on purpose
-        for row, spec, evolution in corpus():
+        for row, spec, evolution, v in decided(corpus, tol_name):
             counts = table.setdefault(f"{tol_name} | {row}", [0, 0, 0, 0])
-            v = is_evolution_algebra(spec, tol)
             counts[0] += evolution and v.outcome == NOT_EVOLUTION
             counts[1] += v.outcome not in (EVOLUTION, NOT_EVOLUTION)
             if v.certificate is not None:
@@ -115,16 +138,50 @@ def count(corpus, tol_name: str) -> dict:
     return table
 
 
-def read_ceilings() -> dict:
-    """The rows of the ceiling file, after checking its column names."""
+def relabelled(spec: AlgebraSpec, perm: np.ndarray) -> AlgebraSpec:
+    """``spec`` in the basis ``e'_a = e_perm[a]``: the constant ``(i, j, k)`` moves to ``(perm^-1(i), perm^-1(j), perm^-1(k))``,
+    with the first two sorted, and keeps its value exactly."""
+    inverse = np.argsort(perm) + 1
+    constants = {}
+    for (i, j, k), c in spec.constants.items():
+        a, b = sorted((int(inverse[i - 1]), int(inverse[j - 1])))
+        constants[(a, b, int(inverse[k - 1]))] = c
+    return AlgebraSpec(spec.dim, spec.field, constants)
+
+
+def orders(corpus, row: str, n: int):
+    """``(name, perm)`` of the basis orders an instance is decided in besides its own."""
+    yield "reversed", np.arange(n)[::-1]
+    if corpus is scrambled:
+        yield "permuted", np.random.default_rng([n, len(row)]).permutation(n)
+
+
+def order_count(corpus, tol_name: str) -> dict:
+    """``{"<tol_name> | <row> | <order>": [the two counts of ORDER_COLUMNS]}`` over the instances of ``corpus``."""
+    tol = TOLERANCES[tol_name]
+    table = {}
+    with np.errstate(all="ignore"):
+        for row, spec, _, given in decided(corpus, tol_name):
+            for order, perm in orders(corpus, row, spec.dim):
+                outcome = is_evolution_algebra(relabelled(spec, perm), tol).outcome
+                counts = table.setdefault(f"{tol_name} | {row} | {order}", [0, 0])
+                counts[0] += outcome != given.outcome
+                counts[1] += {outcome, given.outcome} == {EVOLUTION, NOT_EVOLUTION}
+    return table
+
+
+def read_ceilings(section: str = "") -> dict:
+    """The rows of the ceiling file, or of its ``basis_order`` section, after checking their column names."""
     ceilings = json.loads(CEILINGS.read_text())
-    assert ceilings.pop("columns") == COLUMNS
-    return ceilings
+    order = ceilings.pop("basis_order")
+    rows, columns = (order, ORDER_COLUMNS) if section == "basis_order" else (ceilings, COLUMNS)
+    assert rows.pop("columns") == columns
+    return rows
 
 
-def render(table: dict) -> str:
+def render(table: dict, indent: str = "  ") -> str:
     """The lines of the ceiling file that hold ``table``, one row per line."""
-    return ",\n".join(f"  {json.dumps(key)}: {json.dumps(counts)}" for key, counts in table.items())
+    return ",\n".join(f"{indent}{json.dumps(key)}: {json.dumps(counts)}" for key, counts in table.items())
 
 
 @pytest.mark.parametrize("tol_name", TOLERANCES)
@@ -146,11 +203,40 @@ def test_the_ceiling_file_holds_exactly_the_stress_rows():
 
 
 @pytest.mark.parametrize("tol_name", TOLERANCES)
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_the_basis_order_changes_equal_their_ceilings(corpus, tol_name):
+    table = order_count(CORPORA[corpus], tol_name)
+    ceilings = read_ceilings("basis_order")
+    changed = {key: (ceilings.get(key), counts) for key, counts in table.items() if ceilings.get(key) != counts}
+    assert not changed, (
+        f"(ceiling, count) per changed row, counts as {ORDER_COLUMNS}: {dict(sorted(changed.items()))}\n"
+        "an outcome that moves with the order of the basis is a defect: a count above its ceiling is a new one, "
+        f"a count below it a mended one: write the rows below to the basis_order section of {CEILINGS.name}\n"
+        f"{render(table, indent='    ')}"
+    )
+
+
+def test_the_basis_order_section_holds_exactly_the_order_rows():
+    rows = {f"{tol_name} | {row} | {order}" for tol_name in TOLERANCES for corpus in CORPORA.values()
+            for row, spec, _ in corpus() for order, _ in orders(corpus, row, spec.dim)}
+    assert set(read_ceilings("basis_order")) == rows
+
+
+@pytest.mark.parametrize("tol_name", TOLERANCES)
 def test_the_one_direction_squares_have_their_natural_basis(tol_name):
     # each is an evolution algebra by the library's own checker, so a refutation of it is wrong
     for n in range(2, 9):
         for seed in range(20):
             spec, p = one_direction(n, seed)
+            assert check_certificate(spec, p, TOLERANCES[tol_name]).ok, (n, seed)
+
+
+@pytest.mark.parametrize("tol_name", TOLERANCES)
+def test_the_proportional_squares_have_their_natural_basis(tol_name):
+    # each is an evolution algebra by the library's own checker, so a refutation of it is wrong
+    for n in range(3, 9):
+        for seed in range(20):
+            spec, p = proportional_squares(n, seed)
             assert check_certificate(spec, p, TOLERANCES[tol_name]).ok, (n, seed)
 
 

@@ -23,6 +23,10 @@ The corpus is decided at the default tolerances and at
 * evolution algebras whose squares all lie along one basis vector,
   re-expressed by ``corpus.well_conditioned_matrix``, n = 2…8, seeds 0–19
   (``one_direction``);
+* evolution algebras whose natural basis vectors share ``n // 2`` square
+  directions, so that common eigenspaces of dimension > 1 reach the Gram
+  factor, re-expressed likewise, n = 3…8, seeds 0–19
+  (``proportional_squares``);
 * the named examples at the ε of the README and the acceptance tests, real
   and complexified;
 * a real algebra that is an evolution algebra only over C (the complex
@@ -94,6 +98,25 @@ def one_direction(n, seed):
     return change_basis(AlgebraSpec(n, "real", constants), p), np.linalg.inv(p)
 
 
+def proportional_squares(n, seed):
+    """An evolution algebra whose natural basis vectors share ``n // 2`` square directions, scrambled, and its natural basis.
+
+    In the natural basis ``e_i^2 = c_i v_g(i)``: the vectors with one ``g(i)`` have proportional
+    squares, so common eigenspaces of dimension > 1 remain for the Gram factor.  ``g`` (in
+    ``0 .. n // 2 - 1``), the directions ``v`` (entries ``U(-1, 1)``), the ``c_i`` (``+-[0.5, 2)``)
+    and then the change of basis ``corpus.well_conditioned_matrix`` are drawn from
+    ``default_rng([seed, n, 7])``.  Returns the spec and its natural basis as the columns of a
+    matrix, which ``check_certificate`` accepts.
+    """
+    rng = np.random.default_rng([seed, n, 7])
+    g = rng.integers(0, n // 2, n)
+    directions = rng.uniform(-1.0, 1.0, (n // 2, n))
+    c = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    constants = {(i + 1, i + 1, k + 1): float(c[i] * directions[g[i], k]) for i in range(n) for k in range(n)}
+    p = well_conditioned_matrix(n, rng)
+    return change_basis(AlgebraSpec(n, "real", constants), p), np.linalg.inv(p)
+
+
 # C as a real algebra: e1 the unit, e2^2 = -e1
 COMPLEX_NUMBERS = {(1, 1, 1): 1.0, (2, 2, 1): -1.0, (1, 2, 2): 1.0}
 
@@ -136,6 +159,9 @@ def corpus():
     for n in range(2, 9):
         for seed in range(20):
             yield f"one-direction n={n} seed={seed}", one_direction(n, seed)[0]
+    for n in range(3, 9):
+        for seed in range(20):
+            yield f"proportional-squares n={n} seed={seed}", proportional_squares(n, seed)[0]
     for name, eps in EXAMPLES:
         spec = example_algebra(name, eps)
         yield f"example {name} eps={eps} real", spec

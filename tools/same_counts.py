@@ -12,6 +12,12 @@ per distinct combination, largest first:
 
     9  adversarial noncommuting | tol eig_cluster_atol=1e-5 | undetermined -> not_evolution/NonCommuting
 
+Where the outcome is the same on both sides, the fields that changed follow
+it: for a probe line the refutation, diagnostics, notes and
+``lambda0``/``cert`` fields, for a report its top-level JSON keys.
+
+    2  planted | tol eig_cluster_atol=1e-5 | undetermined -> undetermined | diagnostics, notes, lambda0/cert
+
 A line present on one side only counts with ``absent`` on the other.
 """
 
@@ -33,6 +39,18 @@ def probe_fields(line: str) -> tuple[str, str, Optional[str], str]:
     kind = refutation.split("(")[0]
     outcome = verdict if kind == "None" else f"{verdict}/{kind}"
     return f"{label} | {tol}", f"{corpus} | {tol}", kappa, outcome
+
+
+# the fields of a probe line, in order, as tools/probe.py joins them with " | "
+PROBE_FIELDS = ("label", "tol", "verdict", "refutation", "diagnostics", "notes", "lambda0/cert")
+
+
+def changed_fields(old: str, new: str) -> str:
+    """The names of the fields in which two lines of one key differ: a report's top-level JSON keys, else probe fields."""
+    if old.startswith("{"):
+        before, after = json.loads(old), json.loads(new)
+        return ", ".join(key for key in sorted(before.keys() | after.keys()) if before.get(key) != after.get(key))
+    return ", ".join(name for name, x, y in zip(PROBE_FIELDS, old.split(" | "), new.split(" | ")) if x != y)
 
 
 def report_outcome(line: str) -> str:
@@ -66,7 +84,8 @@ def main(base_path: str, here_path: str) -> None:
         group, kappa = (old or new)[:2]
         before = "absent" if old is None else old[2]
         after = "absent" if new is None else new[2]
-        counts[" | ".join(filter(None, (group, kappa, f"{before} -> {after}")))] += 1
+        moved = changed_fields(old[3], new[3]) if before == after else None
+        counts[" | ".join(filter(None, (group, kappa, f"{before} -> {after}", moved)))] += 1
     print(f"changed lines: {sum(counts.values())}")
     for change, count in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
         print(f"{count:5d}  {change}")
