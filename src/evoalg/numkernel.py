@@ -4,21 +4,19 @@ Everything downstream (structure matrices, pencils, congruence solvers)
 reduces to a handful of primitives defined here: numerical rank, kernels
 and eigen-structure with explicit eigenvalue clustering.
 
-Every rank decision is one singular-value split (``_split``): the rank
-counts the singular values above ``max(rank_rtol * sigma_max * max(shape),
-atol)``, a cutoff that ``_rank_cutoff`` alone computes.  :func:`rank` and
-:func:`kernel_basis` call it.  The pencil search ranks stacks instead
-(``_split_stack``): ``M_1`` alone, then the rest of its canonical scan in
-one stack, then its random trials in one, or in blocks of bounded size,
-each matrix by the same cutoff.  A real, exactly symmetric stack, which
-every pencil of real structure matrices is, takes the singular values of
-``eigvalsh`` (the moduli of the eigenvalues); any other stack takes one
-stacked SVD, with the bytes of each matrix's own ``_split``.  Eigenspaces
-come from one ``np.linalg.eig`` per matrix, with a numerical kernel of
-``M - cI`` only where neither a separation bound nor the singular values
-of ``M - lI``, measured for every single eigenvalue the bound misses in
-one stacked SVD, show a 1-dimensional kernel; each is computed in the
-arithmetic of ``M`` (see :func:`eigen_structure`).
+Every rank decision is one singular-value split (``_split``), of one
+matrix or of each matrix of a stack: the rank counts the singular values
+above ``max(rank_rtol * sigma_max * max(shape), atol)``, a cutoff that
+``_rank_cutoff`` alone computes.  :func:`rank` and :func:`kernel_basis`
+split one matrix; the pencil search splits stacks.  A real, exactly
+symmetric stack, which every pencil of real structure matrices is, takes
+the singular values of ``eigvalsh`` (the moduli of the eigenvalues); one
+matrix, and any other stack, takes the SVD.  Eigenspaces come from one
+``np.linalg.eig`` per matrix, with a numerical kernel of ``M - cI`` only
+where neither a separation bound nor the singular values of ``M - lI``,
+measured for every single eigenvalue the bound misses in one stacked SVD,
+show a 1-dimensional kernel; each is computed in the arithmetic of ``M``
+(see :func:`eigen_structure`).
 
 The tunable thresholds live in one :class:`ToleranceContext`.  A few fixed
 constants do not: :func:`eigen_structure` escalates its clustering radius
@@ -108,54 +106,43 @@ def _check_stack(mats) -> int:
 
 
 def _split(a: np.ndarray, tol: ToleranceContext, atol: float = 0.0, vectors: bool = False):
-    """The one rank decision: ``(rank, singular values, full right factor or None)``.
+    """The one rank decision, of a matrix or of each matrix of a ``(k, n, n)`` stack: ``(rank, singular values, V^H or None)``.
 
-    The rank counts the singular values above the cutoff of
-    :func:`_rank_cutoff` with ``size = max(shape)``.  With ``vectors`` the
-    right factor ``V^H`` is returned in full, so its trailing rows span the
-    numerical kernel.  A tall matrix (more rows than columns, such as the
-    ``(n^2, n)`` annihilator stack) is first reduced to its square R factor
-    by one ``qr(mode="r")``: ``A = QR`` with orthonormal ``Q`` gives ``A`` and
-    ``R`` the same singular values and right factor, and no left factor of
-    ``A`` is ever built.  Square and wide matrices take the full SVD: a wide
-    matrix's thin ``V^H`` would lack the rows that span its kernel.
-    An all-zero matrix has rank 0 and needs no SVD.
+    Each rank counts the singular values above the cutoff of
+    :func:`_rank_cutoff` with ``size = max(shape)``; a stack gives an array
+    of ranks and a row of singular values per matrix.  A real, exactly
+    symmetric stack takes one ``np.linalg.eigvalsh``: a real symmetric ``M =
+    Q diag(l) Q^T`` has the SVD ``Q diag(|l|) (Q diag(sign l))^T``, so the
+    moduli of its eigenvalues, sorted descending, are its singular values,
+    found by a cheaper solver and equal to the SVD's to rounding, not bit
+    for bit.  One matrix, and any other stack, takes the values-only SVD,
+    which LAPACK runs matrix by matrix, so a row of such a stack has the
+    bytes of its matrix split alone.  ``vectors``, for one matrix only,
+    returns ``V^H`` in full: its trailing rows span the numerical kernel.
+    A tall matrix (such as the ``(n^2, n)`` annihilator stack) is first
+    reduced to its square R factor by one ``qr(mode="r")``, which keeps the
+    singular values and ``V^H`` and builds no left factor; a square or wide
+    matrix takes the full SVD, since a wide matrix's thin ``V^H`` lacks its
+    kernel rows.  An all-zero matrix has rank 0, and alone needs no SVD.
     """
+    size = max(a.shape[-2:])
+    if a.ndim == 3:
+        if not np.iscomplexobj(a) and np.array_equal(a, a.swapaxes(1, 2)):
+            s = np.sort(np.abs(np.linalg.eigvalsh(a)), axis=1)[:, ::-1]
+        else:
+            s = np.linalg.svd(a, compute_uv=False)
+        # each cutoff compared in the dtype of s, as one matrix's is compared as a Python float
+        cutoff = np.array([_rank_cutoff(top, size, tol, atol) for top in s[:, 0].tolist()], dtype=s.dtype)
+        return np.count_nonzero(s > cutoff[:, None], axis=1), s, None
     if not np.any(a):
         return 0, np.zeros(min(a.shape)), (np.eye(a.shape[1], dtype=a.dtype) if vectors else None)
-    size = max(a.shape)
     if a.shape[0] > a.shape[1]:
         a = np.linalg.qr(a, mode="r")
     if vectors:
         _, s, vh = np.linalg.svd(a)
     else:
         s, vh = np.linalg.svd(a, compute_uv=False), None
-    cutoff = _rank_cutoff(float(s[0]), size, tol, atol)
-    return int(np.count_nonzero(s > cutoff)), s, vh
-
-
-def _split_stack(stack: np.ndarray, tol: ToleranceContext) -> tuple[np.ndarray, np.ndarray]:
-    """The rank of every matrix of a ``(k, n, n)`` stack by one factorisation: ``(ranks, singular values)``.
-
-    A real stack that is exactly symmetric takes one ``np.linalg.eigvalsh``:
-    a real symmetric ``M = Q diag(l) Q^T`` has the SVD ``Q diag(|l|)
-    (Q diag(sign l))^T``, so the moduli of its eigenvalues, sorted
-    descending, are its singular values, found by a cheaper solver.  They
-    agree with the SVD's to rounding, not bit for bit.  Every other stack,
-    complex symmetric (which is not Hermitian) or not symmetric, takes one
-    values-only SVD; LAPACK factors the stacked matrices one at a time, so
-    each row of singular values, and so each rank, has the bytes of the
-    matrix's own ``_split``.  Each matrix is ranked by the cutoff of
-    :func:`_rank_cutoff`.  An all-zero matrix has zero singular values and
-    rank 0 either way.
-    """
-    if not np.iscomplexobj(stack) and np.array_equal(stack, stack.swapaxes(-1, -2)):
-        s = np.sort(np.abs(np.linalg.eigvalsh(stack)), axis=-1)[..., ::-1]
-    else:
-        s = np.linalg.svd(stack, compute_uv=False)
-    # each cutoff compared in the dtype of s, as _split compares its Python float
-    cutoff = np.array([_rank_cutoff(top, stack.shape[-1], tol) for top in s[:, 0].tolist()], dtype=s.dtype)
-    return np.count_nonzero(s > cutoff[:, None], axis=1), s
+    return int(np.count_nonzero(s > _rank_cutoff(float(s[0]), size, tol, atol))), s, vh
 
 
 def _rank_cutoff(sigma_max: float, size: int, tol: ToleranceContext, atol: float = 0.0) -> float:

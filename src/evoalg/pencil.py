@@ -7,25 +7,23 @@ directions are tried first so that an invertible ``M_k`` is found
 deterministically whenever one exists.  For real matrices the rank defect is
 a real polynomial condition, so a real random vector does as well.
 
-The search is one canonical scan followed by the random trials, in stacked
-factorisations (``numkernel._split_stack``): ``M_1`` is ranked alone, since
-that is where nearly every search stops; the rest of the scan in one stack;
-and the trials in one more, or in consecutive blocks where one stack would
-exceed ``_STACK_BYTES`` (the default 16 trials are one stack up to n = 362).
-A block of trials is evaluated by :func:`evaluate`, the package's one
-contraction ``sum_j c_j M_j`` (a change of basis in ``algebra`` is one too):
-for real matrices of size ``n >= 2`` (whose directions are real) in one
-``np.einsum`` contraction of the directions with the stack, which adds the
-products ``lam_j M_j`` in index order and so gives the bytes of a loop over
-the matrices; for complex matrices, and for 1x1 ones, by that loop itself,
-since numpy's SIMD complex ``multiply`` and einsum's textbook complex
+The search is one canonical scan followed by the random trials, each stack
+ranked by the package's one rank decision, ``numkernel._split``: ``M_1``
+alone, since that is where nearly every search stops; the rest of the scan in
+one stack; and the trials in one more, or in consecutive blocks where one
+stack would exceed ``_STACK_BYTES`` (the default 16 trials are one stack up
+to n = 362).  A block of trials is evaluated by :func:`evaluate`, the
+package's one contraction ``sum_j c_j M_j`` (a change of basis in ``algebra``
+is one too): for real matrices of size ``n >= 2`` (whose directions are real)
+in one ``np.einsum`` contraction of the directions with the stack, which adds
+the products ``lam_j M_j`` in index order and so gives the bytes of a loop
+over the matrices; for complex matrices, and for 1x1 ones, by that loop
+itself, since numpy's SIMD complex ``multiply`` and einsum's textbook complex
 product round some products differently, and einsum sums a 1x1 stack in
 another order.  Structure matrices and their real pencils are symmetric, so
-a real stack is ranked by the moduli of its ``eigvalsh`` eigenvalues, which
-are its singular values; a complex or non-symmetric stack takes the SVD.
-Every matrix is ranked by the one cutoff of ``numkernel._rank_cutoff``.  The
-random directions are drawn row by row from one generator seeded by
-``seed``, so the first ``t`` of them do not depend on ``trials``.
+``_split`` ranks a real stack by its ``eigvalsh`` moduli.  The random
+directions are drawn row by row from one generator seeded by ``seed``, so the
+first ``t`` of them do not depend on ``trials``.
 
 The decision runs the search once, after splitting off the annihilator: on
 the full tensor when the annihilator is zero (an invertible ``M_k`` is
@@ -116,34 +114,33 @@ def max_pencil_rank(
     full rank is returned, with ``trials_used`` counting the directions up
     to it.  ``M_1`` is ranked alone, since most searches stop there; the
     rest of the scan is ranked as one stack.  Random candidates have
-    standard Gaussian coordinates drawn from
-    ``np.random.default_rng(seed)``, so the result is reproducible bit for
-    bit: a real row of ``standard_normal((trials, m))`` when the matrices
-    are real (any real dtype), else a row of
-    ``standard_normal((trials, 2, m))`` read as real and imaginary parts,
-    each normalised and stored as complex128.  Row ``t`` is drawn before row ``t + 1``, so raising
-    ``trials`` only adds directions.  The trials are evaluated and ranked in
-    consecutive stacks of at most ``_STACK_BYTES`` each, drawn in turn (one
-    stack of the default 16 up to n = 362), and compared in trial order.
-    Among random candidates of equal rank the one with the largest smallest
-    retained singular value wins.  A random candidate never displaces an
-    equal-rank canonical one.  Every stack is ranked by
-    ``numkernel._split_stack``: a real symmetric one by its ``eigvalsh``
-    moduli, any other by its SVD.  The moduli agree with the SVD's singular
-    values only to about ``n * eps * sigma_max``, so two random candidates
-    whose smallest retained values are that close, or a singular value that
-    close to the cutoff, may be resolved otherwise than an SVD would:
-    another ``lambda0``, or another rank.  Raises :class:`ValueError` when
-    ``trials < 1``.
+    standard Gaussian coordinates drawn from ``np.random.default_rng(seed)``,
+    so the result is reproducible bit for bit: a real row of
+    ``standard_normal((trials, m))`` when the matrices are real (any real
+    dtype), else a row of ``standard_normal((trials, 2, m))`` read as real
+    and imaginary parts, each normalised and stored as complex128.  Row
+    ``t`` is drawn before row ``t + 1``, so raising ``trials`` only adds
+    directions.  The trials are evaluated and ranked in consecutive stacks
+    of at most ``_STACK_BYTES`` each, drawn in turn (one stack of the
+    default 16 up to n = 362), and compared in trial order.  Among random
+    candidates of equal rank the one with the largest smallest retained
+    singular value wins.  A random candidate never displaces an equal-rank
+    canonical one.  Every stack is ranked by ``numkernel._split``: a real
+    symmetric one by its ``eigvalsh`` moduli, any other by its SVD.  The
+    moduli agree with the SVD's singular values only to about ``n * eps *
+    sigma_max``, so two random candidates whose smallest retained values are
+    that close, or a singular value that close to the cutoff, may be
+    resolved otherwise than an SVD would: another ``lambda0``, or another
+    rank.  Raises :class:`ValueError` when ``trials < 1``.
     """
     n = numkernel._check_stack(mats)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     m = len(mats)
-    ranks, first = numkernel._split_stack(np.asarray(mats[:1]), tol)
+    ranks, first, _ = numkernel._split(np.asarray(mats[:1]), tol)
     k, r, s = 0, int(ranks[0]), first[0]
     if r < n and m > 1:
-        ranks, rest = numkernel._split_stack(np.asarray(mats[1:]), tol)
+        ranks, rest, _ = numkernel._split(np.asarray(mats[1:]), tol)
         j = int(np.argmax(ranks))  # the first direction of maximal rank, so the first of full rank if any
         if ranks[j] > r:
             k, r, s = j + 1, int(ranks[j]), rest[j]
@@ -161,7 +158,7 @@ def max_pencil_rank(
         z = rng.standard_normal((min(block, trials - start), 1 if real else 2, m))
         z = z[:, 0] if real else z[:, 0] + 1j * z[:, 1]
         lams = (z / np.linalg.norm(z, axis=-1, keepdims=True)).astype(np.complex128)
-        ranks, s = numkernel._split_stack(evaluate(mats, lams.real if real else lams), tol)
+        ranks, s, _ = numkernel._split(evaluate(mats, lams.real if real else lams), tol)
         for t, r in enumerate(ranks.tolist()):
             smin = float(s[t, r - 1]) if r else 0.0
             if r > best.r0 or (r == best.r0 and best.canonical_index is None and smin > best.smallest_kept_sv):

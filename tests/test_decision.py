@@ -484,7 +484,7 @@ class TestConstructionFirst:
     def test_badly_conditioned_planted_instances_are_certified(self, n, kappa, seed):
         # the scans refuted these with a NonDiagonalisable witness; the
         # constructed basis passes the checker
-        spec = scrambled_planted(n, kappa, seed)
+        spec, _ = scrambled_planted(n, kappa, seed)
         v = is_evolution_algebra(spec)
         assert v.outcome == EVOLUTION
         assert check_certificate(spec, v.certificate.p).ok
@@ -496,7 +496,7 @@ class TestConstructionFirst:
         for n in (4, 6, 8):
             for kappa in (1e3, 1e4, 1e5, 1e6):
                 for seed in range(20):
-                    v = is_evolution_algebra(scrambled_planted(n, kappa, seed), tol)
+                    v = is_evolution_algebra(scrambled_planted(n, kappa, seed)[0], tol)
                     r, lam = v.refutation, v.diagnostics.lambda0
                     if np.count_nonzero(lam) != 1:
                         continue

@@ -90,6 +90,66 @@ class TestKernel:
             np.testing.assert_array_equal(got, full_svd_kernel(a))
 
 
+def low_rank_stack(field: str, n: int = 6, seed: int = 0) -> np.ndarray:
+    """A ``(n + 1, n, n)`` stack whose matrix ``r`` has rank ``r``: complex, real non-symmetric or real symmetric."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for r in range(n + 1):
+        left = rng.standard_normal((n, r))
+        if field == "symmetric":
+            m = left @ np.diag(rng.choice([-1.0, 1.0], r)) @ left.T
+            mats.append((m + m.T) / 2)  # exactly symmetric: each pair of entries is one rounded sum
+            continue
+        if field == "complex":
+            left = left + 1j * rng.standard_normal((n, r))
+        mats.append(left @ rng.standard_normal((r, n)))
+    return np.asarray(mats)
+
+
+class TestSplit:
+    @pytest.mark.parametrize("field", ["complex", "nonsymmetric"])
+    @pytest.mark.parametrize("atol", [0.0, 1e-3])
+    def test_each_row_of_a_stack_is_its_matrix_split_alone(self, field, atol):
+        stack = low_rank_stack(field)
+        ranks, values, vh = numkernel._split(stack, DEFAULT_TOL, atol)
+        assert vh is None and values.shape == stack.shape[:2]
+        for m, r, s in zip(stack, ranks.tolist(), values):
+            alone, want, _ = numkernel._split(m, DEFAULT_TOL, atol)
+            assert r == alone
+            assert s.tobytes() == want.tobytes()
+        assert ranks.tolist() == list(range(len(stack)))
+
+    def test_a_real_symmetric_stack_ranks_as_the_svd(self, monkeypatch):
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(a, *args, **kwargs):
+            solved.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        for seed in range(5):
+            stack = low_rank_stack("symmetric", seed=seed)
+            ranks, values, _ = numkernel._split(stack, DEFAULT_TOL)
+            assert solved.pop() == stack.shape  # the eigvalsh path, not the SVD
+            n = stack.shape[1]
+            for m, r, s in zip(stack, ranks.tolist(), values):
+                alone, want, _ = numkernel._split(m, DEFAULT_TOL)
+                assert r == alone and type(alone) is int
+                # the moduli of the eigenvalues are the singular values to rounding
+                assert np.max(np.abs(s - want)) <= 8 * n * np.finfo(float).eps * want[0]
+            assert not solved  # one matrix takes the SVD, so the reference is independent of eigvalsh
+            assert ranks.tolist() == list(range(len(stack)))
+
+    @pytest.mark.parametrize("field", ["complex", "nonsymmetric", "symmetric"])
+    def test_a_zero_matrix_in_a_stack_has_rank_zero(self, field):
+        stack = low_rank_stack(field)
+        stack[[0, 3]] = 0.0
+        ranks, values, _ = numkernel._split(stack, DEFAULT_TOL)
+        assert ranks[0] == ranks[3] == 0 and not np.any(values[[0, 3]])
+        assert ranks.tolist()[4:] == list(range(4, len(stack)))
+
+
 class TestEigenStructure:
     def test_mendel_defective(self):
         es = eigen_structure(MENDEL_N)

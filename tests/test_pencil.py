@@ -322,7 +322,7 @@ class TestDirections:
             # three complex pencils, or the canonical scan if that is larger
             bound = max(3 * 16 * n * n, np.asarray(stack[1:]).nbytes)
             monkeypatch.setattr(pencil, "_STACK_BYTES", bound)
-            split = recorded_calls(monkeypatch, numkernel, "_split_stack")
+            split = recorded_calls(monkeypatch, numkernel, "_split")
             blocked = max_pencil_rank(stack, trials=trials, seed=seed)
             monkeypatch.undo()
             stacks = [s for s, _ in split]
@@ -337,7 +337,7 @@ class TestDirections:
 
     def test_the_default_trials_are_one_stack(self, monkeypatch):
         _, mats, trials, seed = next(c for c in REFERENCE_STACKS if c[0] == "rank 3 at a random trial")
-        stacks = recorded_calls(monkeypatch, numkernel, "_split_stack")
+        stacks = recorded_calls(monkeypatch, numkernel, "_split")
         max_pencil_rank(mats, trials=trials, seed=seed)
         assert [len(stack) for stack, _ in stacks] == [1, 2, DEFAULT_TRIALS]
 

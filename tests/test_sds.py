@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -157,10 +155,13 @@ class TestPairScan:
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_batched_rows_equal_the_pair_loop(self, monkeypatch, field):
         # the adversarial and kappa-scrambled families at n = 3..24: the same pair and the same norm, bit for bit;
-        # the defect scan that follows the pairs is stubbed out, so a family whose pairs commute gives None
-        monkeypatch.setattr(numkernel, "eigen_structure", lambda m, tol: SimpleNamespace(defective_cluster=lambda: None))
+        # the scan is the commutators alone, so a family whose pairs commute gives None and no eigen-analysis runs
+        def tripwire(m, tol):
+            raise AssertionError("the pair scan ran an eigen-analysis")
+
+        monkeypatch.setattr(numkernel, "eigen_structure", tripwire)
         specs = [adversarial_instance(kind, n, seed) for kind in ("defective", "noncommuting") for n in range(3, 25) for seed in (0, 1)]
-        specs += [scrambled_planted(n, kappa, 0) for n in range(3, 25) for kappa in (1e3, 1e5)]
+        specs += [scrambled_planted(n, kappa, 0)[0] for n in range(3, 25) for kappa in (1e3, 1e5)]
         outcomes = {"pair": 0, "none": 0}
         for spec in specs:
             solved = similarity_family(complexify(spec) if field == "complex" else spec)

@@ -17,6 +17,12 @@ reversed, and each κ-scrambled instance with one fixed permutation; per
 (tolerance set, row, order) the ``basis_order`` section of the file counts
 the outcomes that differ from the instance as given and, apart, the swaps
 between ``evolution`` and ``not_evolution``.
+
+κ_P is the 2-norm condition number of an instance's planted natural basis
+in its own coordinates, with unit columns: the larger it is, the closer an
+algebra that is not an evolution algebra can lie.  Per (tolerance set,
+κ-scrambled row) the ``kappa_p_bands`` section of the file splits the wrong
+refutations by κ_P: at most 1e4, at most 1e6, and above.
 """
 
 import functools
@@ -42,6 +48,12 @@ from probe import TOLERANCES, one_direction, proportional_squares, scrambled_pla
 CEILINGS = Path(__file__).parent / "data" / "stress_ceilings.json"
 COLUMNS = ["wrong_refutations", "undetermined", "adversarial_certificates", "rejected_certificates"]
 ORDER_COLUMNS = ["changed_outcomes", "evolution_swaps"]
+BAND_COLUMNS = ["wrong_refutations_kappa_p_le_1e4", "wrong_refutations_kappa_p_le_1e6", "wrong_refutations_kappa_p_above"]
+KAPPA_P_BANDS = (1e4, 1e6)  # the upper ends of the first two bands
+# the sections of the ceiling file besides the rows of COLUMNS, and their columns
+SECTIONS = {"basis_order": ORDER_COLUMNS, "kappa_p_bands": BAND_COLUMNS}
+# the kappa-scrambled corpora: their row prefix, sizes and number of seeds
+SCRAMBLED = {"scrambled": ("scrambled", (4, 6, 8), 20), "scrambled-n16": ("scrambled n=16", (16,), 10)}
 
 
 def rescaled(spec, factor):
@@ -49,12 +61,25 @@ def rescaled(spec, factor):
     return AlgebraSpec(spec.dim, spec.field, {key: c * factor for key, c in spec.constants.items()})
 
 
+@functools.cache
+def scrambled_instances(corpus: str) -> tuple:
+    """``(row, spec, natural basis)``: the planted algebras of a kappa-scrambled corpus seen through a basis of
+    condition number kappa; built once, since every table of the corpus reads them."""
+    prefix, sizes, seeds = SCRAMBLED[corpus]
+    return tuple((f"{prefix} kappa={kappa:.0e}", *scrambled_planted(n, kappa, seed))
+                 for kappa in (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8) for n in sizes for seed in range(seeds))
+
+
 def scrambled():
-    """Planted algebras seen through a basis of condition number kappa."""
-    for kappa in (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8):
-        for n in (4, 6, 8):
-            for seed in range(20):
-                yield f"scrambled kappa={kappa:.0e}", scrambled_planted(n, kappa, seed), True
+    """Planted algebras, n = 4, 6, 8, seeds 0...19, seen through a basis of condition number kappa."""
+    for row, spec, _ in scrambled_instances("scrambled"):
+        yield row, spec, True
+
+
+def scrambled_n16():
+    """The same at n = 16, seeds 0...9, in rows of their own."""
+    for row, spec, _ in scrambled_instances("scrambled-n16"):
+        yield row, spec, True
 
 
 def one_direction_squares():
@@ -95,6 +120,14 @@ def adversarial():
                 yield f"adversarial {kind}", adversarial_instance(kind, n, seed), False
 
 
+def adversarial_large():
+    """Every adversarial kind at n = 16 and 24, seeds 0...3 as in ``tools/probe.py``, in rows of their own."""
+    for kind in ADVERSARIAL_KINDS:
+        for n in (16, 24):
+            for seed in range(4):
+                yield f"adversarial {kind} n={n}", adversarial_instance(kind, n, seed), False
+
+
 def rescaled_examples():
     """Planted and example algebras with every constant times 1e300, 1e-300 and the subnormal 1e-310."""
     unscaled = [planted_evolution_algebra(n, seed=0)[0] for n in range(2, 9)]
@@ -107,11 +140,13 @@ def rescaled_examples():
 # each corpus yields ``(row, spec, whether spec is an evolution algebra by construction)``
 CORPORA = {
     "scrambled": scrambled,
+    "scrambled-n16": scrambled_n16,
     "one-direction": one_direction_squares,
     "proportional-squares": proportional,
     "deformed": deformed_examples,
     "planted": planted,
     "adversarial": adversarial,
+    "adversarial-large": adversarial_large,
     "rescaled": rescaled_examples,
 }
 
@@ -152,7 +187,7 @@ def relabelled(spec: AlgebraSpec, perm: np.ndarray) -> AlgebraSpec:
 def orders(corpus, row: str, n: int):
     """``(name, perm)`` of the basis orders an instance is decided in besides its own."""
     yield "reversed", np.arange(n)[::-1]
-    if corpus is scrambled:
+    if corpus in (scrambled, scrambled_n16):
         yield "permuted", np.random.default_rng([n, len(row)]).permutation(n)
 
 
@@ -170,11 +205,26 @@ def order_count(corpus, tol_name: str) -> dict:
     return table
 
 
+def kappa_p(basis: np.ndarray) -> float:
+    """The 2-norm condition number of ``basis`` with its columns scaled to unit norm."""
+    return float(np.linalg.cond(basis / np.linalg.norm(basis, axis=0)))
+
+
+def band_count(corpus: str, tol_name: str) -> dict:
+    """``{"<tol_name> | <row>": [the wrong refutations per band of BAND_COLUMNS]}`` over a kappa-scrambled corpus."""
+    table = {}
+    for (row, _, _, v), (_, _, basis) in zip(decided(CORPORA[corpus], tol_name), scrambled_instances(corpus)):
+        counts = table.setdefault(f"{tol_name} | {row}", [0, 0, 0])
+        if v.outcome == NOT_EVOLUTION:
+            counts[int(np.searchsorted(KAPPA_P_BANDS, kappa_p(basis)))] += 1  # the first band whose upper end holds it
+    return table
+
+
 def read_ceilings(section: str = "") -> dict:
-    """The rows of the ceiling file, or of its ``basis_order`` section, after checking their column names."""
+    """The rows of the ceiling file, or of one of its SECTIONS, after checking their column names."""
     ceilings = json.loads(CEILINGS.read_text())
-    order = ceilings.pop("basis_order")
-    rows, columns = (order, ORDER_COLUMNS) if section == "basis_order" else (ceilings, COLUMNS)
+    sections = {name: ceilings.pop(name) for name in SECTIONS}
+    rows, columns = (sections[section], SECTIONS[section]) if section else (ceilings, COLUMNS)
     assert rows.pop("columns") == columns
     return rows
 
@@ -220,6 +270,32 @@ def test_the_basis_order_section_holds_exactly_the_order_rows():
     rows = {f"{tol_name} | {row} | {order}" for tol_name in TOLERANCES for corpus in CORPORA.values()
             for row, spec, _ in corpus() for order, _ in orders(corpus, row, spec.dim)}
     assert set(read_ceilings("basis_order")) == rows
+
+
+@pytest.mark.parametrize("tol_name", TOLERANCES)
+@pytest.mark.parametrize("corpus", SCRAMBLED)
+def test_the_kappa_p_bands_equal_their_ceilings(corpus, tol_name):
+    table = band_count(corpus, tol_name)
+    ceilings = read_ceilings("kappa_p_bands")
+    changed = {key: (ceilings.get(key), counts) for key, counts in table.items() if ceilings.get(key) != counts}
+    assert not changed, (
+        f"(ceiling, count) per changed row, counts as {BAND_COLUMNS}: {dict(sorted(changed.items()))}\n"
+        "a count above its ceiling is a new wrong refutation in that band of kappa_P, a count below it a mended one: "
+        f"write the rows below to the kappa_p_bands section of {CEILINGS.name}\n{render(table, indent='    ')}"
+    )
+
+
+def test_the_kappa_p_bands_section_holds_exactly_the_kappa_scrambled_rows():
+    rows = {f"{tol_name} | {row}" for tol_name in TOLERANCES for corpus in SCRAMBLED for row, _, _ in scrambled_instances(corpus)}
+    assert set(read_ceilings("kappa_p_bands")) == rows
+
+
+def test_the_kappa_scrambled_instances_have_their_natural_basis():
+    # kappa_P measures the instance's own natural basis, which the checker accepts throughout the first two bands
+    for corpus in SCRAMBLED:
+        for row, spec, basis in scrambled_instances(corpus):
+            if kappa_p(basis) <= KAPPA_P_BANDS[-1]:
+                assert check_certificate(spec, basis).ok, row
 
 
 @pytest.mark.parametrize("tol_name", TOLERANCES)

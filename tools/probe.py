@@ -73,12 +73,20 @@ EXAMPLES = [
 
 
 def scrambled_planted(n, kappa, seed):
-    """A planted instance re-expressed in a basis of condition number ``kappa``: the κ-scrambled corpus, which the tests import from here."""
-    spec, _ = planted_evolution_algebra(n, seed=seed)
+    """A planted instance re-expressed in a basis of condition number ``kappa``, and its natural basis.
+
+    This is the κ-scrambled corpus, which the tests import from here.  The planted spec of
+    ``planted_evolution_algebra`` has the natural basis ``p^-1``, for its transform ``p``, and
+    ``change_basis`` by ``s = u diag(1 .. 1/kappa) v^T`` (``u``, ``v`` orthogonal, drawn from
+    ``default_rng([seed, n, log10(kappa)])``) makes it ``s^-1 p^-1``.  Returns the spec and that
+    basis as the columns of a matrix.
+    """
+    spec, p = planted_evolution_algebra(n, seed=seed)
     rng = np.random.default_rng([seed, n, int(np.log10(kappa))])
     u, _ = np.linalg.qr(rng.standard_normal((n, n)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return change_basis(spec, u @ np.diag(np.logspace(0, -np.log10(kappa), n)) @ v.T)
+    s = u @ np.diag(np.logspace(0, -np.log10(kappa), n)) @ v.T
+    return change_basis(spec, s), np.linalg.inv(s) @ np.linalg.inv(p)
 
 
 def one_direction(n, seed):
@@ -155,7 +163,7 @@ def corpus():
     for n in (4, 6, 8):
         for kappa in (1e3, 1e4, 1e5, 1e6):
             for seed in range(20):
-                yield f"scrambled n={n} kappa={kappa:g} seed={seed}", scrambled_planted(n, kappa, seed)
+                yield f"scrambled n={n} kappa={kappa:g} seed={seed}", scrambled_planted(n, kappa, seed)[0]
     for n in range(2, 9):
         for seed in range(20):
             yield f"one-direction n={n} seed={seed}", one_direction(n, seed)[0]
