@@ -36,6 +36,12 @@ A real algebra has a real similarity family, and its transform is complex
 only in the eigenspaces of non-real eigenvalues.  A positive verdict needs a
 real change of basis; a complex one that passes the check gives "complex
 only, undetermined over R", with the complex certificate attached.
+
+A natural basis of a real algebra is one of its complexification too, so a
+complex algebra whose constants are all real is decided, and checked, on its
+real tensor (``_tensor``): it gets the real algebra's pencil point, witness
+and certificate.  Only the outcome reads the field: over C a complex
+certificate is a natural basis, and the verdict is "evolution".
 """
 
 from __future__ import annotations
@@ -114,6 +120,15 @@ class CertificateCheck:
 def _certificate(p: np.ndarray, products: np.ndarray) -> Certificate:
     diagonals = np.diagonal(products, axis1=1, axis2=2).copy()  # row k = diagonal of P^T M_k P
     return Certificate(p, tuple(diagonals), diagonals.T.copy())  # row i = coordinates of the square of e*_i
+
+
+def _tensor(spec: AlgebraSpec) -> np.ndarray:
+    """The structure tensor that decides ``spec``: its own, or a C-ordered real copy when it is
+    complex and every imaginary part is zero, so that the arithmetic follows the values."""
+    t = algebra.m_structure_matrices(spec)
+    if np.iscomplexobj(t) and not t.imag.any():
+        return np.ascontiguousarray(t.real)
+    return t
 
 
 def _check(t: np.ndarray, p, tol: ToleranceContext) -> tuple[CertificateCheck, Optional[np.ndarray]]:
@@ -206,14 +221,17 @@ def is_evolution_algebra(
     Every positive verdict carries a certificate that passes
     :func:`check_certificate`; every negative verdict carries an
     independently recheckable refutation witness.  Numerical failures give
-    an undetermined outcome, never a silently wrong verdict.  Raises
+    an undetermined outcome, never a silently wrong verdict.  The arithmetic
+    follows the values: a complex algebra whose constants are all real is
+    decided as the real algebra, with the same pencil point, witness and
+    certificate, and a complex certificate then means ``evolution``.  Raises
     :class:`ValueError` when ``trials < 1`` or ``seed < 0``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    t = algebra.m_structure_matrices(spec)
+    t = _tensor(spec)
     n = spec.dim
     notes: list[str] = []
 
@@ -268,12 +286,13 @@ def check_certificate(spec: AlgebraSpec, p, tol: ToleranceContext = DEFAULT_TOL)
     ``p``) in one batched congruence ``P^T M P`` and accepts when each
     off-diagonal one satisfies
     ``||b_i b_j|| <= verify_rtol * ||t||_F * ||p_i|| * ||p_j||``, with ``t``
-    the structure tensor.  ``residual`` is the largest ``||b_i b_j||`` and
+    the structure tensor, taken real when every constant is, as the decision
+    takes it.  ``residual`` is the largest ``||b_i b_j||`` and
     ``offending_pair`` its 1-based pair.  Knows nothing about how ``p`` was
     produced; :func:`is_evolution_algebra` gates its certificates on the same
     test.
     """
-    return _check(algebra.m_structure_matrices(spec), p, tol)[0]
+    return _check(_tensor(spec), p, tol)[0]
 
 
 def _fmt_complex(z: complex) -> str:

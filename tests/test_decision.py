@@ -35,7 +35,7 @@ from evoalg.numkernel import DEFAULT_TOL
 from evoalg.pencil import evaluate
 from evoalg.sds import NonCommuting, NonDiagonalisable
 from conftest import columns_match_up_to_scale, reference_defect_scan, subnormal_tetraploid
-from probe import COMPLEX_NUMBERS, TOLERANCES, direct_sum, proportional_squares, scrambled_planted
+from probe import COMPLEX_NUMBERS, EXAMPLES, TOLERANCES, complex_only, direct_sum, proportional_squares, scrambled_planted
 
 
 def record_factored(monkeypatch):
@@ -107,6 +107,53 @@ class TestRealField:
     def test_complexified_version_is_evolution(self):
         spec = validate(AlgebraSpec(2, "complex", {(1, 1, 1): 1.0, (2, 2, 1): -1.0, (1, 2, 2): 1.0}))
         assert is_evolution_algebra(spec).outcome == EVOLUTION
+
+
+def real_and_complexified_corpus():
+    """``(label, spec)``: planted, adversarial, the probe's named examples, complex-only and kappa-scrambled instances."""
+    for n in range(2, 13):
+        for seed in range(4):
+            yield ("planted", n, seed), planted_evolution_algebra(n, seed=seed)[0]
+    for kind in ("defective", "noncommuting", "ann_mismatch"):
+        for n in range(3, 9):
+            for seed in (None, *range(3)):
+                yield (kind, n, seed), adversarial_instance(kind, n, seed)
+    for name, eps in EXAMPLES:
+        yield (name, eps), example_algebra(name, eps)
+    for n in range(2, 7):
+        for seed in (None, *range(5)):
+            yield ("complex-only", n, seed), complex_only(n, seed)
+    for n in (4, 6, 8):
+        for kappa in (1e3, 1e5, 1e7):
+            for seed in range(5):
+                yield ("scrambled", n, kappa, seed), scrambled_planted(n, kappa, seed)[0]
+
+
+class TestRealConstantsOverC:
+    """A natural basis of a real algebra is one of its complexification: both are decided and checked on one tensor."""
+
+    def test_the_complexified_decision_is_the_real_one(self):
+        complex_only_outcomes = 0
+        for label, spec in real_and_complexified_corpus():
+            real, lifted = is_evolution_algebra(spec), is_evolution_algebra(complexify(spec))
+            want, notes = real.outcome, real.diagnostics.notes
+            if want == COMPLEX_ONLY_UNDETERMINED:
+                # over C a complex natural basis is a natural basis: the outcome is evolution, without the note
+                complex_only_outcomes += 1
+                want, notes = EVOLUTION, notes[:-1]
+            assert (lifted.outcome, lifted.refutation, lifted.diagnostics.notes) == (want, real.refutation, notes), label
+            d, e = real.diagnostics, lifted.diagnostics
+            assert (e.branch, e.r0, e.ann_dim, e.trials_used) == (d.branch, d.r0, d.ann_dim, d.trials_used), label
+            assert (e.lambda0 is None) == (d.lambda0 is None), label
+            if d.lambda0 is not None:
+                assert e.lambda0.tobytes() == d.lambda0.tobytes(), label
+            assert (lifted.certificate is None) == (real.certificate is None), label
+            if real.certificate is not None:
+                c, k = real.certificate, lifted.certificate
+                assert k.p.tobytes() == c.p.tobytes(), label
+                assert k.natural_basis_products.tobytes() == c.natural_basis_products.tobytes(), label
+                assert check_certificate(complexify(spec), c.p) == check_certificate(spec, c.p), label
+        assert complex_only_outcomes >= 30, complex_only_outcomes
 
 
 class TestCheckCertificate:
@@ -348,7 +395,8 @@ class TestConstructionFirst:
         # the unscrambled instances (seed None) have no invertible structure
         # matrix, so most witnesses there come from the random trials: the
         # reported lambda0 must be the point the family was solved at; the
-        # complexified instances are decided in complex arithmetic
+        # complexified instances have real constants, so they are decided on
+        # the real tensor and must give the real spec's witness
         checked = {"real": 0, "complex": 0}
         for kind in ("defective", "noncommuting"):
             for n in range(3, 13):
@@ -361,10 +409,10 @@ class TestConstructionFirst:
                         d = v.diagnostics
                         assert not d.notes, (kind, n, seed, field)
                         lam = d.lambda0
-                        if field == "real":
-                            assert np.all(lam.imag == 0), (kind, n, seed)
-                            lam = lam.real
-                        stack = adapt_basis_to_annihilator(spec).blocks if d.branch == "b.2" else m_structure_matrices(spec)
+                        assert np.all(lam.imag == 0), (kind, n, seed, field)
+                        lam = lam.real
+                        stack = (adapt_basis_to_annihilator(real_spec).blocks if d.branch == "b.2"
+                                 else m_structure_matrices(real_spec))
                         stack = list(stack)
                         w_inv = np.linalg.inv(evaluate(stack, lam))
                         family = [w_inv @ m for m in stack]
@@ -772,3 +820,36 @@ class TestSolveEndings:
         assert seen == calls
         assert (v.outcome, v.refutation, v.diagnostics.notes) == (outcome, refutation, notes)
         assert (v.certificate is not None) == (outcome == EVOLUTION)
+
+    def test_a_family_that_sums_to_a_multiple_of_the_identity_is_refuted_by_the_scan_after_the_construction(self, monkeypatch):
+        # sum_k M_k = 2 M_1 with M_1 invertible: at lambda0 = e_1 the family sums to 2I, which every member
+        # commutes with, so the routing test passes although M_2 and M_3 do not commute; the construction's
+        # transform is rejected, and only the scan after it names the pair
+        rng = np.random.default_rng(1)
+        b = rng.standard_normal((4, 4))
+        m1 = b + b.T + 6.0 * np.eye(4)
+        m2, m3 = (c + c.T for c in rng.standard_normal((2, 4, 4)))
+        t = np.stack([m1, m2, m3, m1 - m2 - m3])
+        constants = {(i + 1, j + 1, k + 1): float(t[k, i, j]) for k in range(4) for i in range(4) for j in range(i, 4)}
+        spec = AlgebraSpec(4, "real", constants)
+        seen = []
+        route, scan, construct, check = sds._commute_with_sum, sds._witness, sds._common_eigenbasis, decision._check
+
+        def spy(name, function, result):
+            def call(*args):
+                value = function(*args)
+                seen.append((name, result(value)))
+                return value
+            return call
+
+        monkeypatch.setattr(sds, "_commute_with_sum", spy("route", route, bool))
+        monkeypatch.setattr(sds, "_witness", spy("scan", scan, lambda r: r))
+        monkeypatch.setattr(sds, "_common_eigenbasis", spy("construct", construct, lambda bases: isinstance(bases, list)))
+        monkeypatch.setattr(decision, "_check", spy("check", check, lambda result: result[0].ok))
+        v = is_evolution_algebra(spec)
+        witness = NonCommuting((2, 3), v.refutation.commutator_norm)
+        assert seen == [("route", True), ("construct", True), ("check", False), ("scan", witness)]
+        assert (v.outcome, v.refutation, v.diagnostics.branch) == (NOT_EVOLUTION, witness, "a")
+        assert np.array_equal(v.diagnostics.lambda0, np.eye(4)[0])
+        _, family = sdc._similarity_family(t, v.diagnostics.lambda0)
+        assert np.allclose(family.sum(axis=0), 2.0 * np.eye(4))

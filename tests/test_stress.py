@@ -23,6 +23,12 @@ in its own coordinates, with unit columns: the larger it is, the closer an
 algebra that is not an evolution algebra can lie.  Per (tolerance set,
 κ-scrambled row) the ``kappa_p_bands`` section of the file splits the wrong
 refutations by κ_P: at most 1e4, at most 1e6, and above.
+
+δ(P) is the relative backward error of a certificate P with a free
+diagonal: the relative Frobenius distance from the structure tensor to the
+nearest one of which P is a natural basis.  Per (tolerance set, row) the
+``delta_p_bands`` section of the file splits the issued certificates by
+δ(P): at most ``verify_rtol`` (1e-8), at most 1e-6, and above.
 """
 
 import functools
@@ -39,19 +45,22 @@ from evoalg import (
     complexify,
     example_algebra,
     is_evolution_algebra,
+    m_structure_matrices,
     planted_evolution_algebra,
 )
 from evoalg.corpus import ADVERSARIAL_KINDS
 from evoalg.decision import EVOLUTION, NOT_EVOLUTION
-from probe import TOLERANCES, one_direction, proportional_squares, scrambled_planted
+from probe import TOLERANCES, complex_basis, one_direction, proportional_squares, scrambled_planted
 
 CEILINGS = Path(__file__).parent / "data" / "stress_ceilings.json"
 COLUMNS = ["wrong_refutations", "undetermined", "adversarial_certificates", "rejected_certificates"]
 ORDER_COLUMNS = ["changed_outcomes", "evolution_swaps"]
 BAND_COLUMNS = ["wrong_refutations_kappa_p_le_1e4", "wrong_refutations_kappa_p_le_1e6", "wrong_refutations_kappa_p_above"]
 KAPPA_P_BANDS = (1e4, 1e6)  # the upper ends of the first two bands
+DELTA_COLUMNS = ["certificates_delta_p_le_1e-8", "certificates_delta_p_le_1e-6", "certificates_delta_p_above"]
+DELTA_P_BANDS = (1e-8, 1e-6)  # the upper ends of the first two bands; the first is verify_rtol
 # the sections of the ceiling file besides the rows of COLUMNS, and their columns
-SECTIONS = {"basis_order": ORDER_COLUMNS, "kappa_p_bands": BAND_COLUMNS}
+SECTIONS = {"basis_order": ORDER_COLUMNS, "kappa_p_bands": BAND_COLUMNS, "delta_p_bands": DELTA_COLUMNS}
 # the kappa-scrambled corpora: their row prefix, sizes and number of seeds
 SCRAMBLED = {"scrambled": ("scrambled", (4, 6, 8), 20), "scrambled-n16": ("scrambled n=16", (16,), 10)}
 
@@ -104,12 +113,13 @@ def deformed_examples():
 
 
 def planted():
-    """Planted evolution algebras, n = 2...12, over the reals and over the complex numbers."""
+    """Planted evolution algebras, n = 2...12, over the reals, over the complex numbers, and in a complex basis."""
     for n in range(2, 13):
         for seed in range(12):
             spec, _ = planted_evolution_algebra(n, seed=seed)
             yield "planted real", spec, True
             yield "planted complex", complexify(spec), True
+            yield "planted complex-basis", complex_basis(n, seed)[0], True
 
 
 def adversarial():
@@ -220,6 +230,33 @@ def band_count(corpus: str, tol_name: str) -> dict:
     return table
 
 
+def delta_p(spec: AlgebraSpec, p: np.ndarray) -> float:
+    """δ(P) = ||T - T_P||_F / ||T||_F, with T the structure tensor divided by its largest |entry| and T_P the
+    least-squares fit of each ``M_k`` by ``sum_i d_ki q_i q_i^T``, ``q_i`` the rows of ``P^-1`` (scaled to unit
+    norm, which the free ``d_ki`` absorb): one ``lstsq`` of the ``(n^2, n)`` matrix of the ``vec(q_i q_i^T)``."""
+    t = m_structure_matrices(spec)
+    if not t.any():
+        return 0.0  # every basis of the zero algebra is natural
+    n = spec.dim
+    rhs = (t / np.abs(t).max()).reshape(n, n * n).T
+    q = np.linalg.inv(p)
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    design = (q[:, :, None] * q[:, None, :]).reshape(n, n * n).T
+    fit = design @ np.linalg.lstsq(design, rhs, rcond=None)[0]
+    return float(np.linalg.norm(rhs - fit) / np.linalg.norm(rhs))
+
+
+def delta_count(corpus, tol_name: str) -> dict:
+    """``{"<tol_name> | <row>": [the certificates per band of DELTA_COLUMNS]}`` over the instances of ``corpus``."""
+    table = {}
+    with np.errstate(all="ignore"):
+        for row, spec, _, v in decided(corpus, tol_name):
+            counts = table.setdefault(f"{tol_name} | {row}", [0, 0, 0])
+            if v.certificate is not None:
+                counts[int(np.searchsorted(DELTA_P_BANDS, delta_p(spec, v.certificate.p)))] += 1
+    return table
+
+
 def read_ceilings(section: str = "") -> dict:
     """The rows of the ceiling file, or of one of its SECTIONS, after checking their column names."""
     ceilings = json.loads(CEILINGS.read_text())
@@ -247,9 +284,14 @@ def test_the_counts_equal_their_ceilings(corpus, tol_name):
     )
 
 
+@functools.cache
+def stress_rows() -> frozenset:
+    """``"<tol_name> | <row>"`` for every row of every corpus, built once for the main table and the delta_p_bands section."""
+    return frozenset(f"{tol_name} | {row}" for tol_name in TOLERANCES for corpus in CORPORA.values() for row, _, _ in corpus())
+
+
 def test_the_ceiling_file_holds_exactly_the_stress_rows():
-    rows = {f"{tol_name} | {row}" for tol_name in TOLERANCES for corpus in CORPORA.values() for row, _, _ in corpus()}
-    assert set(read_ceilings()) == rows
+    assert set(read_ceilings()) == stress_rows()
 
 
 @pytest.mark.parametrize("tol_name", TOLERANCES)
@@ -290,6 +332,24 @@ def test_the_kappa_p_bands_section_holds_exactly_the_kappa_scrambled_rows():
     assert set(read_ceilings("kappa_p_bands")) == rows
 
 
+@pytest.mark.parametrize("tol_name", TOLERANCES)
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_the_delta_p_bands_equal_their_ceilings(corpus, tol_name):
+    table = delta_count(CORPORA[corpus], tol_name)
+    ceilings = read_ceilings("delta_p_bands")
+    changed = {key: (ceilings.get(key), counts) for key, counts in table.items() if ceilings.get(key) != counts}
+    assert not changed, (
+        f"(ceiling, count) per changed row, counts as {DELTA_COLUMNS}: {dict(sorted(changed.items()))}\n"
+        "a certificate that moves between bands of delta(P) moves nearer to or farther from an algebra it is "
+        f"not a natural basis of: write the rows below to the delta_p_bands section of {CEILINGS.name}\n"
+        f"{render(table, indent='    ')}"
+    )
+
+
+def test_the_delta_p_bands_section_holds_exactly_the_stress_rows():
+    assert set(read_ceilings("delta_p_bands")) == stress_rows()
+
+
 def test_the_kappa_scrambled_instances_have_their_natural_basis():
     # kappa_P measures the instance's own natural basis, which the checker accepts throughout the first two bands
     for corpus in SCRAMBLED:
@@ -317,12 +377,20 @@ def test_the_proportional_squares_have_their_natural_basis(tol_name):
 
 
 @pytest.mark.parametrize("tol_name", TOLERANCES)
+def test_the_complex_basis_instances_have_their_natural_basis(tol_name):
+    # each is an evolution algebra by the library's own checker, decided in complex arithmetic
+    for n in range(2, 13):
+        for seed in range(12):
+            spec, p = complex_basis(n, seed)
+            assert spec.field == "complex" and check_certificate(spec, p, TOLERANCES[tol_name]).ok, (n, seed)
+
+
+@pytest.mark.parametrize("tol_name", TOLERANCES)
 def test_power_of_two_scaling_keeps_the_outcome_and_refutation_class(tol_name):
     # a factor 2^k changes no significand, and every tolerance is relative, so the decision must not move
     tol = TOLERANCES[tol_name]
     moved = []
-    for index, (row, spec, _) in enumerate(scrambled()):
-        given = is_evolution_algebra(spec, tol)
+    for index, (row, spec, _, given) in enumerate(decided(scrambled, tol_name)):
         for factor in (2.0**30, 2.0**-30):
             v = is_evolution_algebra(rescaled(spec, factor), tol)
             if (v.outcome, type(v.refutation)) != (given.outcome, type(given.refutation)):

@@ -15,7 +15,9 @@ The corpus is decided at the default tolerances and at
 ``eig_cluster_atol=1e-5``:
 
 * planted instances, n = 2…12, seeds 0–11, and n ∈ {16, 24, 32}, seeds 0–3,
-  real and complexified;
+  real, complexified (decided on their real tensor, so each line equals its
+  real twin after the label) and re-expressed in a complex basis
+  (``complex_basis``, decided in complex arithmetic);
 * the three adversarial kinds, n = 3…12, seeds None and 0–9, and
   n ∈ {16, 24}, seeds 0–3;
 * planted n ∈ {4, 6, 8} re-expressed in a basis of condition number
@@ -89,6 +91,20 @@ def scrambled_planted(n, kappa, seed):
     return change_basis(spec, s), np.linalg.inv(s) @ np.linalg.inv(p)
 
 
+def complex_basis(n, seed):
+    """A planted instance re-expressed in a complex basis, and its natural basis.
+
+    ``change_basis`` by ``s = A + iB``, with ``A`` and ``B`` from ``corpus.well_conditioned_matrix`` on
+    ``default_rng([seed, n, 13])``, gives the planted algebra complex constants, so that it is decided
+    in complex arithmetic; its natural basis ``p^-1`` becomes ``s^-1 p^-1``.  Returns the spec and that
+    basis as the columns of a matrix, which ``check_certificate`` accepts.
+    """
+    spec, p = planted_evolution_algebra(n, seed=seed)
+    rng = np.random.default_rng([seed, n, 13])
+    s = well_conditioned_matrix(n, rng) + 1j * well_conditioned_matrix(n, rng)
+    return change_basis(spec, s), np.linalg.inv(s) @ np.linalg.inv(p)
+
+
 def one_direction(n, seed):
     """An evolution algebra whose squares all lie along one basis vector, scrambled, and its natural basis.
 
@@ -156,6 +172,7 @@ def corpus():
             spec, _ = planted_evolution_algebra(n, seed=seed)
             yield f"planted n={n} seed={seed} real", spec
             yield f"planted n={n} seed={seed} complex", complexify(spec)
+            yield f"complex-basis n={n} seed={seed}", complex_basis(n, seed)[0]
     for kind in ("defective", "noncommuting", "ann_mismatch"):
         for n in (*range(3, 13), 16, 24):
             for seed in (None, *range(10)) if n <= 12 else range(4):
