@@ -63,8 +63,9 @@ pairs:
 	@python tools/pairs.py "$(BASE)" --workload $(W) --pairs $(N) --seed $(SEED)
 
 # best-of-3 wall time of the decision and the certificate check on planted n = 16, 32, 48, 64,
-# of the decision on them re-expressed in a complex basis at n = 32, 64 (complex_basis of tools/probe.py;
-# branch b.2 over C, whose re-coordinatisation skips the zero coefficients of P^-1),
+# of the decision on their complexifications at n = 32, 64 (real constants, decided on the real tensor)
+# and on them re-expressed in a complex basis (complex_basis of tools/probe.py; branch b.2 over C,
+# whose re-coordinatisation skips the zero coefficients of P^-1),
 # of the complex-only decision at n = 16, 32, of the noncommuting,
 # defective and ann_mismatch refutations at n = 24, 48 (each with the svd, eigvalsh and eig calls of one more, untimed decision), and of
 # parsing planted files at n = 8, 16, 32; not part of the benchmark

@@ -35,7 +35,17 @@ from evoalg.numkernel import DEFAULT_TOL
 from evoalg.pencil import evaluate
 from evoalg.sds import NonCommuting, NonDiagonalisable
 from conftest import columns_match_up_to_scale, reference_defect_scan, subnormal_tetraploid
-from probe import COMPLEX_NUMBERS, EXAMPLES, TOLERANCES, complex_only, direct_sum, proportional_squares, scrambled_planted
+from probe import (
+    COMPLEX_NUMBERS,
+    EXAMPLES,
+    TOLERANCES,
+    complex_basis,
+    complex_only,
+    direct_sum,
+    in_complex_basis,
+    proportional_squares,
+    scrambled_planted,
+)
 
 
 def record_factored(monkeypatch):
@@ -110,15 +120,14 @@ class TestRealField:
 
 
 def real_and_complexified_corpus():
-    """``(label, spec)``: planted, adversarial, the probe's named examples, complex-only and kappa-scrambled instances."""
-    for n in range(2, 13):
-        for seed in range(4):
-            yield ("planted", n, seed), planted_evolution_algebra(n, seed=seed)[0]
+    """``(label, spec)``: planted, adversarial, the probe's named examples and two more, complex-only and kappa-scrambled instances."""
+    for n, seed in (*((n, seed) for n in range(2, 13) for seed in range(4)), (4, 4), (5, 5)):
+        yield ("planted", n, seed), planted_evolution_algebra(n, seed=seed)[0]
     for kind in ("defective", "noncommuting", "ann_mismatch"):
         for n in range(3, 9):
             for seed in (None, *range(3)):
                 yield (kind, n, seed), adversarial_instance(kind, n, seed)
-    for name, eps in EXAMPLES:
+    for name, eps in (*EXAMPLES, ("mendel", 0.3), ("mendel3d_ann", 0.4)):
         yield (name, eps), example_algebra(name, eps)
     for n in range(2, 7):
         for seed in (None, *range(5)):
@@ -127,33 +136,6 @@ def real_and_complexified_corpus():
         for kappa in (1e3, 1e5, 1e7):
             for seed in range(5):
                 yield ("scrambled", n, kappa, seed), scrambled_planted(n, kappa, seed)[0]
-
-
-class TestRealConstantsOverC:
-    """A natural basis of a real algebra is one of its complexification: both are decided and checked on one tensor."""
-
-    def test_the_complexified_decision_is_the_real_one(self):
-        complex_only_outcomes = 0
-        for label, spec in real_and_complexified_corpus():
-            real, lifted = is_evolution_algebra(spec), is_evolution_algebra(complexify(spec))
-            want, notes = real.outcome, real.diagnostics.notes
-            if want == COMPLEX_ONLY_UNDETERMINED:
-                # over C a complex natural basis is a natural basis: the outcome is evolution, without the note
-                complex_only_outcomes += 1
-                want, notes = EVOLUTION, notes[:-1]
-            assert (lifted.outcome, lifted.refutation, lifted.diagnostics.notes) == (want, real.refutation, notes), label
-            d, e = real.diagnostics, lifted.diagnostics
-            assert (e.branch, e.r0, e.ann_dim, e.trials_used) == (d.branch, d.r0, d.ann_dim, d.trials_used), label
-            assert (e.lambda0 is None) == (d.lambda0 is None), label
-            if d.lambda0 is not None:
-                assert e.lambda0.tobytes() == d.lambda0.tobytes(), label
-            assert (lifted.certificate is None) == (real.certificate is None), label
-            if real.certificate is not None:
-                c, k = real.certificate, lifted.certificate
-                assert k.p.tobytes() == c.p.tobytes(), label
-                assert k.natural_basis_products.tobytes() == c.natural_basis_products.tobytes(), label
-                assert check_certificate(complexify(spec), c.p) == check_certificate(spec, c.p), label
-        assert complex_only_outcomes >= 30, complex_only_outcomes
 
 
 class TestCheckCertificate:
@@ -223,23 +205,43 @@ class TestExplain:
 
 class TestDecisionInvariants:
     def test_complexification_agrees_with_real_decision(self):
-        cases = [
-            (True, example_algebra("simple2d")),
-            (False, example_algebra("mendel", 0.0)),
-            (True, example_algebra("mendel", 0.3)),
-            (False, example_algebra("nota2")),
-            (False, example_algebra("tetraploid", 0.0)),
-            (True, example_algebra("tetraploid", 0.1)),
-            (False, example_algebra("mendel3d_ann", 0.0)),
-            (True, example_algebra("mendel3d_ann", 0.4)),
-        ] + [(True, planted_evolution_algebra(3 + s % 3, seed=s)[0]) for s in range(6)]
-        for want, spec in cases:
-            lifted = complexify(spec)
-            verdict = is_evolution_algebra(lifted)
-            assert (verdict.outcome == EVOLUTION) == want
-            assert (is_evolution_algebra(spec).outcome == EVOLUTION) == want
-            if want:
-                assert check_certificate(lifted, verdict.certificate.p).ok
+        # a natural basis of a real algebra is one of its complexification: both are decided and checked on one tensor
+        evolution = {  # whether both decisions certify
+            ("simple2d", None): True,
+            ("mendel", 0.0): False,
+            ("mendel", 0.3): True,
+            ("nota2", None): False,
+            ("tetraploid", 0.0): False,
+            ("tetraploid", 0.1): True,
+            ("mendel3d_ann", 0.0): False,
+            ("mendel3d_ann", 0.4): True,
+            **{("planted", 3 + s % 3, s): True for s in range(6)},
+        }
+        seen, complex_only_outcomes = set(), 0
+        for label, spec in real_and_complexified_corpus():
+            real, lifted = is_evolution_algebra(spec), is_evolution_algebra(complexify(spec))
+            if label in evolution:
+                seen.add(label)
+                assert (real.outcome == EVOLUTION) == evolution[label], label
+            want, notes = real.outcome, real.diagnostics.notes
+            if want == COMPLEX_ONLY_UNDETERMINED:
+                # over C a complex natural basis is a natural basis: the outcome is evolution, without the note
+                complex_only_outcomes += 1
+                want, notes = EVOLUTION, notes[:-1]
+            assert (lifted.outcome, lifted.refutation, lifted.diagnostics.notes) == (want, real.refutation, notes), label
+            d, e = real.diagnostics, lifted.diagnostics
+            assert (e.branch, e.r0, e.ann_dim, e.trials_used) == (d.branch, d.r0, d.ann_dim, d.trials_used), label
+            assert (e.lambda0 is None) == (d.lambda0 is None), label
+            if d.lambda0 is not None:
+                assert e.lambda0.tobytes() == d.lambda0.tobytes(), label
+            assert (lifted.certificate is None) == (real.certificate is None), label
+            if real.certificate is not None:
+                c, k = real.certificate, lifted.certificate
+                assert k.p.tobytes() == c.p.tobytes(), label
+                assert k.natural_basis_products.tobytes() == c.natural_basis_products.tobytes(), label
+                check = check_certificate(complexify(spec), c.p)
+                assert check.ok and check == check_certificate(spec, c.p), label
+        assert seen == set(evolution) and complex_only_outcomes >= 30, (evolution.keys() - seen, complex_only_outcomes)
 
     def test_quotient_necessity(self):
         hit = 0
@@ -361,9 +363,10 @@ class TestToleranceBoundaries:
                 assert check_certificate(spec, v.certificate.p, tol).ok, f"n={n} seed={seed}"
 
 
-def cyclic_algebra(n):
-    """e_i^2 = (1 + i) e_{i+1} (indices mod n): natural, zero annihilator, every M_k singular."""
-    return validate(AlgebraSpec(n, "real", {(i, i, i % n + 1): 1.0 + i for i in range(1, n + 1)}))
+def cyclic_algebra(n, unit=1.0):
+    """e_i^2 = (1 + i) unit e_{i+1} (indices mod n): natural, zero annihilator, every M_k singular; complex for a complex unit."""
+    field = "complex" if isinstance(unit, complex) else "real"
+    return validate(AlgebraSpec(n, field, {(i, i, i % n + 1): (1.0 + i) * unit for i in range(1, n + 1)}))
 
 
 class TestConstructionFirst:
@@ -371,13 +374,17 @@ class TestConstructionFirst:
 
     @pytest.mark.parametrize("complex_mode", [False, True])
     def test_positive_path_skips_the_scans(self, monkeypatch, complex_mode):
+        # complex_mode takes complex constants, which are decided in complex arithmetic: the planted
+        # algebras in a complex basis, and the cyclic ones with imaginary constants
+        planted = complex_basis if complex_mode else lambda n, seed: planted_evolution_algebra(n, seed=seed)
+        unit = 1j if complex_mode else 1.0
         positives = [
-            ("a", planted_evolution_algebra(4, seed=2)[0]),
-            ("a", planted_evolution_algebra(5, seed=1)[0]),
-            ("b.1", cyclic_algebra(3)),
-            ("b.1", cyclic_algebra(5)),
-            ("b.2", planted_evolution_algebra(4, seed=0)[0]),
-            ("b.2", planted_evolution_algebra(6, seed=4)[0]),
+            ("a", planted(4, 2)[0]),
+            ("a", planted(5, 1)[0]),
+            ("b.1", cyclic_algebra(3, unit)),
+            ("b.1", cyclic_algebra(5, unit)),
+            ("b.2", planted(4, 0)[0]),
+            ("b.2", planted(6, 4)[0]),
         ]
 
         def scan(*args, **kwargs):
@@ -385,8 +392,7 @@ class TestConstructionFirst:
 
         monkeypatch.setattr(sds, "_witness", scan)
         for branch, spec in positives:
-            if complex_mode:
-                spec = complexify(spec)
+            assert (spec.field == "complex" and m_structure_matrices(spec).imag.any()) == complex_mode
             v = is_evolution_algebra(spec)
             assert v.outcome == EVOLUTION and v.diagnostics.branch == branch, (branch, spec.dim)
             assert check_certificate(spec, v.certificate.p).ok
@@ -396,23 +402,30 @@ class TestConstructionFirst:
         # matrix, so most witnesses there come from the random trials: the
         # reported lambda0 must be the point the family was solved at; the
         # complexified instances have real constants, so they are decided on
-        # the real tensor and must give the real spec's witness
-        checked = {"real": 0, "complex": 0}
+        # the real tensor and must give the real spec's witness, and the
+        # instances in a complex basis are decided in complex arithmetic
+        checked = {"real": 0, "complex": 0, "complex-basis": 0}
         for kind in ("defective", "noncommuting"):
             for n in range(3, 13):
                 for seed in [None, *range(5)]:
                     real_spec = adversarial_instance(kind, n, seed)
-                    for field, spec in (("real", real_spec), ("complex", complexify(real_spec))):
+                    complex_spec = in_complex_basis(real_spec, 0 if seed is None else seed)[0]
+                    fields = (
+                        ("real", real_spec, real_spec),
+                        ("complex", complexify(real_spec), real_spec),
+                        ("complex-basis", complex_spec, complex_spec),
+                    )
+                    for field, spec, solved in fields:  # solved: the spec whose tensor the family is built from
                         v = is_evolution_algebra(spec)
                         if v.outcome != NOT_EVOLUTION or not isinstance(v.refutation, (NonDiagonalisable, NonCommuting)):
                             continue
                         d = v.diagnostics
                         assert not d.notes, (kind, n, seed, field)
                         lam = d.lambda0
-                        assert np.all(lam.imag == 0), (kind, n, seed, field)
-                        lam = lam.real
-                        stack = (adapt_basis_to_annihilator(real_spec).blocks if d.branch == "b.2"
-                                 else m_structure_matrices(real_spec))
+                        if solved is real_spec:
+                            assert np.all(lam.imag == 0), (kind, n, seed, field)
+                            lam = lam.real
+                        stack = adapt_basis_to_annihilator(solved).blocks if d.branch == "b.2" else m_structure_matrices(solved)
                         stack = list(stack)
                         w_inv = np.linalg.inv(evaluate(stack, lam))
                         family = [w_inv @ m for m in stack]
@@ -420,7 +433,7 @@ class TestConstructionFirst:
                         scans = sds._witness(family, DEFAULT_TOL) or reference_defect_scan(family)
                         assert scans == v.refutation, (kind, n, seed, field)
                         checked[field] += 1
-        assert checked["real"] >= 110 and checked["complex"] >= 110, checked
+        assert min(checked.values()) >= 110, checked
 
     @pytest.mark.parametrize("complex_mode", [False, True])
     def test_noncommuting_families_skip_the_eigen_analysis(self, monkeypatch, complex_mode):
@@ -436,7 +449,9 @@ class TestConstructionFirst:
         for n in range(3, 25):
             for seed in (None, 0, 1):
                 spec = adversarial_instance("noncommuting", n, seed)
-                v = is_evolution_algebra(complexify(spec) if complex_mode else spec)
+                if complex_mode:  # complex constants, decided in complex arithmetic
+                    spec = in_complex_basis(spec, 0 if seed is None else seed)[0]
+                v = is_evolution_algebra(spec)
                 assert isinstance(v.refutation, NonCommuting) and not calls, (n, seed, v.outcome, len(calls))
 
     @pytest.mark.parametrize(

@@ -50,7 +50,7 @@ from evoalg import (
 )
 from evoalg.corpus import ADVERSARIAL_KINDS
 from evoalg.decision import EVOLUTION, NOT_EVOLUTION
-from probe import TOLERANCES, complex_basis, one_direction, proportional_squares, scrambled_planted
+from probe import TOLERANCES, complex_basis, in_complex_basis, one_direction, proportional_squares, scrambled_planted
 
 CEILINGS = Path(__file__).parent / "data" / "stress_ceilings.json"
 COLUMNS = ["wrong_refutations", "undetermined", "adversarial_certificates", "rejected_certificates"]
@@ -138,6 +138,14 @@ def adversarial_large():
                 yield f"adversarial {kind} n={n}", adversarial_instance(kind, n, seed), False
 
 
+def adversarial_complex_basis():
+    """Every adversarial kind, n = 3...12, seeds 0...9, re-expressed in a complex basis: decided in complex arithmetic."""
+    for kind in ADVERSARIAL_KINDS:
+        for n in range(3, 13):
+            for seed in range(10):
+                yield f"adversarial {kind} complex-basis", in_complex_basis(adversarial_instance(kind, n, seed), seed)[0], False
+
+
 def rescaled_examples():
     """Planted and example algebras with every constant times 1e300, 1e-300 and the subnormal 1e-310."""
     unscaled = [planted_evolution_algebra(n, seed=0)[0] for n in range(2, 9)]
@@ -157,6 +165,7 @@ CORPORA = {
     "planted": planted,
     "adversarial": adversarial,
     "adversarial-large": adversarial_large,
+    "adversarial-complex-basis": adversarial_complex_basis,
     "rescaled": rescaled_examples,
 }
 

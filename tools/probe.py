@@ -91,18 +91,28 @@ def scrambled_planted(n, kappa, seed):
     return change_basis(spec, s), np.linalg.inv(s) @ np.linalg.inv(p)
 
 
-def complex_basis(n, seed):
-    """A planted instance re-expressed in a complex basis, and its natural basis.
+def in_complex_basis(spec, seed):
+    """``spec`` re-expressed in a complex basis, and that basis as the columns of a matrix.
 
     ``change_basis`` by ``s = A + iB``, with ``A`` and ``B`` from ``corpus.well_conditioned_matrix`` on
-    ``default_rng([seed, n, 13])``, gives the planted algebra complex constants, so that it is decided
-    in complex arithmetic; its natural basis ``p^-1`` becomes ``s^-1 p^-1``.  Returns the spec and that
-    basis as the columns of a matrix, which ``check_certificate`` accepts.
+    ``default_rng([seed, n, 13])``, gives the algebra complex constants, so that it is decided in
+    complex arithmetic; a basis ``q`` of the old coordinates is ``s^-1 q`` in the new ones.
     """
-    spec, p = planted_evolution_algebra(n, seed=seed)
+    n = spec.dim
     rng = np.random.default_rng([seed, n, 13])
     s = well_conditioned_matrix(n, rng) + 1j * well_conditioned_matrix(n, rng)
-    return change_basis(spec, s), np.linalg.inv(s) @ np.linalg.inv(p)
+    return change_basis(spec, s), s
+
+
+def complex_basis(n, seed):
+    """A planted instance re-expressed in a complex basis (``in_complex_basis``), and its natural basis.
+
+    Its natural basis ``p^-1`` becomes ``s^-1 p^-1``.  Returns the spec and that basis as the
+    columns of a matrix, which ``check_certificate`` accepts.
+    """
+    spec, p = planted_evolution_algebra(n, seed=seed)
+    spec, s = in_complex_basis(spec, seed)
+    return spec, np.linalg.inv(s) @ np.linalg.inv(p)
 
 
 def one_direction(n, seed):

@@ -7,15 +7,16 @@ Run ``make scale``, which is
 For ``planted_evolution_algebra(n, seed=1)`` at n = 16, 32, 48 and 64 it
 prints the best of three wall times of ``is_evolution_algebra`` and of
 ``check_certificate`` on the returned certificate, unscaled, in
-milliseconds.  It then prints the best of three wall times of
-``is_evolution_algebra`` on ``complex_basis(n, 1)`` from ``tools/probe.py``
-(the planted instance of seed 1 re-expressed in a complex basis, so that
-it has complex constants and is decided in complex arithmetic; a
-complexified real algebra is decided on its real tensor) at n = 32 and 64,
-with the decision's branch: branch "b.2", whose re-coordinatisation of the
-leading blocks through ``P^{-1}`` skips the zero coefficients
-(``pencil.evaluate`` over a complex stack), a path that no benchmark
-workload reaches.  Next the best of three wall times of
+milliseconds.  It then prints, at n = 32 and 64, the best of three wall
+times of ``is_evolution_algebra`` on the complexification of the same
+instance, which has real constants and is decided on its real tensor, and
+on ``complex_basis(n, 1)`` from ``tools/probe.py`` (the planted instance of
+seed 1 re-expressed in a complex basis, so that it has complex constants
+and is decided in complex arithmetic), each with the decision's branch:
+branch "b.2", whose re-coordinatisation of the leading blocks through
+``P^{-1}`` skips the zero coefficients (``pencil.evaluate`` over a complex
+stack for the complex basis), a path that no benchmark workload reaches.
+Next the best of three wall times of
 ``is_evolution_algebra`` on ``complex_only(n, 0)`` from ``tools/probe.py``
 (C as a real algebra plus idempotents, scrambled) at n = 16 and 32, a
 decision that ends complex only and that no benchmark workload reaches.
@@ -63,6 +64,7 @@ from evoalg import (  # noqa: E402
     NOT_EVOLUTION,
     adversarial_instance,
     check_certificate,
+    complexify,
     is_evolution_algebra,
     parse,
     planted_evolution_algebra,
@@ -71,7 +73,7 @@ from evoalg import (  # noqa: E402
 from probe import complex_basis, complex_only  # noqa: E402  (tools/ is on the path of a script run from it)
 
 SIZES = (16, 32, 48, 64)
-COMPLEX_BASIS_SIZES = (32, 64)
+COMPLEX_SIZES = (32, 64)
 COMPLEX_ONLY_SIZES = (16, 32)
 REFUTATION_KINDS = ("noncommuting", "defective", "ann_mismatch")
 REFUTATION_SIZES = (24, 48)
@@ -120,13 +122,16 @@ def main() -> None:
         if not check.ok:
             raise SystemExit(f"n={n}: the certificate was rejected")
         print(f"{n:>3}  {decide_ms:>24.1f}  {check_ms:>21.1f}")
-    print(f"\n{'n':>3}  {'complex-basis decision ms':>25}  {'branch':>6}")
-    for n in COMPLEX_BASIS_SIZES:
-        spec = complex_basis(n, 1)[0]
-        decide_ms, verdict = best_ms(lambda: is_evolution_algebra(spec))
-        if verdict.outcome != EVOLUTION:
-            raise SystemExit(f"complex-basis n={n}: expected an evolution verdict, got {verdict.outcome}")
-        print(f"{n:>3}  {decide_ms:>25.1f}  {verdict.diagnostics.branch:>6}")
+    print(f"\n{'n':>3}  {'complexified decision ms':>24}  {'branch':>6}  {'complex-basis decision ms':>25}  {'branch':>6}")
+    for n in COMPLEX_SIZES:
+        columns = []
+        specs = {"complexified": complexify(planted_evolution_algebra(n, seed=1)[0]), "complex-basis": complex_basis(n, 1)[0]}
+        for name, spec in specs.items():
+            decide_ms, verdict = best_ms(lambda: is_evolution_algebra(spec))
+            if verdict.outcome != EVOLUTION:
+                raise SystemExit(f"{name} n={n}: expected an evolution verdict, got {verdict.outcome}")
+            columns.append(f"{decide_ms:>{len(name) + 12}.1f}  {verdict.diagnostics.branch:>6}")
+        print(f"{n:>3}  " + "  ".join(columns))
     print(f"\n{'n':>3}  {'complex-only decision ms':>24}")
     for n in COMPLEX_ONLY_SIZES:
         spec = complex_only(n, 0)
