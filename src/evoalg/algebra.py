@@ -82,7 +82,7 @@ class _TensorConstants(Mapping):
 
     ``tensor`` is a read-only, C-ordered copy of the symmetric ``t`` given, in the
     field's dtype, with exact zeros stored as ``+0`` as a dict of the non-zero
-    triples gives them back; that dict, in sorted ``(i, j, k)`` order, is built on first read.
+    triples gives them back; that dict, in sorted ``(i, j, k)`` order, and ``narrowest`` are built on first read.
     """
 
     def __init__(self, t: np.ndarray, field: str):
@@ -100,6 +100,12 @@ class _TensorConstants(Mapping):
         pair, k = np.nonzero(upper)
         keys = zip((rows[pair] + 1).tolist(), (cols[pair] + 1).tolist(), (k + 1).tolist())
         return dict(zip(keys, upper[pair, k].astype(np.complex128).tolist()))
+
+    @cached_property
+    def narrowest(self) -> np.ndarray:
+        """``tensor``, or a read-only, C-ordered real copy of it when it is complex and every imaginary part is zero."""
+        t = self.tensor
+        return _TensorConstants(t.real, REAL).tensor if np.iscomplexobj(t) and not t.imag.any() else t
 
     def __getitem__(self, key):
         return self._dict[key]

@@ -117,26 +117,23 @@ class CertificateCheck:
     reason: Optional[str] = None
 
 
-def _certificate(p: np.ndarray, products: np.ndarray) -> Certificate:
-    diagonals = np.diagonal(products, axis1=1, axis2=2).copy()  # row k = diagonal of P^T M_k P
+def _certificate(p: np.ndarray, diagonals: np.ndarray) -> Certificate:  # row k of diagonals: the diagonal of P^T M_k P
     return Certificate(p, tuple(diagonals), diagonals.T.copy())  # row i = coordinates of the square of e*_i
 
 
 def _tensor(spec: AlgebraSpec) -> np.ndarray:
-    """The structure tensor that decides ``spec``: its own, or a C-ordered real copy when it is
-    complex and every imaginary part is zero, so that the arithmetic follows the values."""
-    t = algebra.m_structure_matrices(spec)
-    if np.iscomplexobj(t) and not t.imag.any():
-        return np.ascontiguousarray(t.real)
-    return t
+    """The structure tensor that decides ``spec``: its own, or the C-ordered real copy its constants keep
+    when it is complex and every imaginary part is zero, so that the arithmetic follows the values."""
+    return algebra.validate(spec).constants.narrowest
 
 
 def _check(t: np.ndarray, p, tol: ToleranceContext) -> tuple[CertificateCheck, Optional[np.ndarray]]:
     """The certificate test on the structure tensor ``t``.
 
     Returns the check and, once ``p`` is a nonsingular square matrix, the
-    products ``A = P^T M P`` in the candidate basis: ``A[k, i, j]`` is the
-    k-th input coordinate of ``b_i b_j``.  Each pair ``i < j`` passes when
+    diagonals of the products ``A = P^T M P`` in the candidate basis, as rows:
+    ``A[k, i, j]`` is the k-th input coordinate of ``b_i b_j``, and row ``k``
+    holds ``A[k, i, i]``.  Each pair ``i < j`` passes when
     ``||b_i b_j|| <= verify_rtol * ||t||_F * ||p_i|| * ||p_j||``.
     """
     n = t.shape[0]
@@ -155,14 +152,14 @@ def _check(t: np.ndarray, p, tol: ToleranceContext) -> tuple[CertificateCheck, O
     residual = np.linalg.norm(scaled[:, rows, cols], axis=0)
     column_norms = np.linalg.norm(q, axis=0)
     ok = np.all(residual <= tol.verify_rtol * float(np.linalg.norm(tn)) * column_norms[rows] * column_norms[cols])
-    pair_exp = t_exp + col_exp[:, None] + col_exp
     with np.errstate(over="ignore", invalid="ignore"):  # back at the scale of t and p; inf is beyond the range
-        products, residual = scaled * np.ldexp(1.0, pair_exp), np.ldexp(residual, pair_exp[rows, cols])
+        diagonals = np.diagonal(scaled, axis1=1, axis2=2) * np.ldexp(1.0, t_exp + 2 * col_exp)
+        residual = np.ldexp(residual, t_exp + col_exp[rows] + col_exp[cols])
     if ok:
-        return CertificateCheck(ok=True, residual=float(residual.max(initial=0.0))), products
+        return CertificateCheck(ok=True, residual=float(residual.max(initial=0.0))), diagonals
     worst = int(np.argmax(residual))
     pair = (int(rows[worst]) + 1, int(cols[worst]) + 1)
-    return CertificateCheck(ok=False, offending_pair=pair, residual=float(residual[worst])), products
+    return CertificateCheck(ok=False, offending_pair=pair, residual=float(residual[worst])), diagonals
 
 
 def _solve(
@@ -199,9 +196,9 @@ def _solve(
         p = sdc._assemble(w, bases)
         if adapted is not None:
             p = algebra._embed(adapted, p)
-        check, products = _check(t, p, tol)
+        check, diagonals = _check(t, p, tol)
         if check.ok:
-            return _certificate(p, products), None, None
+            return _certificate(p, diagonals), None, None
         note = "constructed transform failed independent congruence verification"
     elif bases is not None:
         return None, bases, None  # a defective matrix of the whole space

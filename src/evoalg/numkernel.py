@@ -201,31 +201,26 @@ def complete_to_basis(columns: np.ndarray) -> list[int]:
     order: at each step the vector with the largest residual after projection
     onto the current span is taken, lowest index on ties.  Deterministic and
     well-conditioned.  The span grows in one preallocated ``(n, n)`` array,
-    and the squared moduli of its entries in another, filled one column per
-    step, so no step recomputes them for the columns already chosen.
+    one column per step, and the residuals ``1 - ||row i of the span||^2``
+    are one running vector: each new column ``v`` subtracts ``|v|^2``.
     """
     n, k = columns.shape
     q = np.zeros((n, n), dtype=columns.dtype)
     q[:, :k] = columns
-    sq = np.zeros((n, n))
-    sq[:, :k] = np.abs(columns) ** 2
-    taken = np.zeros(n, dtype=bool)
+    residuals = 1.0 - np.sum(np.abs(columns) ** 2, axis=1)
     chosen: list[int] = []
     for m in range(k, n):
-        # residual of e_i: 1 - ||row i of q||^2
-        residuals = 1.0 - np.sum(sq[:, :m], axis=1)
-        residuals[taken] = -np.inf
         i = int(np.argmax(residuals))
         if residuals[i] <= 1e-12:
             raise np.linalg.LinAlgError("cannot complete to a basis; span already full")
-        taken[i] = True
         chosen.append(i)
         e = np.zeros(n, dtype=q.dtype)
         e[i] = 1.0
         v = e - q[:, :m] @ q[i, :m].conj()  # q^H e_i is the conjugate of row i
         v /= np.linalg.norm(v)
         q[:, m] = v
-        sq[:, m] = np.abs(v) ** 2
+        residuals -= np.abs(v) ** 2
+        residuals[i] = -np.inf
     return chosen
 
 
@@ -257,6 +252,9 @@ class EigenStructure:
 def _single_linkage(values: np.ndarray, dist: np.ndarray, radius: float) -> list[tuple[complex, np.ndarray]]:
     """``(centroid, ascending member indices)`` of the components of ``dist <= radius``, by centroid."""
     linked = dist <= radius
+    if np.count_nonzero(linked) == values.size:  # no two within the radius: each its own cluster, no labels spread
+        order = np.lexsort((values.imag, values.real))
+        return [(complex(v), order[k:k + 1]) for k, v in enumerate(values[order].tolist())]
     labels = np.arange(values.size)
     while True:  # every index takes the smallest label among its neighbours until none changes
         spread = np.min(np.where(linked, labels, values.size), axis=1, initial=values.size)
@@ -271,8 +269,8 @@ def _single_linkage(values: np.ndarray, dist: np.ndarray, radius: float) -> list
     return clusters
 
 
-def _eigenvector_rcond(values: np.ndarray, vectors: np.ndarray, real: bool) -> float:
-    """A lower bound on ``1 / kappa(V)`` for the eigenvectors ``V`` of ``np.linalg.eig``.
+def _eigenvector_rcond(values: np.ndarray, vectors: np.ndarray, real: bool) -> tuple[float, float]:
+    """A lower bound on ``1 / kappa(V)`` for the eigenvectors ``V`` of ``np.linalg.eig``, and the smallest singular value.
 
     A real matrix with conjugate pairs measures the real form ``R = [Re v, Im v]`` in a
     real SVD: ``V = R D`` with ``D`` block diagonal of condition at most ``sqrt(2)``.
@@ -281,7 +279,7 @@ def _eigenvector_rcond(values: np.ndarray, vectors: np.ndarray, real: bool) -> f
     if pairs:
         vectors = np.hstack([vectors[:, values.imag >= 0].real, vectors[:, values.imag > 0].imag])
     s = np.linalg.svd(vectors, compute_uv=False)
-    return float(s[-1] / s[0] / (np.sqrt(2.0) if pairs else 1.0))
+    return float(s[-1] / s[0] / (np.sqrt(2.0) if pairs else 1.0)), float(s[-1])
 
 
 def eigen_structure(m, tol: ToleranceContext = DEFAULT_TOL) -> EigenStructure:
@@ -304,7 +302,8 @@ def eigen_structure(m, tol: ToleranceContext = DEFAULT_TOL) -> EigenStructure:
     does not depend on the radius.  Such an ``l`` takes its eigenvector too
     when ``sigma_{n-1}(M - lI)`` exceeds ten times that bound and
     ``sigma_n(M - lI)`` is at most the kernel cutoff: the kernel is then
-    exactly 1-dimensional, with a margin.  Each eigenspace is
+    exactly 1-dimensional, with a margin.  The eigenvectors are views of
+    one gather of ``V``, made once.  Each eigenspace is
     computed once, in the arithmetic of ``M``: for a real ``M`` a cluster
     with ``|Im c| <= radius/2`` is closed under conjugation (the spectrum
     is, and single linkage keeps conjugate members together), so it is one
@@ -315,7 +314,9 @@ def eigen_structure(m, tol: ToleranceContext = DEFAULT_TOL) -> EigenStructure:
     ``eps**(1/multiplicity)``, well beyond any fixed radius, so a clustering
     is accepted only when it is self-consistent: no eigenspace exceeds its
     algebraic multiplicity and the eigenspaces are jointly independent at the
-    current resolution.  Otherwise the radius escalates by decades; clean
+    current resolution (on a real spectrum whose every cluster took its
+    eigenvector, the eigenspaces are ``V`` reordered and signed, so the
+    SVD of ``kappa(V)`` serves).  Otherwise the radius escalates by decades; clean
     spectra are never coarsened because they are consistent at the first
     rung.  Raises :class:`NonConvergence` if no resolution stabilises.
     """
@@ -332,14 +333,16 @@ def eigen_structure(m, tol: ToleranceContext = DEFAULT_TOL) -> EigenStructure:
     real = not np.iscomplexobj(a)
     dist = np.abs(values[:, None] - values[None, :])
     gaps = np.min(np.where(eye > 0, np.inf, dist), axis=1, initial=np.inf)
-    rcond = units = None
+    rcond = smallest = units = real_units = None
     measured = {}  # (member, real arithmetic) -> singular values of M - lI; a single eigenvalue's shift is fixed
     rho = tol.eig_cluster_atol
     while rho <= 1e-2:
         radius = rho * max(1.0, norm)
         floor = 2.0 * max(radius, tol.rank_rtol * norm * n) + n * np.finfo(float).eps * norm
         if rcond is None and np.any(gaps > radius):  # some cluster is a single eigenvalue
-            rcond, units = _eigenvector_rcond(values, vectors, real), _phase_canonical(vectors)
+            rcond, smallest = _eigenvector_rcond(values, vectors, real)
+            units = np.ascontiguousarray(_phase_canonical(vectors).T).reshape(n, n, 1)  # one gather: units[j] is column j
+            real_units = np.ascontiguousarray(units.real)
         certified = (gaps * rcond > floor).tolist() if rcond is not None else ()
         linkage = [(c, members, real and abs(c.imag) <= radius / 2)
                    for c, members in _single_linkage(values, dist, radius)]
@@ -354,11 +357,13 @@ def eigen_structure(m, tol: ToleranceContext = DEFAULT_TOL) -> EigenStructure:
                 measured.update(((j, arithmetic), row) for j, row in zip(batch, sigmas))
         clusters = []
         consistent = True
+        lines = 0  # the clusters that took their eigenvector
         for centroid, members, real_cluster in linkage:
             s = measured.get((int(members[0]), real_cluster))
             if members.size == 1 and (certified[members[0]] or (
                     s[-2] > 10.0 * floor and s[-1] <= _rank_cutoff(float(s[0]), n, tol, radius))):
-                basis = np.ascontiguousarray(units[:, members].real) if real_cluster else units[:, members]
+                basis = real_units[members[0]] if real_cluster else units[members[0]]
+                lines += 1
             else:
                 basis = kernel_basis(a - (centroid.real if real_cluster else centroid) * eye, tol, atol=radius)
             if basis.shape[1] > members.size:
@@ -366,11 +371,13 @@ def eigen_structure(m, tol: ToleranceContext = DEFAULT_TOL) -> EigenStructure:
                 break
             clusters.append(EigenCluster(centroid, members.size, basis))
         if consistent and len(clusters) > 1:
-            union = np.hstack([c.basis for c in clusters if c.basis.size])
-            if union.shape[1] > 1:
-                smin = float(np.linalg.svd(union, compute_uv=False)[-1])
-                if smin <= 100.0 * rho * np.sqrt(n):
-                    consistent = False
+            if lines == n and not np.iscomplexobj(values):
+                smin = smallest  # the union is V itself, its columns reordered and signed
+            else:
+                union = np.hstack([c.basis for c in clusters if c.basis.size])
+                smin = float(np.linalg.svd(union, compute_uv=False)[-1]) if union.shape[1] > 1 else np.inf
+            if smin <= 100.0 * rho * np.sqrt(n):
+                consistent = False
         if consistent:
             return EigenStructure(tuple(clusters), radius)
         rho *= 10.0

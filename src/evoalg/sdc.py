@@ -74,13 +74,14 @@ def _assemble(w: np.ndarray, bases: Sequence[np.ndarray]) -> np.ndarray:
 
     A real one-dimensional ``V`` at a real ``W`` is its own block: ``eigh``
     of a real ``1 x 1`` matrix gives ``X = [[1.0]]``, and ``V + 0.0`` has the
-    bytes of ``V @ X``, which turns -0 into +0.
+    bytes of ``V @ X``, which turns -0 into +0.  When every ``V`` is such a
+    line, the transform is ``hstack(bases) + 0.0`` at once.
     """
     real = not np.iscomplexobj(w)
-    return np.hstack([
-        v + 0.0 if real and v.shape[1] == 1 and not np.iscomplexobj(v) else v @ gram_factor(v.T @ w @ v)
-        for v in bases
-    ])
+    lines = [real and v.shape[1] == 1 and not np.iscomplexobj(v) for v in bases]
+    if all(lines):
+        return np.hstack(bases) + 0.0
+    return np.hstack([v + 0.0 if line else v @ gram_factor(v.T @ w @ v) for v, line in zip(bases, lines)])
 
 
 def _similarity_family(mats: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -91,7 +91,9 @@ def _common_eigenbasis(
     is 1-dimensional or the matrices run out; the concatenated bases form an
     invertible Q with every ``Q^{-1} N_k Q`` diagonal.  While the whole space
     is still unsplit, the refinement works on ``N_k`` itself, and a cluster
-    that fills its subspace keeps the subspace's basis.
+    that fills its subspace keeps the subspace's basis.  A real line of the
+    whole space keeps its own basis: ``I v`` differs from ``v`` only in the
+    sign of a zero, which :func:`sdc._assemble` makes ``+0`` in any case.
 
     Each subspace is split by the eigenspaces ``eigen_structure`` returns,
     used as they are: a real cluster of a real matrix has a real basis, and
@@ -121,7 +123,9 @@ def _common_eigenbasis(
             if structure.defective_cluster() is not None:
                 defect = (structure if basis is whole else numkernel.eigen_structure(mat, tol)).defective_cluster()
                 return None if defect is None else NonDiagonalisable(idx + 1, defect.eigenvalue)
-            refined.extend(basis if c.multiplicity == d else basis @ c.basis for c in structure.clusters)
+            refined.extend(basis if c.multiplicity == d
+                           else c.basis if basis is whole and c.multiplicity == 1 and not np.iscomplexobj(c.basis)
+                           else basis @ c.basis for c in structure.clusters)
         bases = refined
     return bases
 

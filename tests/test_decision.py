@@ -170,7 +170,7 @@ class TestCertificateDiagonals:
         rng = np.random.default_rng(4)
         for products in (rng.standard_normal((3, 3, 3)), rng.standard_normal((5, 5, 5)) * (1 - 2j)):
             p = np.eye(len(products))
-            got = decision._certificate(p, products)
+            got = decision._certificate(p, decision._check(products, p, DEFAULT_TOL)[1])
             want = tuple(np.diag(a).copy() for a in products)
             assert type(got.diagonals) is tuple and len(got.diagonals) == len(want)
             for g, w in zip(got.diagonals, want):
@@ -178,6 +178,27 @@ class TestCertificateDiagonals:
             stacked = np.column_stack(want)
             assert got.natural_basis_products.tobytes() == stacked.tobytes()
             assert got.natural_basis_products.flags.c_contiguous
+
+    def test_check_gives_the_diagonals_of_the_rescaled_products(self):
+        # reference: every product rescaled to the scale of t and p, then the diagonal of each P^T M_k P
+        def reference(t, p):
+            t_exp, col_exp = np.frexp(np.abs(t).max(initial=0.0))[1] - 1, np.frexp(np.abs(p).max(axis=0))[1] - 1
+            scaled = (p / np.ldexp(1.0, col_exp)).T @ (t / np.ldexp(1.0, t_exp)) @ (p / np.ldexp(1.0, col_exp))
+            with np.errstate(over="ignore", invalid="ignore"):
+                products = scaled * np.ldexp(1.0, t_exp + col_exp[:, None] + col_exp)
+            return np.diagonal(products, axis1=1, axis2=2).copy()
+
+        specs = [example_algebra("mendel", 0.25)] + [complex_basis(n, seed)[0] for n in (3, 6) for seed in range(2)]
+        specs += [planted_evolution_algebra(n, seed=seed)[0] for n in (2, 5, 8, 16) for seed in range(3)]
+        checked = 0
+        for spec in specs:
+            p, t = is_evolution_algebra(spec).certificate.p, decision._tensor(spec)
+            for t_scale, p_scale in [(1.0, 1.0), (1.0, 1e-300), (1.0, 1e300), (1e300, 1.0), (1e-300, 1e300), (1e-300, 1e-5)]:
+                got = decision._check(t * t_scale, p * p_scale, DEFAULT_TOL)[1]
+                want = reference(t * t_scale, p * p_scale)
+                assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+                checked += 1
+        assert checked == 6 * 17
 
 
 class TestExplain:

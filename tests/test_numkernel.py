@@ -3,7 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evoalg import adversarial_instance, is_evolution_algebra, numkernel
+from evoalg import (
+    adversarial_instance,
+    algebra,
+    annihilator_basis,
+    complexify,
+    decision,
+    example_algebra,
+    is_evolution_algebra,
+    numkernel,
+    planted_evolution_algebra,
+)
+from evoalg.corpus import ADVERSARIAL_KINDS
 from evoalg.numkernel import (
     DEFAULT_TOL,
     ToleranceContext,
@@ -13,6 +24,7 @@ from evoalg.numkernel import (
     rank,
 )
 from conftest import similarity_family
+from probe import EXAMPLES, scrambled_planted
 
 MENDEL_N = np.array([[1.0, 2.0], [-2.0, -3.0]])  # defective, unique eigenvalue -1
 TETRA_N = np.array([[4.0, 3.0, 0.0], [-9.0, -5.0, 3.0], [3.0, 0.0, -5.0]])  # defective at -2
@@ -550,6 +562,21 @@ class TestCompleteToBasis:
             for k in (1, n // 4, n // 2, n - 1):
                 cases.append(np.linalg.qr(rng.standard_normal((n, k)))[0])
                 cases.append(np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0])
+        # the annihilators the decision completes: planted n = 2..48 as decided and in complex arithmetic,
+        # kappa-scrambled, adversarial (seeded and not) and the named examples
+        specs = []
+        for n in range(2, 49):
+            for seed in range(4 if n <= 12 else 1):
+                spec = planted_evolution_algebra(n, seed=seed)[0]
+                specs += [spec, complexify(spec)]
+        specs += [scrambled_planted(n, kappa, seed)[0] for n in (4, 6, 8) for kappa in 10.0 ** np.arange(2, 9)
+                  for seed in range(20)]
+        specs += [adversarial_instance(kind, n, seed) for kind in ADVERSARIAL_KINDS for n in range(3, 13)
+                  for seed in (None, *range(10))]
+        specs += [example_algebra(name, eps) for name, eps in EXAMPLES]
+        annihilators = [algebra._annihilator(decision._tensor(spec), DEFAULT_TOL) for spec in specs]
+        annihilators += [annihilator_basis(spec) for spec in specs if spec.field == "complex"]
+        cases += [ann for ann in annihilators if ann.shape[1]]
         for columns in cases:
             assert complete_to_basis(columns) == reference(columns)
-        assert len(cases) > 400
+        assert len(cases) > 900

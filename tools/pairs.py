@@ -13,8 +13,20 @@ pair is printed as it ends.  Then, for every end-to-end metric that
 side's median with its quartiles ``[q1, q3]``, the median of the paired
 differences, the per-pair ratios here / BASE, and the number of pairs in
 which this checkout is better, by the metric's ``better`` direction (ties
-are counted apart).  A run whose result is not ``correct`` is reported and
-kept.  Nothing under ``perfbench/`` is changed.
+are counted apart), and a verdict by the gain rule for measuring in a small sandbox:
+
+* ``gain``: here is better in at least 9 of 10 pairs, ties counting for
+  neither, and both the median of the paired differences and the
+  difference of the medians lie on the better side by more than the base
+  IQR;
+* ``worse``: here's median is worse than base's by more than the metric's
+  relative ``bound`` in ``BENCHMARK.json``;
+* ``unresolved``: the base IQR is wider than that bound, relative to the
+  base median, unless every run here beats every base run;
+* ``same``: otherwise.
+
+A run whose result is not ``correct`` is reported and kept.  Nothing under
+``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -47,6 +59,23 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(h: list[float], b: list[float], lower: bool, bound: float) -> str:
+    """``gain``, ``worse``, ``unresolved`` or ``same`` for paired values ``h`` (here) and ``b`` (base); see above."""
+    def better_by(x: float, y: float) -> float:
+        return y - x if lower else x - y
+
+    (b1, bm, b3), hm = quartiles(b), statistics.median(h)
+    iqr = b3 - b1
+    wins = sum(better_by(x, y) > 0 for x, y in zip(h, b))
+    if 10 * wins >= 9 * len(h) and min(statistics.median(map(better_by, h, b)), better_by(hm, bm)) > iqr:
+        return "gain"
+    if better_by(hm, bm) < -bound * abs(bm):
+        return "worse"
+    if iqr > bound * abs(bm) and not all(better_by(x, y) > 0 for x in h for y in b):
+        return "unresolved"
+    return "same"
+
+
 def summary(metrics: list[dict], here: list[dict], base: list[dict]) -> list[str]:
     """One line per end-to-end metric over the paired results."""
     lines = []
@@ -63,7 +92,8 @@ def summary(metrics: list[dict], here: list[dict], base: list[dict]) -> list[str
             f"{name} ({metric['unit']}, {metric['better']} is better): "
             f"base {bq[1]:.4g} [{bq[0]:.4g}, {bq[2]:.4g}] -> here {hq[1]:.4g} [{hq[0]:.4g}, {hq[2]:.4g}]; "
             f"median gap {gap:+.4g}, base IQR {bq[2] - bq[0]:.4g}; "
-            f"here better in {better}/{len(h)} pairs, {ties} tied; ratios {ratios}")
+            f"here better in {better}/{len(h)} pairs, {ties} tied; ratios {ratios}; "
+            f"verdict {verdict(h, b, lower, metric['bound'])}")
     return lines
 
 
